@@ -126,6 +126,14 @@ def _check_matched_grid(cfg) -> None:
         )
 
 
+def _floats(values, what: str) -> list:
+    """`values` as floats, or a ConfigError that names the bad entry."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{what}: {e}") from None
+
+
 def _apply_overrides(cfg, args) -> None:
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
@@ -140,7 +148,7 @@ def _apply_overrides(cfg, args) -> None:
     if getattr(args, "method", None) is not None:
         cfg["method"]["name"] = args.method
     if getattr(args, "beta", None) is not None:
-        betas = [float(b) for b in args.beta.split(",") if b]
+        betas = _floats([b for b in args.beta.split(",") if b], "--beta")
         if not betas:
             raise ConfigError(f"cannot parse --beta '{args.beta}'")
         cfg["method"]["beta"] = betas[0]
@@ -237,9 +245,9 @@ def cmd_relax(args) -> int:
     _apply_overrides(cfg, args)
     shape, act, theta = _resolve_network(cfg, args)
     if args.x is not None:
-        x = np.array([float(v) for v in args.x.split(",")])
+        x = np.array(_floats(args.x.split(","), "--x"))
     elif cfg["input_x"] is not None:
-        x = np.array([float(v) for v in cfg["input_x"]])
+        x = np.array(_floats(cfg["input_x"], "input_x"))
     else:
         raise ConfigError("relax needs an input vector: --x or config 'input_x'")
     if x.shape != (shape.input_dim,):
@@ -291,7 +299,7 @@ def cmd_gradcheck(args) -> int:
         rep["method"] = "rbp"
         reports.append(rep)
     else:
-        betas = [float(b) for b in cfg["method"]["betas"]]
+        betas = _floats(cfg["method"]["betas"], "method.betas")
         errors = []
         for beta in betas:
             est = eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg)
@@ -351,7 +359,7 @@ def _run_sweep(cfg, args):
     shape, act, theta = _resolve_network(cfg, args)
     x, y = _resolve_data_point(cfg, shape)
     rcfg = _relaxation(cfg)
-    betas = [float(b) for b in cfg["method"]["betas"]]
+    betas = _floats(cfg["method"]["betas"], "method.betas")
     num_steps = int(cfg["method"]["num_steps"])
     reports = equivalence.beta_sweep(theta, x, y, betas, num_steps, act, rcfg)
     paths = []

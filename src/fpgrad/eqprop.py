@@ -70,20 +70,26 @@ def tightened(cfg: RelaxationConfig, beta: float) -> RelaxationConfig:
     return replace(cfg, tolerance=min(cfg.tolerance, beta * 1e-3), record_every=0)
 
 
-def _two_point_gradient(theta, x, y, beta, s_free, s_nudged, act) -> Params:
-    """(1/beta) * (dE^beta/dW at the nudged state - dE/dW at the free state).
+def _two_point_gradient(theta, x, y, beta, g_free, s_nudged, act, out=None) -> Params:
+    """(1/beta) * (dE^beta/dW at the nudged state - g_free), where g_free
+    is dE/dW at the free state.
 
     The cost's weight derivative is zero for the quadratic cost but is
     included so the formula stays exact for costs that do touch the
-    weights.
+    weights.  `out`, weight-shaped float64 blocks, receives the result.
     """
-    g_free = model.grad_theta_energy(theta, x, s_free, act)
-    g_nudged = model.grad_theta_energy(theta, x, s_nudged, act)
-    g_cost = model.grad_theta_cost(theta, y, s_nudged)
-    return [
-        (gn + beta * gc - gf) / beta
-        for gn, gc, gf in zip(g_nudged, g_cost, g_free)
-    ]
+    g = model.grad_theta_energy(theta, x, s_nudged, act, out=out)
+    for gn, gc, gf in zip(g, model.grad_theta_cost(theta, y, s_nudged), g_free):
+        gc *= beta
+        gn += gc
+        gn -= gf
+        gn /= beta
+    return g
+
+
+def _rescaled_velocity(theta, x, y, beta, s, act) -> State:
+    """(1/beta) * d(E + beta*C)/ds at s: -(1/beta) * ds/dt of the nudged phase."""
+    return [gb / beta for gb in model.grad_s_augmented(theta, x, y, s, beta, act)]
 
 
 def _free_fixed_point(theta, x, act, cfg) -> State:
@@ -122,7 +128,8 @@ def eqprop_gradient(
             f"nudged phase did not converge within {cfg.max_steps} steps "
             f"(residual {traj.final_residual:.3e} > tolerance {cfg.tolerance:g})"
         )
-    grad = _two_point_gradient(theta, x, y, beta, s_free, s_nudged, act)
+    g_free = model.grad_theta_energy(theta, x, s_free, act)
+    grad = _two_point_gradient(theta, x, y, beta, g_free, s_nudged, act)
     return GradientEstimate(
         grad=grad,
         method="eqprop",
@@ -152,7 +159,8 @@ def truncated_eqprop_gradient(
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
     states = dynamics.nudged_path(theta, x, y, beta, s_free, act, cfg.step_size, num_steps)
-    grad = _two_point_gradient(theta, x, y, beta, s_free, states[-1], act)
+    g_free = model.grad_theta_energy(theta, x, s_free, act)
+    grad = _two_point_gradient(theta, x, y, beta, g_free, states[-1], act)
     return GradientEstimate(
         grad=grad,
         method="eqprop-truncated",
@@ -190,15 +198,13 @@ def temporal_derivative_process(
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
     states = dynamics.nudged_path(theta, x, y, beta, s_free, act, cfg.step_size, num_steps)
-    times = []
-    s_tilde = []
-    theta_tilde = []
-    for k, sk in enumerate(states):
-        g = model.grad_s_augmented(theta, x, y, sk, beta, act)
-        s_tilde.append([gb / beta for gb in g])
-        theta_tilde.append(_two_point_gradient(theta, x, y, beta, s_free, sk, act))
-        times.append(k * cfg.step_size)
-    return TemporalProcessRecord(times=times, s_tilde=s_tilde, theta_tilde=theta_tilde, beta=beta)
+    g_free = model.grad_theta_energy(theta, x, s_free, act)
+    return TemporalProcessRecord(
+        times=[k * cfg.step_size for k in range(len(states))],
+        s_tilde=[_rescaled_velocity(theta, x, y, beta, sk, act) for sk in states],
+        theta_tilde=[_two_point_gradient(theta, x, y, beta, g_free, sk, act) for sk in states],
+        beta=beta,
+    )
 
 
 def write_temporal_csv(record: TemporalProcessRecord, path_or_file) -> None:

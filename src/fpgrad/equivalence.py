@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional
 
 import numpy as np
 
 from . import dynamics, eqprop, model, parallel, rbp
 from .dynamics import RelaxationConfig
-from .exceptions import ConvergenceError, DivergenceError
+from .exceptions import DivergenceError
 from .model import Activation, Params, State
 
 
@@ -40,16 +41,6 @@ class EquivalenceReport:
     reference_scale: float
 
 
-def _free_point(theta, x, act, cfg) -> State:
-    s0, traj = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
-    if not traj.converged:
-        raise ConvergenceError(
-            f"free phase did not converge within {cfg.max_steps} steps "
-            f"(residual {traj.final_residual:.3e})"
-        )
-    return s0
-
-
 def error_process_path(
     theta: Params,
     x,
@@ -61,17 +52,26 @@ def error_process_path(
     tolerance: float,
 ):
     """The side-process pair recorded at every grid point k = 0..num_steps."""
-    p = rbp.rbp_init(theta, x, y, s_star, act, tolerance)
-    curvature = model.CurvatureOps(theta, x, s_star, act)
-    s_bars = [model.copy_blocks(p.s_bar)]
-    theta_bars = [model.copy_blocks(p.theta_bar)]
-    for _ in range(num_steps):
-        p = rbp._step_raw(curvature, p, step_size)
+    side = rbp.side_process(theta, x, y, s_star, act, step_size, tolerance)
+    s_bars, theta_bars = [], []
+    for p in islice(side, num_steps + 1):
         s_bars.append(model.copy_blocks(p.s_bar))
         theta_bars.append(model.copy_blocks(p.theta_bar))
+    _check_side_finite(p)
+    return s_bars, theta_bars
+
+
+def _check_side_finite(p: rbp.ErrorProcessState) -> None:
     if not (model.all_finite(p.s_bar) and model.all_finite(p.theta_bar)):
         raise DivergenceError("non-finite side process during recording")
-    return s_bars, theta_bars
+
+
+def _inf_gap(a, b, scratch) -> float:
+    """inf_norm(a - b), with |a - b| held in `scratch`."""
+    return max(
+        float(np.max(np.abs(np.subtract(ak, bk, out=w), out=w)))
+        for ak, bk, w in zip(a, b, scratch)
+    )
 
 
 def compare_processes(
@@ -84,24 +84,33 @@ def compare_processes(
     cfg: RelaxationConfig,
     s_free: Optional[State] = None,
 ) -> EquivalenceReport:
-    """Run both processes for num_steps on the shared grid and report gaps."""
+    """Run both processes for num_steps on the shared grid and report gaps.
+
+    The side process and the readouts of the nudged path advance together
+    and each grid point is reduced to its four norms at once.  The
+    weight-shaped work lives in a few blocks allocated per call, so memory
+    does not grow with num_steps: only the state-sized nudged path and the
+    four per-step lists do.
+    """
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     cfg = eqprop.tightened(cfg, beta)
     if s_free is None:
-        s_free = _free_point(theta, x, act, cfg)
-    s_bars, theta_bars = error_process_path(
-        theta, x, y, s_free, act, cfg.step_size, num_steps, cfg.tolerance
-    )
-    record = eqprop.temporal_derivative_process(
-        theta, x, y, beta, num_steps, act, cfg, s_free=s_free
-    )
+        s_free = eqprop._free_fixed_point(theta, x, act, cfg)
+    side = rbp.side_process(theta, x, y, s_free, act, cfg.step_size, cfg.tolerance)
+    states = dynamics.nudged_path(theta, x, y, beta, s_free, act, cfg.step_size, num_steps)
+    g_free = model.grad_theta_energy(theta, x, s_free, act)
+    theta_tilde = [np.empty(w.shape) for w in theta]
+    scratch = [np.empty(w.shape) for w in theta]
     s_gaps, theta_gaps, sbar_norms, stilde_norms = [], [], [], []
-    for sb, tb, st, tt in zip(s_bars, theta_bars, record.s_tilde, record.theta_tilde):
-        s_gaps.append(model.inf_norm([a - b for a, b in zip(st, sb)]))
-        theta_gaps.append(model.inf_norm([a - b for a, b in zip(tt, tb)]))
-        sbar_norms.append(model.inf_norm(sb))
-        stilde_norms.append(model.inf_norm(st))
+    for sk, p in zip(states, side):
+        s_tilde = eqprop._rescaled_velocity(theta, x, y, beta, sk, act)
+        eqprop._two_point_gradient(theta, x, y, beta, g_free, sk, act, out=theta_tilde)
+        s_gaps.append(model.inf_norm([a - b for a, b in zip(s_tilde, p.s_bar)]))
+        theta_gaps.append(_inf_gap(theta_tilde, p.theta_bar, scratch))
+        sbar_norms.append(model.inf_norm(p.s_bar))
+        stilde_norms.append(model.inf_norm(s_tilde))
+    _check_side_finite(p)
     return EquivalenceReport(
         beta=beta,
         step=cfg.step_size,
@@ -142,7 +151,7 @@ def beta_sweep(
         if b > a:
             raise ValueError(f"betas must be non-increasing, got {a} before {b}")
     cfg = eqprop.tightened(cfg, min(betas))
-    s_free = _free_point(theta, x, act, cfg)
+    s_free = eqprop._free_fixed_point(theta, x, act, cfg)
 
     def one(beta):
         return compare_processes(theta, x, y, beta, num_steps, act, cfg, s_free=s_free)
@@ -168,16 +177,15 @@ def truncation_correspondence(
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     cfg = eqprop.tightened(cfg, beta)
-    s_free = _free_point(theta, x, act, cfg)
+    s_free = eqprop._free_fixed_point(theta, x, act, cfg)
     truncated = eqprop.truncated_eqprop_gradient(
         theta, x, y, beta, num_steps, act, cfg, s_free=s_free
     )
-    _, theta_bars = error_process_path(
-        theta, x, y, s_free, act, cfg.step_size, num_steps, cfg.tolerance
-    )
-    theta_bar_k = theta_bars[-1]
-    gap = model.inf_norm([a - b for a, b in zip(truncated.grad, theta_bar_k)])
-    return gap / (1.0 + model.inf_norm(theta_bar_k))
+    side = rbp.side_process(theta, x, y, s_free, act, cfg.step_size, cfg.tolerance)
+    p = next(islice(side, num_steps, None))
+    _check_side_finite(p)
+    gap = model.inf_norm([a - b for a, b in zip(truncated.grad, p.theta_bar)])
+    return gap / (1.0 + model.inf_norm(p.theta_bar))
 
 
 def fit_loglog_slope(betas, gaps) -> float:

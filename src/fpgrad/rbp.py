@@ -19,9 +19,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import dynamics, model
+from . import model
 from .dynamics import RelaxationConfig
-from .eqprop import GradientEstimate
+from .eqprop import GradientEstimate, _free_fixed_point
 from .exceptions import (
     ConvergenceError,
     DivergenceError,
@@ -63,12 +63,46 @@ def rbp_init(theta: Params, x, y, s_star: State, act: Activation, tolerance: flo
     )
 
 
-def _step_raw(curvature: model.CurvatureOps, p: ErrorProcessState, step_size: float) -> ErrorProcessState:
+def _step_raw(
+    curvature: model.CurvatureOps,
+    p: ErrorProcessState,
+    step_size: float,
+    work: tuple = (None, None),
+) -> None:
+    """Advance the pair one forward-Euler step in place.
+
+    `work` is the (out, scratch) pair of weight-shaped blocks that
+    `CurvatureOps.apply_theta_s` may fill instead of allocating.
+    """
     h_ss = curvature.apply_ss(p.s_bar)
-    h_ts = curvature.apply_theta_s(p.s_bar)
-    s_bar = [sb - step_size * hb for sb, hb in zip(p.s_bar, h_ss)]
-    theta_bar = [tb - step_size * hb for tb, hb in zip(p.theta_bar, h_ts)]
-    return ErrorProcessState(s_bar=s_bar, theta_bar=theta_bar, t=p.t + step_size)
+    h_ts = curvature.apply_theta_s(p.s_bar, *work)
+    p.s_bar = [sb - step_size * hb for sb, hb in zip(p.s_bar, h_ss)]
+    for tb, hb in zip(p.theta_bar, h_ts):
+        hb *= step_size
+        tb -= hb
+    p.t += step_size
+
+
+def side_process(
+    theta: Params, x, y, s_star: State, act: Activation, step_size: float, tolerance: float
+):
+    """An endless iterator over the pair at k = 0, 1, 2, ... steps.
+
+    Every item is the same ErrorProcessState, advanced in place, and the
+    weight-shaped work of a step reuses two sets of blocks allocated once
+    here, so running K steps holds no K-long history.  Copy what must
+    outlive the next step.  The fixed-point check runs at the call.
+    """
+    p = rbp_init(theta, x, y, s_star, act, tolerance)
+    curvature = model.CurvatureOps(theta, x, s_star, act)
+    work = tuple([np.empty(w.shape) for w in theta] for _ in range(2))
+
+    def steps():
+        while True:
+            yield p
+            _step_raw(curvature, p, step_size, work)
+
+    return steps()
 
 
 def rbp_step(
@@ -79,12 +113,13 @@ def rbp_step(
     act: Activation,
     step_size: float,
 ) -> ErrorProcessState:
-    """One forward-Euler update of the pair.
+    """One forward-Euler update of the pair, returned as a new state.
 
     Both equations advance from the time-t values: the theta_bar update
     uses the pre-update s_bar.  The Hessians stay pinned at s_star.
     """
-    q = _step_raw(model.CurvatureOps(theta, x, s_star, act), p, step_size)
+    q = ErrorProcessState(model.copy_blocks(p.s_bar), model.copy_blocks(p.theta_bar), p.t)
+    _step_raw(model.CurvatureOps(theta, x, s_star, act), q, step_size)
     if not (model.all_finite(q.s_bar) and model.all_finite(q.theta_bar)):
         raise DivergenceError(f"non-finite side process at t={q.t!r}")
     return q
@@ -103,38 +138,33 @@ def rbp_gradient(
 
     Runs the free phase from the zero state (unless `s_free` is given),
     then integrates the side process with the same step size until
-    ||s_bar||_inf falls below cfg.tolerance or max_steps is hit.  If the
-    norm grows for many consecutive steps the step size is too large for
-    the local curvature and an InstabilityError is raised.
+    ||s_bar||_inf falls below cfg.tolerance; a ConvergenceError is raised
+    if that takes more than max_steps.  If the norm grows for many
+    consecutive steps the step size is too large for the local curvature
+    and an InstabilityError is raised.
 
     `record`, if given a list, receives (t, ||s_bar||_inf,
     ||delta theta_bar||_inf) tuples for decay plots.
     """
     eps = cfg.step_size
     if s_free is None:
-        s_free, traj = dynamics.relax_free(
-            theta, x, model.zero_state_like(theta), act, cfg
-        )
-        if not traj.converged:
-            raise ConvergenceError(
-                f"free phase did not converge within {cfg.max_steps} steps "
-                f"(residual {traj.final_residual:.3e} > tolerance {cfg.tolerance:g})"
-            )
-    p = rbp_init(theta, x, y, s_free, act, cfg.tolerance)
-    curvature = model.CurvatureOps(theta, x, s_free, act)
+        s_free = _free_fixed_point(theta, x, act, cfg)
+    side = side_process(theta, x, y, s_free, act, eps, cfg.tolerance)
+    p = next(side)
     norm = model.inf_norm(p.s_bar)
     rising = 0
     steps = 0
     while norm > cfg.tolerance and steps < cfg.max_steps:
-        q = _step_raw(curvature, p, eps)
-        new_norm = model.inf_norm(q.s_bar)
+        previous = model.copy_blocks(p.theta_bar) if record is not None else None
+        next(side)
+        new_norm = model.inf_norm(p.s_bar)
         if not np.isfinite(new_norm):
-            raise DivergenceError(f"non-finite side process at t={q.t!r}")
+            raise DivergenceError(f"non-finite side process at t={p.t!r}")
         if record is not None:
             delta = model.inf_norm(
-                [a - b for a, b in zip(q.theta_bar, p.theta_bar)]
+                [a - b for a, b in zip(p.theta_bar, previous)]
             )
-            record.append((q.t, new_norm, delta))
+            record.append((p.t, new_norm, delta))
         if new_norm > norm:
             rising += 1
             if rising >= _INSTABILITY_PATIENCE:
@@ -145,10 +175,15 @@ def rbp_gradient(
                 )
         else:
             rising = 0
-        p, norm = q, new_norm
+        norm = new_norm
         steps += 1
+    if norm > cfg.tolerance:
+        raise ConvergenceError(
+            f"side process did not converge within {cfg.max_steps} steps "
+            f"(||s_bar|| {norm:.3e} > tolerance {cfg.tolerance:g})"
+        )
     return GradientEstimate(
-        grad=model.copy_blocks(p.theta_bar),
+        grad=p.theta_bar,
         method="rbp",
         step=eps,
         horizon_t=p.t,

@@ -1,6 +1,9 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -252,3 +255,24 @@ def test_reruns_are_byte_identical(ws):
         assert main(["gradcheck", "--config", cfg, "--out", out]) == 0
     for name in ("trajectory.csv", "gradcheck_report.json"):
         assert (ws / "a" / name).read_bytes() == (ws / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["relax", "--x", "0.3,abc"], "'abc'"),
+        (["equivalence", "--beta", "1e-3,x"], "'x'"),
+    ],
+    ids=["relax-x", "equivalence-beta"],
+)
+def test_malformed_numbers_exit_2_without_traceback(ws, argv, bad):
+    cfg = write_config(ws, BASE_CONFIG)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpgrad.cli", *argv, "--config", cfg, "--out", "out"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert bad in proc.stderr

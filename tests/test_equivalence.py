@@ -1,11 +1,14 @@
 """Matched-grid comparison of the side process and the rescaled velocities."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fpgrad as fp
+from fpgrad import model
+from fpgrad.eqprop import tightened
 from fpgrad.equivalence import error_process_path, summarize
 
 
@@ -67,6 +70,56 @@ def test_initial_condition_matches_cost_gradient(converged):
     rep = fp.compare_processes(theta, x, y, beta, 10, act, cfg, s_free=s0)
     c = 10.0  # generous constant for the first-order term
     assert rep.per_step_s_gap[0] <= cfg.tolerance / beta + c * beta
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_streamed_gaps_equal_the_recorded_processes(act, tight_cfg):
+    # the streamed comparison must give exactly the gaps of the two
+    # recorded processes it replaces, step for step
+    shape = fp.NetworkShape(3, (2, 4, 3))
+    theta, x, y = fp.random_instance(shape, 11)
+    beta, K = 5e-4, 60
+    cfg = tightened(tight_cfg, beta)
+    s0, traj = fp.relax_free(theta, x, shape.zero_state(), act, cfg)
+    assert traj.converged
+    rep = fp.compare_processes(theta, x, y, beta, K, act, tight_cfg, s_free=s0)
+    s_bars, theta_bars = error_process_path(
+        theta, x, y, s0, act, cfg.step_size, K, cfg.tolerance
+    )
+    record = fp.temporal_derivative_process(theta, x, y, beta, K, act, tight_cfg, s_free=s0)
+
+    def gaps(a, b):
+        return [model.inf_norm([u - v for u, v in zip(p, q)]) for p, q in zip(a, b)]
+
+    assert rep.per_step_s_gap == gaps(record.s_tilde, s_bars)
+    assert rep.per_step_theta_gap == gaps(record.theta_tilde, theta_bars)
+    assert rep.per_step_sbar_norm == [model.inf_norm(b) for b in s_bars]
+    assert rep.per_step_stilde_norm == [model.inf_norm(b) for b in record.s_tilde]
+
+
+def test_compare_memory_does_not_grow_with_steps(tight_cfg):
+    # weight-shaped memory is a fixed set of buffers: going from 50 to 200
+    # grid points adds less than one weight vector to the peak (recording
+    # both processes would add 300 of them)
+    shape = fp.NetworkShape(1024, (8, 32))
+    theta, x, y = fp.random_instance(shape, 5)
+    beta = 1e-3
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), fp.LOGISTIC, tightened(tight_cfg, beta))
+    theta_bytes = 8 * shape.num_params
+
+    def peak(num_steps):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fp.compare_processes(theta, x, y, beta, num_steps, fp.LOGISTIC, tight_cfg, s_free=s0)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(50)
+        short, long = peak(50), peak(200)
+    finally:
+        tracemalloc.stop()
+    assert long - short < theta_bytes
 
 
 def test_beta_sweep_slope_near_one(converged):
@@ -138,6 +191,17 @@ def test_truncation_correspondence_endpoint_limit(converged):
     ) / (1.0 + max(np.max(np.abs(b)) for b in rbp_est.grad))
     assert gap_large == pytest.approx(endpoint, rel=0.05, abs=1e-6)
     assert gap_large <= 10 * beta
+
+
+def test_truncation_correspondence_matches_recorded_side_process(converged):
+    shape, theta, x, y, act, s0, cfg = converged
+    beta, K = 1e-3, 40
+    gap = fp.truncation_correspondence(theta, x, y, beta, K, act, cfg)
+    tight = tightened(cfg, beta)
+    truncated = fp.truncated_eqprop_gradient(theta, x, y, beta, K, act, cfg, s_free=s0)
+    _, theta_bars = error_process_path(theta, x, y, s0, act, tight.step_size, K, tight.tolerance)
+    want = model.inf_norm([a - b for a, b in zip(truncated.grad, theta_bars[-1])])
+    assert gap == want / (1.0 + model.inf_norm(theta_bars[-1]))
 
 
 def test_report_csv_and_summary_export(converged):

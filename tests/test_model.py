@@ -427,6 +427,28 @@ def test_hvp_theta_s_matches_fd_of_gradient(i):
     assert_blocks_close(h, fd, 1e-5, 1e-9)
 
 
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_weight_shaped_products_into_buffers_are_bitwise_outer_products(act):
+    # the in-place fills must equal plain np.outer products bit for bit,
+    # signed zeros included, with and without caller buffers
+    shape, theta, x, y = make_instance(4)
+    rng = np.random.default_rng(9)
+    s = random_state(shape, rng)
+    s[1][0] = 0.0
+    v = random_direction(shape, rng)
+    v[0][0] = -0.0
+    want = fp.hvp_theta_s(theta, x, s, v, act)
+    ops = fp.model.CurvatureOps(theta, x, s, act)
+    bufs = [[np.full(w.shape, np.nan) for w in theta] for _ in range(2)]
+    for got in (ops.apply_theta_s(v), ops.apply_theta_s(v, *bufs)):
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+    rho = [act.f(sk) for sk in s] + [act.f(x)]
+    want = [-np.outer(rho[k], rho[k + 1]) for k in range(len(theta))]
+    for got in (fp.grad_theta_energy(theta, x, s, act),
+                fp.grad_theta_energy(theta, x, s, act, out=bufs[0])):
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
 # ---------------------------------------------------------------------------
 # shapes and containers
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fpgrad as fp
-from fpgrad.exceptions import InstabilityError, NotAtFixedPointError
+from fpgrad.exceptions import ConvergenceError, InstabilityError, NotAtFixedPointError
 from fpgrad.rbp import write_error_process_csv
 
 from conftest import make_instance, random_state
@@ -183,6 +183,26 @@ def test_instability_error_for_oversized_step(converged):
     bad = dataclasses.replace(cfg, step_size=25.0)
     with pytest.raises(InstabilityError):
         fp.rbp_gradient(theta, x, y, act, bad, s_free=s0)
+
+
+def test_side_process_cut_at_max_steps_raises(converged):
+    shape, theta, x, y, act, s0, cfg = converged
+    import dataclasses
+
+    short = dataclasses.replace(cfg, max_steps=3)
+    with pytest.raises(ConvergenceError, match="side process did not converge within 3 steps"):
+        fp.rbp_gradient(theta, x, y, act, short, s_free=s0)
+
+
+def test_step_leaves_its_input_unchanged(converged):
+    shape, theta, x, y, act, s0, cfg = converged
+    p = fp.rbp_init(theta, x, y, s0, act, cfg.tolerance)
+    before = [b.copy() for b in p.s_bar + p.theta_bar]
+    q = fp.rbp_step(p, theta, x, s0, act, cfg.step_size)
+    for a, b in zip(p.s_bar + p.theta_bar, before):
+        np.testing.assert_array_equal(a, b)
+    assert p.t == 0.0 and q.t == cfg.step_size
+    assert not np.array_equal(q.s_bar[0], p.s_bar[0])
 
 
 def test_decay_csv_dump(converged):
