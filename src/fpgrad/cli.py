@@ -134,6 +134,17 @@ def _floats(values, what: str) -> list:
         raise ConfigError(f"{what}: {e}") from None
 
 
+def _number(cfg, key: str, kind=float):
+    """The config value at dotted `key` as `kind`, or a ConfigError that
+    names the key and the value."""
+    section, _, name = key.rpartition(".")
+    value = cfg[section][name] if section else cfg[name]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: cannot read {value!r} as {kind.__name__}") from None
+
+
 def _apply_overrides(cfg, args) -> None:
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
@@ -168,13 +179,12 @@ def _apply_overrides(cfg, args) -> None:
 
 
 def _relaxation(cfg) -> RelaxationConfig:
-    r = cfg["relaxation"]
     try:
         return RelaxationConfig(
-            step_size=float(r["step_size"]),
-            max_steps=int(r["max_steps"]),
-            tolerance=float(r["tolerance"]),
-            record_every=int(r["record_every"]),
+            step_size=_number(cfg, "relaxation.step_size"),
+            max_steps=_number(cfg, "relaxation.max_steps", int),
+            tolerance=_number(cfg, "relaxation.tolerance"),
+            record_every=_number(cfg, "relaxation.record_every", int),
         )
     except ValueError as e:
         raise ConfigError(f"bad relaxation settings: {e}") from e
@@ -206,7 +216,7 @@ def _resolve_network(cfg, args):
         return shape, model.get_activation(act_name), theta
     shape = _shape(cfg)
     act = model.get_activation(cfg["activation"])
-    theta = model.init_params(shape, np.random.default_rng(int(cfg["seed"])))
+    theta = model.init_params(shape, np.random.default_rng(_number(cfg, "seed", int)))
     return shape, act, theta
 
 
@@ -215,7 +225,7 @@ def _resolve_data_point(cfg, shape):
     if cfg["dataset"] is not None:
         ds = training.load_dataset(cfg["dataset"], shape)
         return ds.samples[0].x, ds.samples[0].y
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(_number(cfg, "seed", int))
     # burn the same stream a seeded init would use, so (x, y) match
     # random_instance() for the same seed and shape
     model.init_params(shape, rng)
@@ -280,7 +290,10 @@ def cmd_gradcheck(args) -> int:
     shape, act, theta = _resolve_network(cfg, args)
     x, y = _resolve_data_point(cfg, shape)
     rcfg = _relaxation(cfg)
-    fd = oracle.FDConfig(delta=float(cfg["method"]["delta"]))
+    try:
+        fd = oracle.FDConfig(delta=_number(cfg, "method.delta"))
+    except ValueError as e:
+        raise ConfigError(f"bad finite-difference settings: {e}") from e
     method = cfg["method"]["name"]
     if method not in ("rbp", "eqprop"):
         raise ConfigError(f"gradcheck supports methods rbp and eqprop, got '{method}'")
@@ -360,7 +373,7 @@ def _run_sweep(cfg, args):
     x, y = _resolve_data_point(cfg, shape)
     rcfg = _relaxation(cfg)
     betas = _floats(cfg["method"]["betas"], "method.betas")
-    num_steps = int(cfg["method"]["num_steps"])
+    num_steps = _number(cfg, "method.num_steps", int)
     reports = equivalence.beta_sweep(theta, x, y, betas, num_steps, act, rcfg)
     paths = []
     for i, rep in enumerate(reports):
@@ -381,7 +394,7 @@ def cmd_equivalence(args) -> int:
     _apply_overrides(cfg, args)
     reports, paths, rcfg = _run_sweep(cfg, args)
     summary = equivalence.summarize(reports)
-    threshold = float(cfg["method"]["gap_threshold"])
+    threshold = _number(cfg, "method.gap_threshold")
     tol = min(rcfg.tolerance, min(r.beta for r in reports) * 1e-3)
     if all(_degenerate(r, tol) for r in reports):
         summary["note"] = "degenerate: processes are at the residual floor; slope fit skipped"
@@ -453,17 +466,17 @@ def cmd_train(args) -> int:
     try:
         tcfg = training.TrainConfig(
             method=method,
-            beta=float(cfg["method"]["beta"]),
-            truncation_steps=int(cfg["method"]["truncation_steps"])
+            beta=_number(cfg, "method.beta"),
+            truncation_steps=_number(cfg, "method.truncation_steps", int)
             if method == "eqprop-truncated"
             else None,
             learning_rates=cfg["train"]["learning_rates"],
-            epochs=int(cfg["train"]["epochs"]),
+            epochs=_number(cfg, "train.epochs", int),
             relaxation=_relaxation(cfg),
-            seed=int(cfg["seed"]),
+            seed=_number(cfg, "seed", int),
             persistent_state=bool(cfg["train"]["persistent_state"]),
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad training settings: {e}") from e
     theta, log = training.sgd_train(
         ds, shape, act, tcfg, initial_params=initial, start_epoch=start_epoch
@@ -512,10 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Fixed-point recurrent network gradients: relaxation, gradient "
             "checking, process-equivalence harnesses, and toy training."
-        ),
-        epilog=(
-            "FPGRAD_THREADS caps internal parallelism; 0 (default) runs "
-            "fully sequentially for byte-reproducible outputs."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

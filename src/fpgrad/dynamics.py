@@ -6,10 +6,17 @@ explicit Euler with one shared step size: the process comparisons in the
 equivalence harness need both phases and the error-derivative side
 process to live on exactly the same time grid, and a higher-order
 integrator would break that step-by-step alignment.
+
+The integrators run on the flat state, one float64 vector with the layers
+end to end (see `model.flatten`), under a force that maps such a vector
+to its flat drift, such as `model.Force`.  Lists of per-layer arrays
+appear only at the boundary: the initial state in, the final state and
+the recorded snapshots out.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List
@@ -17,8 +24,10 @@ from typing import Callable, List
 import numpy as np
 
 from . import model
-from .exceptions import DivergenceError, ShapeError
+from .exceptions import DivergenceError
 from .model import Activation, Params, State
+
+FlatForce = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -57,76 +66,51 @@ class Trajectory:
     final_residual: float
 
 
-def relax(force: Callable[[State], State], s_init: State, cfg: RelaxationConfig):
-    """Iterate s <- s - eps * force(s) until the residual drops below
-    tolerance or max_steps is reached.
+def relax(force: FlatForce, s_init: State, cfg: RelaxationConfig):
+    """Iterate s <- s - eps * force(s) on the flat state until the residual
+    max|force(s)| drops below tolerance or max_steps is reached.
 
-    Returns (final state, Trajectory).  Convergence is checked before
-    stepping, so a state that already satisfies the tolerance comes back
-    unchanged with a single-snapshot trajectory.
+    Returns (final state, Trajectory), both in per-layer form.
+    Convergence is checked before stepping, so a state that already
+    satisfies the tolerance comes back unchanged with a single-snapshot
+    trajectory.
     """
-    eps = cfg.step_size
-    s = model.copy_blocks(s_init)
+    eps, every = cfg.step_size, cfg.record_every
+    bounds = model.layer_bounds(s_init)
+    s = model.flatten(s_init)
     g = force(s)
-    residual = model.inf_norm(g)
-    times = [0.0]
-    states = [model.copy_blocks(s)]
-    last_recorded = 0
-    k = 0
+    residual = float(np.abs(g).max())
+    times, snapshots = [0.0], [s.copy()]
+    last_recorded = k = 0
     # overflow is detected explicitly through the residual, not via warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while residual > cfg.tolerance and k < cfg.max_steps:
-            s = [sk - eps * gk for sk, gk in zip(s, g)]
+            s -= eps * g
             k += 1
             g = force(s)
-            residual = model.inf_norm(g)
+            residual = float(np.abs(g).max())
             # a non-finite component anywhere surfaces in the residual
-            if not np.isfinite(residual):
+            if not math.isfinite(residual):
                 raise DivergenceError(f"non-finite state at step {k}", step=k)
-            if cfg.record_every > 0 and k % cfg.record_every == 0:
+            if every > 0 and k % every == 0:
                 times.append(k * eps)
-                states.append(model.copy_blocks(s))
+                snapshots.append(s.copy())
                 last_recorded = k
     if k > last_recorded:
         times.append(k * eps)
-        states.append(model.copy_blocks(s))
-    return s, Trajectory(
+        snapshots.append(s.copy())
+    return model.split(s, bounds), Trajectory(
         times=times,
-        states=states,
+        states=[model.split(v, bounds) for v in snapshots],
         converged=residual <= cfg.tolerance,
         steps_taken=k,
         final_residual=residual,
     )
 
 
-def _free_force(theta: Params, x, s_init: State, act: Activation):
-    # validate once and pin the input rates; the returned closure is the
-    # per-step work
-    model._check_network(theta, x, s_init)
-    rho_x = act.f(np.asarray(x, dtype=float))
-    return lambda s: model._grad_s_energy_given(theta, rho_x, s, act)
-
-
-def _nudged_force(theta: Params, x, y, beta: float, s_init: State, act: Activation):
-    model._check_network(theta, x, s_init)
-    y = np.asarray(y, dtype=float)
-    if np.shape(y) != np.shape(s_init[0]):
-        raise ShapeError(
-            f"target has shape {np.shape(y)}, output layer has {np.shape(s_init[0])}"
-        )
-    rho_x = act.f(np.asarray(x, dtype=float))
-
-    def force(s):
-        g = model._grad_s_energy_given(theta, rho_x, s, act)
-        g[0] = g[0] + beta * (s[0] - y)
-        return g
-
-    return force
-
-
 def relax_free(theta: Params, x, s_init: State, act: Activation, cfg: RelaxationConfig):
     """Relax under the energy gradient alone, towards a free fixed point."""
-    return relax(_free_force(theta, x, s_init, act), s_init, cfg)
+    return relax(model.Force(theta, x, s_init, act), s_init, cfg)
 
 
 def relax_nudged(
@@ -154,32 +138,37 @@ def relax_nudged(
             "will inherit the residual noise",
             stacklevel=2,
         )
-    return relax(_nudged_force(theta, x, y, beta, s_init, act), s_init, cfg)
+    return relax(model.Force(theta, x, s_init, act, y, beta), s_init, cfg)
 
 
-def path(force: Callable[[State], State], s_init: State, step_size: float, n_steps: int):
-    """Run exactly n_steps Euler updates, recording every state.
-
-    Returns a list of n_steps + 1 states including the initial one.  No
-    convergence check: fixed-horizon flows are wanted as-is.
-    """
+def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int):
+    """The flat states of exactly n_steps Euler updates from s_init, the
+    initial one first, each a fresh vector.  No convergence check:
+    fixed-horizon flows are wanted as-is."""
     if step_size <= 0:
         raise ValueError(f"step_size must be positive, got {step_size}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    s = model.copy_blocks(s_init)
-    out = [model.copy_blocks(s)]
+    s = model.flatten(s_init)
+    yield s
     for k in range(1, n_steps + 1):
-        g = force(s)
-        s = [sk - step_size * gk for sk, gk in zip(s, g)]
-        if not model.all_finite(s):
+        s = s - step_size * force(s)
+        if not np.isfinite(s).all():
             raise DivergenceError(f"non-finite state at step {k}", step=k)
-        out.append(model.copy_blocks(s))
-    return out
+        yield s
+
+
+def path(force: FlatForce, s_init: State, step_size: float, n_steps: int):
+    """Run exactly n_steps Euler updates, recording every state.
+
+    Returns a list of n_steps + 1 states including the initial one.
+    """
+    bounds = model.layer_bounds(s_init)
+    return [model.split(s, bounds) for s in _flow(force, s_init, step_size, n_steps)]
 
 
 def free_path(theta: Params, x, s_init: State, act: Activation, step_size: float, n_steps: int):
-    return path(_free_force(theta, x, s_init, act), s_init, step_size, n_steps)
+    return path(model.Force(theta, x, s_init, act), s_init, step_size, n_steps)
 
 
 def nudged_path(
@@ -194,21 +183,14 @@ def nudged_path(
 ):
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return path(_nudged_force(theta, x, y, beta, s_init, act), s_init, step_size, n_steps)
+    return path(model.Force(theta, x, s_init, act, y, beta), s_init, step_size, n_steps)
 
 
 def free_endpoint(theta: Params, x, s_init: State, act: Activation, step_size: float, n_steps: int) -> State:
     """Final state of a fixed-horizon free flow, without recording."""
-    if step_size <= 0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
-    force = _free_force(theta, x, s_init, act)
-    s = model.copy_blocks(s_init)
-    for _ in range(n_steps):
-        g = force(s)
-        s = [sk - step_size * gk for sk, gk in zip(s, g)]
-    if not model.all_finite(s):
-        raise DivergenceError("non-finite state during fixed-horizon flow")
-    return s
+    for s in _flow(model.Force(theta, x, s_init, act), s_init, step_size, n_steps):
+        pass
+    return model.split(s, model.layer_bounds(s_init))
 
 
 def write_trajectory_csv(traj: Trajectory, path_or_file) -> None:

@@ -12,14 +12,13 @@ values turns into a fitted log-log slope near one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional
 
 import numpy as np
 
-from . import dynamics, eqprop, model, parallel, rbp
+from . import dynamics, eqprop, model, rbp
 from .dynamics import RelaxationConfig
 from .exceptions import DivergenceError
 from .model import Activation, Params, State
@@ -137,9 +136,7 @@ def beta_sweep(
     """One report per beta on the identical grid.
 
     The free fixed point is located once, at a tolerance tight enough for
-    the smallest beta, and shared by every comparison; the sweep may run
-    across threads (capped by FPGRAD_THREADS) since each comparison is a
-    pure function.
+    the smallest beta, and shared by every comparison.
     """
     betas = [float(b) for b in betas]
     if not betas:
@@ -152,15 +149,7 @@ def beta_sweep(
             raise ValueError(f"betas must be non-increasing, got {a} before {b}")
     cfg = eqprop.tightened(cfg, min(betas))
     s_free = eqprop._free_fixed_point(theta, x, act, cfg)
-
-    def one(beta):
-        return compare_processes(theta, x, y, beta, num_steps, act, cfg, s_free=s_free)
-
-    workers = parallel.max_workers()
-    if workers >= 2 and len(betas) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(betas))) as pool:
-            return list(pool.map(one, betas))
-    return [one(b) for b in betas]
+    return [compare_processes(theta, x, y, b, num_steps, act, cfg, s_free=s_free) for b in betas]
 
 
 def truncation_correspondence(

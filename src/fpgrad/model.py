@@ -27,11 +27,15 @@ finite differences in the test suite.
 States and parameters are plain lists of float64 arrays: State is a list
 of L vectors (entry k of dimension d_k), Params a list of L matrices
 (matrix k of shape d_k x d_{k+1}, with d_L meaning the input dimension).
+The relaxations run on the flat state instead, the L vectors laid end to
+end in one float64 vector (`flatten`, `split`), under the one force
+kernel `Force`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -47,14 +51,12 @@ Params = List[np.ndarray]
 # ---------------------------------------------------------------------------
 
 def _logistic(v):
-    # piecewise form avoids overflow warnings for large |v|
+    # e = exp(-|v|) never overflows, and 1/(1+e) for v >= 0, e/(1+e) below,
+    # are bit for bit the two branches of the piecewise form; min(v, -v)
+    # gives -|v| while keeping the sign of a NaN, which -abs(v) would not
     v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(np.minimum(v, -v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logistic_d1(v):
@@ -248,6 +250,21 @@ def copy_blocks(blocks):
     return [np.array(b, dtype=float) for b in blocks]
 
 
+def layer_bounds(s: State) -> list:
+    """Offsets of the layers in the flat state: layer k is v[b[k]:b[k+1]]."""
+    return list(accumulate((len(sk) for sk in s), initial=0))
+
+
+def flatten(s: State) -> np.ndarray:
+    """The layers of s end to end, in a fresh float64 vector."""
+    return np.concatenate(s).astype(float, copy=False)
+
+
+def split(v: np.ndarray, bounds: list) -> State:
+    """The layer views of a flat state."""
+    return [v[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def all_finite(blocks) -> bool:
     return all(np.all(np.isfinite(b)) for b in blocks)
 
@@ -279,32 +296,51 @@ def energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> float:
     return total
 
 
-def _drive(theta: Params, rho: list, rho_x: np.ndarray) -> list:
-    """Total synaptic input to each layer: W_k rho(next) + W_{k-1}^T rho(prev)."""
-    L = len(theta)
-    inputs = []
-    for k in range(L):
-        down = rho[k + 1] if k < L - 1 else rho_x
-        a = theta[k] @ down
+def _drive(theta: Params, rates: list, out: State) -> None:
+    """Total synaptic input to each layer, W_k rho(next) + W_{k-1}^T rho(prev),
+    written into the layer views `out`; `rates` holds the firing rates of
+    the layers and then of the input."""
+    for k, a in enumerate(out):
+        np.dot(theta[k], rates[k + 1], out=a)
         if k > 0:
-            a = a + theta[k - 1].T @ rho[k - 1]
-        inputs.append(a)
-    return inputs
+            a += np.dot(theta[k - 1].T, rates[k - 1])
 
 
-def _grad_s_energy_given(theta: Params, rho_x: np.ndarray, s: State, act: Activation) -> State:
-    # unvalidated kernel with the input rates precomputed; relaxations call
-    # this thousands of times with x fixed
-    rho = [act.f(sk) for sk in s]
-    inputs = _drive(theta, rho, rho_x)
-    return [sk - act.df(sk) * a for sk, a in zip(s, inputs)]
+class Force:
+    """d(E + beta*C)/ds as a function of the flat state: the negated
+    velocity of the free relaxation (no target) or of the nudged one.
+
+    Built once per relaxation: the network is checked against the layout
+    of the state `s`, and the input rates are pinned.  A call then makes
+    one `act.f` and one `act.df` call over the whole state, writes the
+    drive into one buffer block by block (no dense N x N matrix), and adds
+    the nudge to the output layer.  Any real beta is accepted; the
+    relaxations check beta >= 0 themselves.
+    """
+
+    def __init__(self, theta: Params, x, s: State, act: Activation, y=None, beta: float = 0.0):
+        _check_network(theta, x, s)
+        self.theta, self.act, self.beta = theta, act, beta
+        self.y = None if y is None else _target(y, s)
+        self.bounds = layer_bounds(s)
+        self.rho_x = act.f(np.asarray(x, dtype=float))
+        self._drive = np.empty(self.bounds[-1])
+        self._drive_layers = split(self._drive, self.bounds)
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        rates = split(self.act.f(s), self.bounds) + [self.rho_x]
+        _drive(self.theta, rates, self._drive_layers)
+        g = s - self.act.df(s) * self._drive
+        if self.y is not None:
+            n = self.bounds[1]
+            g[:n] += self.beta * (s[:n] - self.y)
+        return g
 
 
 def grad_s_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> State:
     """dE/ds; its negative is the velocity of the free relaxation."""
-    _check_network(theta, x, s)
-    rho_x = act.f(np.asarray(x, dtype=float))
-    return _grad_s_energy_given(theta, rho_x, s, act)
+    force = Force(theta, x, s, act)
+    return split(force(flatten(s)), force.bounds)
 
 
 def grad_theta_energy(
@@ -326,24 +362,24 @@ def grad_theta_energy(
     return out
 
 
-def cost(y: np.ndarray, s: State) -> float:
-    """Quadratic readout cost 1/2 * ||y - s_0||^2."""
+def _target(y, s: State) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.shape(y) != np.shape(s[0]):
         raise ShapeError(
             f"target has shape {np.shape(y)}, output layer has {np.shape(s[0])}"
         )
-    d = y - s[0]
+    return y
+
+
+def cost(y: np.ndarray, s: State) -> float:
+    """Quadratic readout cost 1/2 * ||y - s_0||^2."""
+    d = _target(y, s) - s[0]
     return 0.5 * float(np.dot(d, d))
 
 
 def grad_s_cost(y: np.ndarray, s: State) -> State:
     """dC/ds: s_0 - y on the output layer, zero elsewhere."""
-    y = np.asarray(y, dtype=float)
-    if np.shape(y) != np.shape(s[0]):
-        raise ShapeError(
-            f"target has shape {np.shape(y)}, output layer has {np.shape(s[0])}"
-        )
+    y = _target(y, s)
     out = [np.zeros_like(sk) for sk in s]
     out[0] = s[0] - y
     return out
@@ -388,17 +424,16 @@ class CurvatureOps:
         _check_network(theta, x, s)
         self.theta = theta
         self.num_layers = len(theta)
-        self.rho = [act.f(sk) for sk in s]
-        self.d1 = [act.df(sk) for sk in s]
-        rho_x = act.f(np.asarray(x, dtype=float))
-        inputs = _drive(theta, self.rho, rho_x)
-        # curvature of the leak-plus-drive term, diagonal per layer
-        self.d2_drive = [act.d2f(sk) * a for sk, a in zip(s, inputs)]
+        bounds, v = layer_bounds(s), flatten(s)
+        self.rho = split(act.f(v), bounds)
+        self.d1 = split(act.df(v), bounds)
+        rates = self.rho + [act.f(np.asarray(x, dtype=float))]
         # firing rate of the downstream neighbour seen by each matrix
-        self.rho_down = [
-            self.rho[k + 1] if k < self.num_layers - 1 else rho_x
-            for k in range(self.num_layers)
-        ]
+        self.rho_down = rates[1:]
+        inputs = np.empty_like(v)
+        _drive(theta, rates, split(inputs, bounds))
+        # curvature of the leak-plus-drive term, diagonal per layer
+        self.d2_drive = split(act.d2f(v) * inputs, bounds)
 
     def _check_direction(self, v: State) -> None:
         if len(v) != self.num_layers:

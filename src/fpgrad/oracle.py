@@ -108,15 +108,11 @@ def fd_objective_gradient(
         cfg, tolerance=min(cfg.tolerance, _ORACLE_TOLERANCE), record_every=0
     )
     zero = model.zero_state_like(theta)
-    s0 = _relaxed_fixed_point(
-        lambda s: model.grad_s_energy(theta, x, s, act), zero, tight
-    )
+    s0 = _relaxed_fixed_point(model.Force(theta, x, zero, act), zero, tight)
     start = s0 if fd.warm_start else zero
 
     def objective_at(perturbed):
-        sp = _relaxed_fixed_point(
-            lambda s: model.grad_s_energy(perturbed, x, s, act), start, tight
-        )
+        sp = _relaxed_fixed_point(model.Force(perturbed, x, start, act), start, tight)
         drift = model.inf_norm([a - b for a, b in zip(sp, s0)])
         if drift > BASIN_JUMP_THRESHOLD:
             raise BasinJumpError(
@@ -232,20 +228,10 @@ def check_dbeta_energy_identity(
         cfg, tolerance=min(cfg.tolerance, _ORACLE_TOLERANCE), record_every=0
     )
     zero = model.zero_state_like(theta)
-    s0 = _relaxed_fixed_point(
-        lambda s: model.grad_s_energy(theta, x, s, act), zero, tight
-    )
-
-    def blended_force(b):
-        def force(s):
-            ge = model.grad_s_energy(theta, x, s, act)
-            gc = model.grad_s_cost(y, s)
-            return [a + b * c for a, c in zip(ge, gc)]
-
-        return force
+    s0 = _relaxed_fixed_point(model.Force(theta, x, zero, act), zero, tight)
 
     def relaxed_value(b):
-        sb = _relaxed_fixed_point(blended_force(b), s0, tight)
+        sb = _relaxed_fixed_point(model.Force(theta, x, s0, act, y, b), s0, tight)
         return model.energy(theta, x, sb, act) + b * model.cost(y, sb), sb
 
     f_plus, _ = relaxed_value(beta + fd.delta)

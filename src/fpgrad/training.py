@@ -26,6 +26,7 @@ from .exceptions import (
     ConvergenceError,
     DatasetError,
     DivergenceError,
+    InstabilityError,
     ShapeError,
 )
 from .model import Activation, NetworkShape, Params, Sample, State
@@ -254,14 +255,15 @@ def sgd_train(
                 s_free, traj = dynamics.relax_free(theta, sample.x, s_init, act, free_cfg)
                 if not traj.converged:
                     raise ConvergenceError(
-                        f"free phase did not converge (epoch {epoch}, sample {i}, "
-                        f"residual {traj.final_residual:.3e})"
+                        f"free phase did not converge (residual {traj.final_residual:.3e})"
                     )
                 grad = _sample_gradient(theta, sample, act, cfg, s_free)
             except DivergenceError as e:
                 raise DivergenceError(
                     f"divergence at epoch {epoch}, sample {i}: {e}", step=e.step
                 ) from e
+            except (ConvergenceError, InstabilityError) as e:
+                raise type(e)(f"epoch {epoch}, sample {i}: {e}") from e
             costs.append(model.cost(sample.y, s_free))
             if classification:
                 hits += _correct(s_free[0], sample.y)

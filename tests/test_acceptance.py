@@ -259,7 +259,6 @@ def test_criterion_8_xor_training(method):
 
 def test_criterion_9_determinism_and_persistence(tmp_path, monkeypatch):
     start = time.time()
-    monkeypatch.setenv("FPGRAD_THREADS", "0")
     monkeypatch.chdir(tmp_path)
     cfg = {
         "shape": {"input_dim": 2, "layer_dims": [2, 2, 1]},

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import copy
 import json
 import os
 import subprocess
@@ -31,7 +32,6 @@ XOR_CONFIG = {
 
 @pytest.fixture
 def ws(tmp_path, monkeypatch):
-    monkeypatch.setenv("FPGRAD_THREADS", "0")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -266,13 +266,43 @@ def test_reruns_are_byte_identical(ws):
     ids=["relax-x", "equivalence-beta"],
 )
 def test_malformed_numbers_exit_2_without_traceback(ws, argv, bad):
-    cfg = write_config(ws, BASE_CONFIG)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fpgrad.cli", *argv, "--config", cfg, "--out", "out"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _run_cli(argv + ["--config", write_config(ws, BASE_CONFIG), "--out", "out"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert bad in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("equivalence", "method.gap_threshold", "abc"),
+        ("gradcheck", "method.delta", "x"),
+        ("relax", "seed", "s"),
+        ("relax", "relaxation.tolerance", None),
+        ("sweep", "method.num_steps", "n"),
+        ("train", "method.beta", "b"),
+        ("train", "method.truncation_steps", "t"),
+        ("train", "train.epochs", "e"),
+    ],
+)
+def test_malformed_config_numbers_exit_2_without_traceback(ws, command, key, value):
+    cfg = copy.deepcopy(XOR_CONFIG if command == "train" else BASE_CONFIG)
+    if command == "train":
+        cfg["dataset"] = write_xor(ws)
+        # the truncated method reads both beta and truncation_steps
+        cfg["method"]["name"] = "eqprop-truncated"
+    section, _, name = key.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[name] = value
+    argv = [command, "--config", write_config(ws, cfg), "--out", "out"]
+    proc = _run_cli(argv + (["--x", "0,0"] if command == "relax" else []))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{key}: cannot read {value!r}" in proc.stderr
+
+
+def _run_cli(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "fpgrad.cli", *argv], capture_output=True, text=True, env=env
+    )

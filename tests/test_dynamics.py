@@ -8,7 +8,7 @@ import pytest
 import fpgrad as fp
 from fpgrad.exceptions import DivergenceError
 
-from conftest import random_state
+from conftest import make_instance, random_state
 
 # free fixed point of the canonical instance (2 -> [2, 2, 1], seed 42,
 # logistic, eps 0.1, tol 1e-8 from the zero state), frozen after its first
@@ -172,3 +172,135 @@ def test_trajectory_csv_round_trip(seeded_net):
     t, layer, index, value = lines[1].split(",")
     assert float(t) == traj.times[0]
     assert float(value) == traj.states[0][int(layer)][int(index)]
+
+
+# ---------------------------------------------------------------------------
+# the flat integrators against the list-of-layers loops they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_force(theta, x, act, y=None, beta=0.0):
+    """dE/ds (plus the nudge when y is given), one array per layer."""
+    rho_x = act.f(np.asarray(x, dtype=float))
+    L = len(theta)
+
+    def force(s):
+        rho = [act.f(sk) for sk in s]
+        g = []
+        for k in range(L):
+            a = theta[k] @ (rho[k + 1] if k < L - 1 else rho_x)
+            if k > 0:
+                a = a + theta[k - 1].T @ rho[k - 1]
+            g.append(s[k] - act.df(s[k]) * a)
+        if y is not None:
+            g[0] = g[0] + beta * (s[0] - y)
+        return g
+
+    return force
+
+
+def _reference_relax(force, s_init, cfg):
+    """The list-of-layers Euler loop of `relax` before the flat state."""
+    eps = cfg.step_size
+    s = [np.array(b, dtype=float) for b in s_init]
+    g = force(s)
+    residual = max(float(np.max(np.abs(b))) for b in g)
+    times, states = [0.0], [[b.copy() for b in s]]
+    last_recorded = k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while residual > cfg.tolerance and k < cfg.max_steps:
+            s = [sk - eps * gk for sk, gk in zip(s, g)]
+            k += 1
+            g = force(s)
+            residual = max(float(np.max(np.abs(b))) for b in g)
+            if not np.isfinite(residual):
+                raise DivergenceError(f"non-finite state at step {k}", step=k)
+            if cfg.record_every > 0 and k % cfg.record_every == 0:
+                times.append(k * eps)
+                states.append([b.copy() for b in s])
+                last_recorded = k
+    if k > last_recorded:
+        times.append(k * eps)
+        states.append([b.copy() for b in s])
+    return s, fp.Trajectory(times, states, residual <= cfg.tolerance, k, residual)
+
+
+def _reference_path(force, s_init, step_size, n_steps):
+    s = [np.array(b, dtype=float) for b in s_init]
+    out = [s]
+    for _ in range(n_steps):
+        s = [sk - step_size * gk for sk, gk in zip(s, force(s))]
+        out.append(s)
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == np.float64 and a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_same_relaxation(got, want):
+    (s, traj), (s_ref, traj_ref) = got, want
+    _assert_same_bits(s, s_ref)
+    assert type(traj.steps_taken) is int and traj.steps_taken == traj_ref.steps_taken
+    assert type(traj.final_residual) is float
+    assert traj.final_residual == traj_ref.final_residual
+    assert traj.converged is traj_ref.converged
+    assert traj.times == traj_ref.times
+    assert len(traj.states) == len(traj_ref.states)
+    for snap, snap_ref in zip(traj.states, traj_ref.states):
+        _assert_same_bits(snap, snap_ref)
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+@pytest.mark.parametrize("record_every", [0, 1, 3])
+@pytest.mark.parametrize("index", [0, 2, 4, 5])  # 2->[1], 2->[2,2,1], 4->[3,3,2], 3->[1,4]
+def test_flat_relax_matches_list_reference_bit_for_bit(act, record_every, index):
+    shape, theta, x, y = make_instance(index)
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-10, max_steps=2000,
+                              record_every=record_every)
+    # inside (0, 1), where the hard sigmoid is not flat
+    start = random_state(shape, np.random.default_rng(index), 0.4)
+    start = [0.5 + b for b in start]
+    s0, traj = fp.relax_free(theta, x, start, act, cfg)
+    _assert_same_relaxation((s0, traj), _reference_relax(_reference_force(theta, x, act), start, cfg))
+    assert traj.steps_taken > 7
+    beta = 0.5
+    _assert_same_relaxation(
+        fp.relax_nudged(theta, x, y, beta, s0, act, cfg),
+        _reference_relax(_reference_force(theta, x, act, y, beta), s0, cfg),
+    )
+    # a relaxation cut at max_steps, ending between two recorded steps
+    short = fp.RelaxationConfig(step_size=0.1, tolerance=1e-10, max_steps=7,
+                                record_every=record_every)
+    _assert_same_relaxation(
+        fp.relax_free(theta, x, start, act, short),
+        _reference_relax(_reference_force(theta, x, act), start, short),
+    )
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+def test_flat_paths_match_list_reference_bit_for_bit(seeded_net, act):
+    shape, theta, x, y, _ = seeded_net
+    s = random_state(shape, np.random.default_rng(3))
+    for got, want in zip(fp.free_path(theta, x, s, act, 0.1, 25),
+                         _reference_path(_reference_force(theta, x, act), s, 0.1, 25)):
+        _assert_same_bits(got, want)
+    nudged = _reference_path(_reference_force(theta, x, act, y, 0.3), s, 0.1, 25)
+    for got, want in zip(fp.nudged_path(theta, x, y, 0.3, s, act, 0.1, 25), nudged):
+        _assert_same_bits(got, want)
+    end = fp.dynamics.free_endpoint(theta, x, s, act, 0.1, 25)
+    _assert_same_bits(end, _reference_path(_reference_force(theta, x, act), s, 0.1, 25)[-1])
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_flat_relax_diverges_at_the_reference_step(seeded_net, act):
+    shape, theta, x, y, _ = seeded_net
+    s_init = [b + 1.0 for b in shape.zero_state()]
+    big = fp.RelaxationConfig(step_size=1e3, tolerance=1e-8, max_steps=5000)
+    with pytest.raises(DivergenceError) as want:
+        _reference_relax(_reference_force(theta, x, act), s_init, big)
+    with pytest.raises(DivergenceError) as got:
+        fp.relax_free(theta, x, s_init, act, big)
+    assert got.value.step == want.value.step > 1

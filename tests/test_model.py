@@ -79,6 +79,35 @@ def test_activation_second_derivative_matches_fd(name, v):
     assert abs(fd[0] - act.d2f(arr)[0]) <= 1e-6 * max(1.0, abs(fd[0]))
 
 
+def _piecewise_logistic(v):
+    """The boolean-mask form of the logistic that `_logistic` replaced."""
+    v = np.asarray(v, dtype=float)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def test_logistic_equals_piecewise_form_bit_for_bit():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0,
+                        745.0, -745.0, 1e-300, -1e-300, 5e-324, 36.7, -36.7])
+    rng = np.random.default_rng(0)
+    cases = [special, special.reshape(3, 5), rng.standard_normal((7, 9)) * 5]
+    for n in (1, 2, 3, 5, 17, 64, 257):
+        v = rng.standard_normal(n) * 20
+        v[rng.integers(0, n, size=max(1, n // 4))] = rng.choice(special)
+        cases.append(v)
+    # neither form may overflow, whatever the input
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for v in cases:
+            got = fp.model._logistic(v)
+            want = _piecewise_logistic(v)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_unknown_activation_rejected():
     with pytest.raises(UnsupportedActivationError):
         fp.get_activation("relu")

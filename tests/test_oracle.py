@@ -106,6 +106,22 @@ def test_fd_gradient_cold_start_matches_warm(converged):
         np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-8)
 
 
+def test_fd_gradient_relaxes_once_per_probe(converged, monkeypatch):
+    shape, theta, x, y, act, s0, cfg = converged
+    calls = []
+    relax = fp.dynamics.relax
+
+    def counted(force, s_init, rcfg):
+        calls.append(rcfg.tolerance)
+        return relax(force, s_init, rcfg)
+
+    monkeypatch.setattr(fp.dynamics, "relax", counted)
+    fp.fd_objective_gradient(theta, x, y, act, cfg)
+    # the reference fixed point, then two central-difference probes per weight
+    assert len(calls) == 1 + 2 * shape.num_params
+    assert set(calls) == {oracle._ORACLE_TOLERANCE}
+
+
 def test_basin_jump_detection(converged, monkeypatch):
     shape, theta, x, y, act, s0, cfg = converged
     # shrink the threshold below the perturbation response to exercise the guard

@@ -1,12 +1,20 @@
 """Dataset I/O, the SGD loop, prediction, and checkpoint round-trips."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fpgrad as fp
-from fpgrad.exceptions import CheckpointError, DatasetError, ShapeError
+from fpgrad import training
+from fpgrad.exceptions import (
+    CheckpointError,
+    ConvergenceError,
+    DatasetError,
+    InstabilityError,
+    ShapeError,
+)
 from fpgrad.model import Sample
 from fpgrad.training import Dataset, TrainConfig, write_trainlog_csv
 
@@ -140,6 +148,27 @@ def test_single_sample_rbp_descends(xor_ds):
     theta, log = fp.sgd_train(ds, shape, fp.TANH, cfg)
     for a, b in zip(log.mean_costs, log.mean_costs[1:]):
         assert b <= a + 1e-12
+
+
+def test_second_phase_errors_name_epoch_and_sample(xor_ds, monkeypatch):
+    shape = fp.NetworkShape(2, (1, 4))
+    # every free phase of epoch 0 settles within 130 steps; the side
+    # process of sample 1 does not
+    cfg = TrainConfig(
+        method="rbp",
+        epochs=1,
+        relaxation=fp.RelaxationConfig(step_size=0.25, tolerance=1e-6, max_steps=130),
+        seed=0,
+    )
+    with pytest.raises(ConvergenceError, match="^epoch 0, sample 1: side process did not"):
+        fp.sgd_train(xor_ds, shape, fp.TANH, cfg)
+
+    def unstable(*args, **kwargs):
+        raise InstabilityError("||s_bar|| grew")
+
+    monkeypatch.setattr(training, "rbp_gradient", unstable)
+    with pytest.raises(InstabilityError, match=r"^epoch 0, sample \d: \|\|s_bar\|\| grew$"):
+        fp.sgd_train(xor_ds, shape, fp.TANH, replace(cfg, relaxation=fp.RelaxationConfig()))
 
 
 def test_one_update_with_small_lr_descends_for_every_method(xor_ds):
