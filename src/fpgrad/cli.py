@@ -313,6 +313,9 @@ def cmd_gradcheck(args) -> int:
         reports.append(rep)
     else:
         betas = _floats(cfg["method"]["betas"], "method.betas")
+        for beta in betas:
+            if not beta > 0:
+                raise ConfigError(f"method.betas: betas must be positive, got {beta}")
         errors = []
         for beta in betas:
             est = eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg)
@@ -373,7 +376,13 @@ def _run_sweep(cfg, args):
     x, y = _resolve_data_point(cfg, shape)
     rcfg = _relaxation(cfg)
     betas = _floats(cfg["method"]["betas"], "method.betas")
+    try:
+        equivalence.check_betas(betas)
+    except ValueError as e:
+        raise ConfigError(f"method.betas: {e}") from None
     num_steps = _number(cfg, "method.num_steps", int)
+    if num_steps < 0:
+        raise ConfigError(f"method.num_steps must be >= 0, got {num_steps}")
     reports = equivalence.beta_sweep(theta, x, y, betas, num_steps, act, rcfg)
     paths = []
     for i, rep in enumerate(reports):

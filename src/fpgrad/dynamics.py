@@ -142,20 +142,24 @@ def relax_nudged(
 
 
 def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int):
-    """The flat states of exactly n_steps Euler updates from s_init, the
-    initial one first, each a fresh vector.  No convergence check:
-    fixed-horizon flows are wanted as-is."""
+    """The flat states s_k of exactly n_steps Euler updates from s_init,
+    the initial one first, each a fresh vector, paired with the force g_k
+    at s_k that the update s_{k+1} = s_k - eps * g_k uses (the force at
+    the last state is evaluated too).  No convergence check: fixed-horizon
+    flows are wanted as-is."""
     if step_size <= 0:
         raise ValueError(f"step_size must be positive, got {step_size}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     s = model.flatten(s_init)
-    yield s
+    g = force(s)
+    yield s, g
     for k in range(1, n_steps + 1):
-        s = s - step_size * force(s)
+        s = s - step_size * g
         if not np.isfinite(s).all():
             raise DivergenceError(f"non-finite state at step {k}", step=k)
-        yield s
+        g = force(s)
+        yield s, g
 
 
 def path(force: FlatForce, s_init: State, step_size: float, n_steps: int):
@@ -164,7 +168,7 @@ def path(force: FlatForce, s_init: State, step_size: float, n_steps: int):
     Returns a list of n_steps + 1 states including the initial one.
     """
     bounds = model.layer_bounds(s_init)
-    return [model.split(s, bounds) for s in _flow(force, s_init, step_size, n_steps)]
+    return [model.split(s, bounds) for s, _ in _flow(force, s_init, step_size, n_steps)]
 
 
 def free_path(theta: Params, x, s_init: State, act: Activation, step_size: float, n_steps: int):
@@ -188,25 +192,16 @@ def nudged_path(
 
 def free_endpoint(theta: Params, x, s_init: State, act: Activation, step_size: float, n_steps: int) -> State:
     """Final state of a fixed-horizon free flow, without recording."""
-    for s in _flow(model.Force(theta, x, s_init, act), s_init, step_size, n_steps):
+    for s, _ in _flow(model.Force(theta, x, s_init, act), s_init, step_size, n_steps):
         pass
     return model.split(s, model.layer_bounds(s_init))
 
 
 def write_trajectory_csv(traj: Trajectory, path_or_file) -> None:
     """One row per recorded state component: t,layer,index,value."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        f = open(path_or_file, "w")
-        close = True
-    else:
-        f = path_or_file
-    try:
+    with model.text_output(path_or_file) as f:
         f.write("t,layer,index,value\n")
         for t, s in zip(traj.times, traj.states):
             for k, layer in enumerate(s):
                 for i, val in enumerate(layer):
                     f.write(f"{t!r},{k},{i},{float(val)!r}\n")
-    finally:
-        if close:
-            f.close()

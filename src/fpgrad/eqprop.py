@@ -70,26 +70,15 @@ def tightened(cfg: RelaxationConfig, beta: float) -> RelaxationConfig:
     return replace(cfg, tolerance=min(cfg.tolerance, beta * 1e-3), record_every=0)
 
 
-def _two_point_gradient(theta, x, y, beta, g_free, s_nudged, act, out=None) -> Params:
+def _two_point_gradient(theta, x, beta, g_free, s_nudged, act) -> Params:
     """(1/beta) * (dE^beta/dW at the nudged state - g_free), where g_free
-    is dE/dW at the free state.
-
-    The cost's weight derivative is zero for the quadratic cost but is
-    included so the formula stays exact for costs that do touch the
-    weights.  `out`, weight-shaped float64 blocks, receives the result.
-    """
-    g = model.grad_theta_energy(theta, x, s_nudged, act, out=out)
-    for gn, gc, gf in zip(g, model.grad_theta_cost(theta, y, s_nudged), g_free):
-        gc *= beta
-        gn += gc
+    is dE/dW at the free state.  The quadratic cost has no weight term
+    (`model.grad_theta_cost` is zero), so dE^beta/dW is dE/dW."""
+    g = model.grad_theta_energy(theta, x, s_nudged, act)
+    for gn, gf in zip(g, g_free):
         gn -= gf
         gn /= beta
     return g
-
-
-def _rescaled_velocity(theta, x, y, beta, s, act) -> State:
-    """(1/beta) * d(E + beta*C)/ds at s: -(1/beta) * ds/dt of the nudged phase."""
-    return [gb / beta for gb in model.grad_s_augmented(theta, x, y, s, beta, act)]
 
 
 def _free_fixed_point(theta, x, act, cfg) -> State:
@@ -129,7 +118,7 @@ def eqprop_gradient(
             f"(residual {traj.final_residual:.3e} > tolerance {cfg.tolerance:g})"
         )
     g_free = model.grad_theta_energy(theta, x, s_free, act)
-    grad = _two_point_gradient(theta, x, y, beta, g_free, s_nudged, act)
+    grad = _two_point_gradient(theta, x, beta, g_free, s_nudged, act)
     return GradientEstimate(
         grad=grad,
         method="eqprop",
@@ -160,7 +149,7 @@ def truncated_eqprop_gradient(
         s_free = _free_fixed_point(theta, x, act, cfg)
     states = dynamics.nudged_path(theta, x, y, beta, s_free, act, cfg.step_size, num_steps)
     g_free = model.grad_theta_energy(theta, x, s_free, act)
-    grad = _two_point_gradient(theta, x, y, beta, g_free, states[-1], act)
+    grad = _two_point_gradient(theta, x, beta, g_free, states[-1], act)
     return GradientEstimate(
         grad=grad,
         method="eqprop-truncated",
@@ -197,14 +186,15 @@ def temporal_derivative_process(
     cfg = tightened(cfg, beta)
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
-    states = dynamics.nudged_path(theta, x, y, beta, s_free, act, cfg.step_size, num_steps)
+    force = model.Force(theta, x, s_free, act, y, beta)
     g_free = model.grad_theta_energy(theta, x, s_free, act)
-    return TemporalProcessRecord(
-        times=[k * cfg.step_size for k in range(len(states))],
-        s_tilde=[_rescaled_velocity(theta, x, y, beta, sk, act) for sk in states],
-        theta_tilde=[_two_point_gradient(theta, x, y, beta, g_free, sk, act) for sk in states],
-        beta=beta,
-    )
+    record = TemporalProcessRecord(times=[], s_tilde=[], theta_tilde=[], beta=beta)
+    for k, (s, g) in enumerate(dynamics._flow(force, s_free, cfg.step_size, num_steps)):
+        record.times.append(k * cfg.step_size)
+        record.s_tilde.append(model.split(g / beta, force.bounds))
+        s_k = model.split(s, force.bounds)
+        record.theta_tilde.append(_two_point_gradient(theta, x, beta, g_free, s_k, act))
+    return record
 
 
 def write_temporal_csv(record: TemporalProcessRecord, path_or_file) -> None:
@@ -212,13 +202,7 @@ def write_temporal_csv(record: TemporalProcessRecord, path_or_file) -> None:
 
     Matrix entries are flattened row-major within their block.
     """
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        f = open(path_or_file, "w")
-        close = True
-    else:
-        f = path_or_file
-    try:
+    with model.text_output(path_or_file) as f:
         f.write("t,kind,layer_or_block,index,value\n")
         for t, sv, tv in zip(record.times, record.s_tilde, record.theta_tilde):
             for k, layer in enumerate(sv):
@@ -227,6 +211,3 @@ def write_temporal_csv(record: TemporalProcessRecord, path_or_file) -> None:
             for k, block in enumerate(tv):
                 for i, val in enumerate(np.ravel(block)):
                     f.write(f"{t!r},theta_tilde,{k},{i},{float(val)!r}\n")
-    finally:
-        if close:
-            f.close()

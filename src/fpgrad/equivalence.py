@@ -8,6 +8,13 @@ compared step by step.  Matching the discretisations removes the
 integrator's own error from the gap, leaving the finite-beta effect: the
 per-step gaps shrink linearly as beta -> 0, which a sweep over beta
 values turns into a fitted log-log slope near one.
+
+The comparison holds no weight-sized state.  The side process carries
+s_bar and the running sum of s_bar (its Neumann-series form, see
+`rbp.SideProcess`), and both theta_bar and theta_tilde are sums of a few
+outer products of state-sized vectors per weight block, so their
+difference is formed from state-sized factors and reduced to its norm
+block by block (`_theta_gap`).
 """
 
 from __future__ import annotations
@@ -52,25 +59,66 @@ def error_process_path(
 ):
     """The side-process pair recorded at every grid point k = 0..num_steps."""
     side = rbp.side_process(theta, x, y, s_star, act, step_size, tolerance)
+    bounds = model.layer_bounds(s_star)
     s_bars, theta_bars = [], []
     for p in islice(side, num_steps + 1):
-        s_bars.append(model.copy_blocks(p.s_bar))
-        theta_bars.append(model.copy_blocks(p.theta_bar))
+        s_bars.append(model.split(p.s_bar, bounds))
+        theta_bars.append(p.theta_bar())
     _check_side_finite(p)
     return s_bars, theta_bars
 
 
-def _check_side_finite(p: rbp.ErrorProcessState) -> None:
-    if not (model.all_finite(p.s_bar) and model.all_finite(p.theta_bar)):
+def _check_side_finite(p: rbp.SideProcess) -> None:
+    if not (np.isfinite(p.s_bar).all() and np.isfinite(p.s_sum).all()):
         raise DivergenceError("non-finite side process during recording")
 
 
-def _inf_gap(a, b, scratch) -> float:
-    """inf_norm(a - b), with |a - b| held in `scratch`."""
-    return max(
-        float(np.max(np.abs(np.subtract(ak, bk, out=w), out=w)))
-        for ak, bk, w in zip(a, b, scratch)
-    )
+def _theta_gap(theta: Params, x, s_free: State, act: Activation, beta: float, step_size: float):
+    """The map (s_k, S_k) -> ||theta_tilde_k - theta_bar_k||_inf, with s_k
+    the k-th nudged state and S_k the sum of the first k s_bar.
+
+    For the block of layers a and b (b the clamped input for the last
+    block), with rho* and d1* the rates and slopes at the free point,
+    drho = rho(s_k) - rho* and u = drho/beta + eps * d1* . S_k,
+
+        theta_tilde_k - theta_bar_k = -[u_a rho*_b^T + rho*_a u_b^T + drho_a drho_b^T / beta]
+
+    (-u_a rho(x)^T for the input block), since the quadratic cost has no
+    weight term: theta_bar_0 = 0 and the readout has no dC/dW part.  The
+    cancellation between the two processes happens in the state-sized u
+    and drho; each block is one (m x 3) @ (3 x n) product into one
+    buffer, then its max and min.
+    """
+    bounds = model.layer_bounds(s_free)
+    v = model.flatten(s_free)
+    rho = act.f(v)
+    eps_d1 = step_size * act.df(v)
+    rho_x = act.f(np.asarray(x, dtype=float))
+    # rows (u, rho*, drho/beta) and (rho*, u, drho): block (a, b) of their
+    # product is left[:, a].T @ right[:, b]
+    left, right = np.empty((3, len(v))), np.empty((3, len(v)))
+    left[1] = right[0] = rho
+    u, drho_beta, drho = left[0], left[2], right[2]
+    buf = np.empty(max(w.size for w in theta))
+    last = len(theta) - 1
+
+    def gap(s: np.ndarray, s_sum: np.ndarray) -> float:
+        np.subtract(act.f(s), rho, out=drho)
+        np.divide(drho, beta, out=drho_beta)
+        np.add(drho_beta, np.multiply(eps_d1, s_sum, out=u), out=u)
+        right[1] = u
+        worst = []
+        for k, w in enumerate(theta):
+            a = slice(bounds[k], bounds[k + 1])
+            out = buf[: w.size].reshape(w.shape)
+            if k < last:
+                np.matmul(left[:, a].T, right[:, bounds[k + 1] : bounds[k + 2]], out=out)
+            else:
+                np.multiply(u[a, None], rho_x, out=out)
+            worst.append(max(out.max(), -out.min()))
+        return float(np.max(worst))
+
+    return gap
 
 
 def compare_processes(
@@ -85,34 +133,36 @@ def compare_processes(
 ) -> EquivalenceReport:
     """Run both processes for num_steps on the shared grid and report gaps.
 
-    The side process and the readouts of the nudged path advance together
-    and each grid point is reduced to its four norms at once.  The
-    weight-shaped work lives in a few blocks allocated per call, so memory
-    does not grow with num_steps: only the state-sized nudged path and the
-    four per-step lists do.
+    One Euler loop runs the nudged phase; the force g_k it evaluates at
+    each state gives both the next state and the readout s_tilde_k =
+    g_k / beta.  The side process advances beside it in its flat
+    Neumann form (s_bar and the running sum S_k), and each grid point is
+    reduced to its four norms at once.  The theta gap is formed from
+    state-sized factors (see `_theta_gap`): neither theta_tilde nor
+    theta_bar is ever built, no weight-shaped quantity is carried from one
+    step to the next, and memory does not grow with num_steps beyond the
+    four per-step lists.
     """
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     cfg = eqprop.tightened(cfg, beta)
     if s_free is None:
         s_free = eqprop._free_fixed_point(theta, x, act, cfg)
-    side = rbp.side_process(theta, x, y, s_free, act, cfg.step_size, cfg.tolerance)
-    states = dynamics.nudged_path(theta, x, y, beta, s_free, act, cfg.step_size, num_steps)
-    g_free = model.grad_theta_energy(theta, x, s_free, act)
-    theta_tilde = [np.empty(w.shape) for w in theta]
-    scratch = [np.empty(w.shape) for w in theta]
+    eps = cfg.step_size
+    side = rbp.side_process(theta, x, y, s_free, act, eps, cfg.tolerance)
+    force = model.Force(theta, x, s_free, act, y, beta)
+    theta_gap = _theta_gap(theta, x, s_free, act, beta, eps)
     s_gaps, theta_gaps, sbar_norms, stilde_norms = [], [], [], []
-    for sk, p in zip(states, side):
-        s_tilde = eqprop._rescaled_velocity(theta, x, y, beta, sk, act)
-        eqprop._two_point_gradient(theta, x, y, beta, g_free, sk, act, out=theta_tilde)
-        s_gaps.append(model.inf_norm([a - b for a, b in zip(s_tilde, p.s_bar)]))
-        theta_gaps.append(_inf_gap(theta_tilde, p.theta_bar, scratch))
-        sbar_norms.append(model.inf_norm(p.s_bar))
-        stilde_norms.append(model.inf_norm(s_tilde))
+    for (s, g), p in zip(dynamics._flow(force, s_free, eps, num_steps), side):
+        s_tilde = g / beta
+        s_gaps.append(float(np.abs(s_tilde - p.s_bar).max()))
+        theta_gaps.append(theta_gap(s, p.s_sum))
+        sbar_norms.append(float(np.abs(p.s_bar).max()))
+        stilde_norms.append(float(np.abs(s_tilde).max()))
     _check_side_finite(p)
     return EquivalenceReport(
         beta=beta,
-        step=cfg.step_size,
+        step=eps,
         num_steps=num_steps,
         per_step_s_gap=s_gaps,
         per_step_theta_gap=theta_gaps,
@@ -122,6 +172,21 @@ def compare_processes(
         max_theta_gap=max(theta_gaps),
         reference_scale=max(sbar_norms),
     )
+
+
+def check_betas(betas) -> List[float]:
+    """The betas of a sweep as floats: non-empty, positive, non-increasing;
+    a ValueError says which rule a value breaks."""
+    betas = [float(b) for b in betas]
+    if not betas:
+        raise ValueError("betas must be non-empty")
+    for b in betas:
+        if not b > 0:
+            raise ValueError(f"betas must be positive, got {b}")
+    for a, b in zip(betas, betas[1:]):
+        if b > a:
+            raise ValueError(f"betas must be non-increasing, got {a} before {b}")
+    return betas
 
 
 def beta_sweep(
@@ -138,15 +203,7 @@ def beta_sweep(
     The free fixed point is located once, at a tolerance tight enough for
     the smallest beta, and shared by every comparison.
     """
-    betas = [float(b) for b in betas]
-    if not betas:
-        raise ValueError("betas must be non-empty")
-    for b in betas:
-        if b <= 0:
-            raise ValueError(f"betas must be positive, got {b}")
-    for a, b in zip(betas, betas[1:]):
-        if b > a:
-            raise ValueError(f"betas must be non-increasing, got {a} before {b}")
+    betas = check_betas(betas)
     cfg = eqprop.tightened(cfg, min(betas))
     s_free = eqprop._free_fixed_point(theta, x, act, cfg)
     return [compare_processes(theta, x, y, b, num_steps, act, cfg, s_free=s_free) for b in betas]
@@ -173,8 +230,9 @@ def truncation_correspondence(
     side = rbp.side_process(theta, x, y, s_free, act, cfg.step_size, cfg.tolerance)
     p = next(islice(side, num_steps, None))
     _check_side_finite(p)
-    gap = model.inf_norm([a - b for a, b in zip(truncated.grad, p.theta_bar)])
-    return gap / (1.0 + model.inf_norm(p.theta_bar))
+    theta_bar = p.theta_bar()
+    gap = model.inf_norm([a - b for a, b in zip(truncated.grad, theta_bar)])
+    return gap / (1.0 + model.inf_norm(theta_bar))
 
 
 def fit_loglog_slope(betas, gaps) -> float:
@@ -207,13 +265,7 @@ def summarize(reports: List[EquivalenceReport]) -> dict:
 
 def write_equivalence_csv(report: EquivalenceReport, path_or_file) -> None:
     """Rows k,t,s_gap,theta_gap,sbar_norm,stilde_norm."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        f = open(path_or_file, "w")
-        close = True
-    else:
-        f = path_or_file
-    try:
+    with model.text_output(path_or_file) as f:
         f.write("k,t,s_gap,theta_gap,sbar_norm,stilde_norm\n")
         for k in range(report.num_steps + 1):
             f.write(
@@ -221,6 +273,3 @@ def write_equivalence_csv(report: EquivalenceReport, path_or_file) -> None:
                 f"{report.per_step_theta_gap[k]!r},{report.per_step_sbar_norm[k]!r},"
                 f"{report.per_step_stilde_norm[k]!r}\n"
             )
-    finally:
-        if close:
-            f.close()

@@ -34,6 +34,7 @@ kernel `Force`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, Optional
@@ -228,8 +229,8 @@ def validate_params(shape: NetworkShape, theta: Params) -> None:
 # ---------------------------------------------------------------------------
 
 def inf_norm(blocks) -> float:
-    """Max absolute entry across a list of arrays."""
-    return max(float(np.max(np.abs(b))) for b in blocks)
+    """Max absolute entry across a list of arrays; NaN if any entry is NaN."""
+    return float(np.max([np.max(np.abs(b)) for b in blocks]))
 
 
 def add_scaled(a, c: float, b):
@@ -275,6 +276,17 @@ def zero_state_like(theta: Params) -> State:
 
 def zero_params_like(theta: Params) -> Params:
     return [np.zeros_like(w) for w in theta]
+
+
+@contextmanager
+def text_output(path_or_file):
+    """A text file to write: `path_or_file` opened for writing (and closed
+    afterwards) if it is a path, else the open file itself."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, "w") as f:
+            yield f
+    else:
+        yield path_or_file
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +355,16 @@ def grad_s_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> St
     return split(force(flatten(s)), force.bounds)
 
 
-def grad_theta_energy(
-    theta: Params, x: np.ndarray, s: State, act: Activation, out: Optional[Params] = None
-) -> Params:
-    """dE/dW as one outer product of firing rates per weight matrix.
-
-    `out`, weight-shaped float64 blocks, receives the result instead of
-    fresh arrays.
-    """
+def grad_theta_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> Params:
+    """dE/dW as one outer product of firing rates per weight matrix."""
     _check_network(theta, x, s)
     L = len(theta)
     rho = [act.f(sk) for sk in s]
     rho_x = act.f(np.asarray(x, dtype=float))
-    if out is None:
-        out = [np.empty(w.shape) for w in theta]
-    for k, b in enumerate(out):
-        _outer(-rho[k], rho[k + 1] if k < L - 1 else rho_x, b)
-    return out
+    return [
+        _outer(-rho[k], rho[k + 1] if k < L - 1 else rho_x, np.empty(w.shape))
+        for k, w in enumerate(theta)
+    ]
 
 
 def _target(y, s: State) -> np.ndarray:
@@ -416,7 +421,8 @@ class CurvatureOps:
     Everything that depends only on (theta, x, s) is computed once at
     construction, so repeatedly applying the operators to different
     directions (the inner loop of the error-derivative process) costs
-    only the matrix-vector work.
+    only the matrix-vector work.  `apply_ss` maps a flat direction to a
+    flat product; `apply_theta_s` takes a direction in per-layer form.
     """
 
     def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation):
@@ -424,16 +430,18 @@ class CurvatureOps:
         _check_network(theta, x, s)
         self.theta = theta
         self.num_layers = len(theta)
-        bounds, v = layer_bounds(s), flatten(s)
+        self.bounds = bounds = layer_bounds(s)
+        v = flatten(s)
         self.rho = split(act.f(v), bounds)
-        self.d1 = split(act.df(v), bounds)
+        self.d1_flat = act.df(v)
+        self.d1 = split(self.d1_flat, bounds)
         rates = self.rho + [act.f(np.asarray(x, dtype=float))]
         # firing rate of the downstream neighbour seen by each matrix
         self.rho_down = rates[1:]
         inputs = np.empty_like(v)
         _drive(theta, rates, split(inputs, bounds))
         # curvature of the leak-plus-drive term, diagonal per layer
-        self.d2_drive = split(act.d2f(v) * inputs, bounds)
+        self.d2_drive = act.d2f(v) * inputs
 
     def _check_direction(self, v: State) -> None:
         if len(v) != self.num_layers:
@@ -447,48 +455,38 @@ class CurvatureOps:
                     f"state layer has {np.shape(rk)}"
                 )
 
-    def apply_ss(self, v: State) -> State:
-        """(d2E/ds2) . v: diagonal curvature of each layer plus coupling
-        through the weights to both neighbours (the clamped input carries
-        no direction component)."""
-        self._check_direction(v)
-        L = self.num_layers
+    def apply_ss(self, v: np.ndarray) -> np.ndarray:
+        """(d2E/ds2) . v for a flat direction v: diagonal curvature of each
+        layer plus coupling through the weights to both neighbours (the
+        clamped input carries no direction component)."""
         theta, d1 = self.theta, self.d1
-        out = []
-        for k in range(L):
-            h = v[k] - self.d2_drive[k] * v[k]
-            if k < L - 1:
-                h = h - d1[k] * (theta[k] @ (d1[k + 1] * v[k + 1]))
+        h = v - self.d2_drive * v
+        dv = split(self.d1_flat * v, self.bounds)
+        for k, hk in enumerate(split(h, self.bounds)):
+            if k < self.num_layers - 1:
+                hk -= d1[k] * (theta[k] @ dv[k + 1])
             if k > 0:
-                h = h - d1[k] * (theta[k - 1].T @ (d1[k - 1] * v[k - 1]))
-            out.append(h)
-        return out
+                hk -= d1[k] * (theta[k - 1].T @ dv[k - 1])
+        return h
 
-    def apply_theta_s(
-        self, v: State, out: Optional[Params] = None, scratch: Optional[Params] = None
-    ) -> Params:
+    def apply_theta_s(self, v: State) -> Params:
         """(d2E/dW ds) . v: sensitivity of each synaptic outer product to
-        a state perturbation.
-
-        `out` receives the result and `scratch` holds the second outer
-        product of each block; both are weight-shaped float64 blocks, and
-        passing them saves allocating either.
-        """
+        a state perturbation."""
         self._check_direction(v)
-        L = self.num_layers
-        if out is None:
-            out = [np.empty(w.shape) for w in self.theta]
-        for k, b in enumerate(out):
-            _outer(-(self.d1[k] * v[k]), self.rho_down[k], b)
-            if k < L - 1:
-                w = np.empty_like(b) if scratch is None else scratch[k]
-                b -= _outer(self.rho[k], self.d1[k + 1] * v[k + 1], w)
+        out = []
+        for k, w in enumerate(self.theta):
+            b = _outer(-(self.d1[k] * v[k]), self.rho_down[k], np.empty(w.shape))
+            if k < self.num_layers - 1:
+                b -= _outer(self.rho[k], self.d1[k + 1] * v[k + 1], np.empty(w.shape))
+            out.append(b)
         return out
 
 
 def hvp_ss(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) -> State:
     """Hessian-vector product (d2E/ds2) . v, evaluated analytically."""
-    return CurvatureOps(theta, x, s, act).apply_ss(v)
+    ops = CurvatureOps(theta, x, s, act)
+    ops._check_direction(v)
+    return split(ops.apply_ss(flatten(v)), ops.bounds)
 
 
 def hvp_theta_s(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) -> Params:

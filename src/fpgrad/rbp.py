@@ -9,7 +9,10 @@ variables is integrated on the same Euler grid:
 Both Hessians are evaluated at s0, frozen: the process is linear in
 s_bar.  Since the Hessian at an energy minimum is positive definite,
 s_bar decays to zero and theta_bar converges to the objective gradient;
-the decay of ||s_bar|| is the natural stopping certificate.
+the decay of ||s_bar|| is the natural stopping certificate.  Being linear,
+theta_bar_k is theta_bar_0 minus eps times the mixed product of the sum
+of s_bar_0 .. s_bar_{k-1}, so the integration carries only s_bar and
+that sum (`SideProcess`).
 """
 
 from __future__ import annotations
@@ -63,46 +66,64 @@ def rbp_init(theta: Params, x, y, s_star: State, act: Activation, tolerance: flo
     )
 
 
-def _step_raw(
-    curvature: model.CurvatureOps,
-    p: ErrorProcessState,
-    step_size: float,
-    work: tuple = (None, None),
-) -> None:
-    """Advance the pair one forward-Euler step in place.
+class SideProcess:
+    """The side process in its Neumann-series form.
 
-    `work` is the (out, scratch) pair of weight-shaped blocks that
-    `CurvatureOps.apply_theta_s` may fill instead of allocating.
+    The operators are frozen at s_star, so theta_bar is linear in the past
+    s_bar: theta_bar_k = theta_bar_0 - eps * J(S_k), with J the mixed
+    product d2E/dW ds and S_k = s_bar_0 + ... + s_bar_{k-1} (Liao et al.
+    2018, "Reviving and Improving Recurrent Back-Propagation").  Only
+    s_bar and S_k advance, both flat state vectors; `theta_bar()` forms
+    the weight-shaped member of the pair where it is read.
     """
-    h_ss = curvature.apply_ss(p.s_bar)
-    h_ts = curvature.apply_theta_s(p.s_bar, *work)
-    p.s_bar = [sb - step_size * hb for sb, hb in zip(p.s_bar, h_ss)]
-    for tb, hb in zip(p.theta_bar, h_ts):
-        hb *= step_size
-        tb -= hb
-    p.t += step_size
+
+    def __init__(
+        self, theta: Params, x, y, s_star: State, act: Activation, step_size: float, tolerance: float
+    ):
+        p = rbp_init(theta, x, y, s_star, act, tolerance)
+        self.curvature = model.CurvatureOps(theta, x, s_star, act)
+        self.step_size = step_size
+        self.theta_bar_0 = p.theta_bar
+        self.s_bar = model.flatten(p.s_bar)
+        self.s_sum = np.zeros_like(self.s_bar)
+        self.t = p.t
+
+    def advance(self) -> None:
+        """One forward-Euler step; s_bar becomes a fresh vector, S_k
+        is updated in place."""
+        h = self.curvature.apply_ss(self.s_bar)
+        self.s_sum += self.s_bar
+        self.s_bar = self.s_bar - self.step_size * h
+        self.t += self.step_size
+
+    def mixed(self, v: np.ndarray) -> Params:
+        """J(v) = (d2E/dW ds) . v for a flat v."""
+        return self.curvature.apply_theta_s(model.split(v, self.curvature.bounds))
+
+    def theta_bar(self) -> Params:
+        """theta_bar_k = theta_bar_0 - eps * J(S_k), in fresh blocks."""
+        return [
+            t0 - self.step_size * j
+            for t0, j in zip(self.theta_bar_0, self.mixed(self.s_sum))
+        ]
+
+    def __iter__(self):
+        while True:
+            yield self
+            self.advance()
 
 
 def side_process(
     theta: Params, x, y, s_star: State, act: Activation, step_size: float, tolerance: float
 ):
-    """An endless iterator over the pair at k = 0, 1, 2, ... steps.
+    """An endless iterator over the side process at k = 0, 1, 2, ... steps.
 
-    Every item is the same ErrorProcessState, advanced in place, and the
-    weight-shaped work of a step reuses two sets of blocks allocated once
-    here, so running K steps holds no K-long history.  Copy what must
-    outlive the next step.  The fixed-point check runs at the call.
+    Every item is the same SideProcess, advanced in place, and a step
+    touches only state-sized vectors, so running K steps holds no K-long
+    history and no weight-shaped state.  The fixed-point check runs at
+    the call.
     """
-    p = rbp_init(theta, x, y, s_star, act, tolerance)
-    curvature = model.CurvatureOps(theta, x, s_star, act)
-    work = tuple([np.empty(w.shape) for w in theta] for _ in range(2))
-
-    def steps():
-        while True:
-            yield p
-            _step_raw(curvature, p, step_size, work)
-
-    return steps()
+    return iter(SideProcess(theta, x, y, s_star, act, step_size, tolerance))
 
 
 def rbp_step(
@@ -118,8 +139,15 @@ def rbp_step(
     Both equations advance from the time-t values: the theta_bar update
     uses the pre-update s_bar.  The Hessians stay pinned at s_star.
     """
-    q = ErrorProcessState(model.copy_blocks(p.s_bar), model.copy_blocks(p.theta_bar), p.t)
-    _step_raw(model.CurvatureOps(theta, x, s_star, act), q, step_size)
+    curvature = model.CurvatureOps(theta, x, s_star, act)
+    h_ts = curvature.apply_theta_s(p.s_bar)
+    v = model.flatten(p.s_bar)
+    s_bar = v - step_size * curvature.apply_ss(v)
+    q = ErrorProcessState(
+        s_bar=model.split(s_bar, curvature.bounds),
+        theta_bar=[tb - step_size * hb for tb, hb in zip(p.theta_bar, h_ts)],
+        t=p.t + step_size,
+    )
     if not (model.all_finite(q.s_bar) and model.all_finite(q.theta_bar)):
         raise DivergenceError(f"non-finite side process at t={q.t!r}")
     return q
@@ -141,29 +169,29 @@ def rbp_gradient(
     ||s_bar||_inf falls below cfg.tolerance; a ConvergenceError is raised
     if that takes more than max_steps.  If the norm grows for many
     consecutive steps the step size is too large for the local curvature
-    and an InstabilityError is raised.
+    and an InstabilityError is raised.  theta_bar is formed once, from
+    the sum of the s_bar, at the end.
 
     `record`, if given a list, receives (t, ||s_bar||_inf,
-    ||delta theta_bar||_inf) tuples for decay plots.
+    ||delta theta_bar||_inf) tuples for decay plots, where the change of
+    theta_bar over a step is eps * J(s_bar) of the pre-step s_bar.
     """
     eps = cfg.step_size
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
     side = side_process(theta, x, y, s_free, act, eps, cfg.tolerance)
     p = next(side)
-    norm = model.inf_norm(p.s_bar)
+    norm = float(np.abs(p.s_bar).max())
     rising = 0
     steps = 0
     while norm > cfg.tolerance and steps < cfg.max_steps:
-        previous = model.copy_blocks(p.theta_bar) if record is not None else None
+        if record is not None:
+            delta = eps * model.inf_norm(p.mixed(p.s_bar))
         next(side)
-        new_norm = model.inf_norm(p.s_bar)
+        new_norm = float(np.abs(p.s_bar).max())
         if not np.isfinite(new_norm):
             raise DivergenceError(f"non-finite side process at t={p.t!r}")
         if record is not None:
-            delta = model.inf_norm(
-                [a - b for a, b in zip(p.theta_bar, previous)]
-            )
             record.append((p.t, new_norm, delta))
         if new_norm > norm:
             rising += 1
@@ -183,7 +211,7 @@ def rbp_gradient(
             f"(||s_bar|| {norm:.3e} > tolerance {cfg.tolerance:g})"
         )
     return GradientEstimate(
-        grad=p.theta_bar,
+        grad=p.theta_bar(),
         method="rbp",
         step=eps,
         horizon_t=p.t,
@@ -192,16 +220,7 @@ def rbp_gradient(
 
 def write_error_process_csv(rows: List[tuple], path_or_file) -> None:
     """Per-step decay dump: t,norm_sbar,norm_thetabar_delta."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        f = open(path_or_file, "w")
-        close = True
-    else:
-        f = path_or_file
-    try:
+    with model.text_output(path_or_file) as f:
         f.write("t,norm_sbar,norm_thetabar_delta\n")
         for t, ns, nd in rows:
             f.write(f"{float(t)!r},{float(ns)!r},{float(nd)!r}\n")
-    finally:
-        if close:
-            f.close()

@@ -376,18 +376,9 @@ def load_checkpoint(path):
 
 def write_trainlog_csv(log: TrainLog, path_or_file, start_epoch: int = 0) -> None:
     """Rows epoch,mean_cost,accuracy,grad_norm."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        f = open(path_or_file, "w")
-        close = True
-    else:
-        f = path_or_file
-    try:
+    with model.text_output(path_or_file) as f:
         f.write("epoch,mean_cost,accuracy,grad_norm\n")
         for e, (c, a, g) in enumerate(
             zip(log.mean_costs, log.accuracies, log.grad_norms), start=start_epoch
         ):
             f.write(f"{e},{c!r},{a!r},{g!r}\n")
-    finally:
-        if close:
-            f.close()

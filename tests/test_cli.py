@@ -300,6 +300,23 @@ def test_malformed_config_numbers_exit_2_without_traceback(ws, command, key, val
     assert f"{key}: cannot read {value!r}" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["equivalence", "--beta=-1e-3"], "method.betas: betas must be positive, got -0.001"),
+        (["sweep", "--beta", "1e-4,1e-3"], "method.betas: betas must be non-increasing"),
+        (["sweep", "--steps=-1"], "method.num_steps must be >= 0, got -1"),
+        (["gradcheck", "--method", "eqprop", "--beta=-1e-3"], "betas must be positive"),
+    ],
+    ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta"],
+)
+def test_out_of_range_values_exit_2_without_traceback(ws, argv, message):
+    proc = _run_cli(argv + ["--config", write_config(ws, BASE_CONFIG), "--out", "out"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 def _run_cli(argv):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

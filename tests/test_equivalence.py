@@ -2,6 +2,7 @@
 
 import io
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,29 +73,74 @@ def test_initial_condition_matches_cost_gradient(converged):
     assert rep.per_step_s_gap[0] <= cfg.tolerance / beta + c * beta
 
 
+def _exact_theta_gaps(theta, x, s_free, states, s_bars, act, beta, eps):
+    """||theta_tilde_k - theta_bar_k||_inf at every grid point, in exact
+    rational arithmetic.
+
+    The inputs are the float64 quantities both processes share: the
+    nudged states, the side process's s_bar, and the firing rates and
+    slopes that `act` gives for them.  Everything after that (the
+    two-point readout, the step-by-step theta_bar sum, the difference)
+    is exact, unlike a longdouble evaluation, which is float64 on some
+    platforms.
+    """
+    def exact(v):
+        return [Fraction(float(e)) for e in v]
+
+    rho = [exact(act.f(v)) for v in s_free]
+    d1 = [exact(act.df(v)) for v in s_free]
+    rho_x = exact(act.f(np.asarray(x, dtype=float)))
+    down = rho[1:] + [rho_x]
+    beta, eps = Fraction(beta), Fraction(eps)
+    theta_bar = [[[Fraction(0)] * w.shape[1] for _ in range(w.shape[0])] for w in theta]
+    gaps = []
+    for s, s_bar in zip(states, s_bars):
+        r = [exact(act.f(v)) for v in s]
+        r_down = r[1:] + [rho_x]
+        gaps.append(max(
+            abs(-(r[k][i] * r_down[k][j] - rho[k][i] * down[k][j]) / beta - t)
+            for k, block in enumerate(theta_bar)
+            for i, row in enumerate(block)
+            for j, t in enumerate(row)
+        ))
+        v = [exact(b) for b in s_bar]
+        for k, block in enumerate(theta_bar):
+            for i, row in enumerate(block):
+                for j in range(len(row)):
+                    h = -d1[k][i] * v[k][i] * down[k][j]
+                    if k + 1 < len(theta):
+                        h -= rho[k][i] * d1[k + 1][j] * v[k + 1][j]
+                    row[j] -= eps * h
+    return gaps
+
+
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
 def test_streamed_gaps_equal_the_recorded_processes(act, tight_cfg):
-    # the streamed comparison must give exactly the gaps of the two
-    # recorded processes it replaces, step for step
-    shape = fp.NetworkShape(3, (2, 4, 3))
-    theta, x, y = fp.random_instance(shape, 11)
+    # the streamed comparison must give exactly the s gaps and norms of the
+    # two recorded processes it replaces, step for step; its theta gaps,
+    # formed from state-sized factors, must match an exact evaluation to
+    # 1e-7 relative per step
     beta, K = 5e-4, 60
     cfg = tightened(tight_cfg, beta)
-    s0, traj = fp.relax_free(theta, x, shape.zero_state(), act, cfg)
-    assert traj.converged
-    rep = fp.compare_processes(theta, x, y, beta, K, act, tight_cfg, s_free=s0)
-    s_bars, theta_bars = error_process_path(
-        theta, x, y, s0, act, cfg.step_size, K, cfg.tolerance
-    )
-    record = fp.temporal_derivative_process(theta, x, y, beta, K, act, tight_cfg, s_free=s0)
-
-    def gaps(a, b):
-        return [model.inf_norm([u - v for u, v in zip(p, q)]) for p, q in zip(a, b)]
-
-    assert rep.per_step_s_gap == gaps(record.s_tilde, s_bars)
-    assert rep.per_step_theta_gap == gaps(record.theta_tilde, theta_bars)
-    assert rep.per_step_sbar_norm == [model.inf_norm(b) for b in s_bars]
-    assert rep.per_step_stilde_norm == [model.inf_norm(b) for b in record.s_tilde]
+    for shape, seed in [
+        (fp.NetworkShape(3, (2, 4, 3)), 11),
+        (fp.NetworkShape(4, (3, 3, 2)), 5),
+        (fp.NetworkShape(2, (2, 2, 1)), 7),
+    ]:
+        theta, x, y = fp.random_instance(shape, seed)
+        s0, traj = fp.relax_free(theta, x, shape.zero_state(), act, cfg)
+        assert traj.converged
+        rep = fp.compare_processes(theta, x, y, beta, K, act, tight_cfg, s_free=s0)
+        s_bars, _ = error_process_path(theta, x, y, s0, act, cfg.step_size, K, cfg.tolerance)
+        record = fp.temporal_derivative_process(theta, x, y, beta, K, act, tight_cfg, s_free=s0)
+        gaps = [model.inf_norm([u - v for u, v in zip(p, q)]) for p, q in zip(record.s_tilde, s_bars)]
+        assert rep.per_step_s_gap == gaps
+        assert rep.per_step_sbar_norm == [model.inf_norm(b) for b in s_bars]
+        assert rep.per_step_stilde_norm == [model.inf_norm(b) for b in record.s_tilde]
+        states = fp.nudged_path(theta, x, y, beta, s0, act, cfg.step_size, K)
+        exact = _exact_theta_gaps(theta, x, s0, states, s_bars, act, beta, cfg.step_size)
+        for got, want in zip(rep.per_step_theta_gap, exact):
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**7) * want
 
 
 def test_compare_memory_does_not_grow_with_steps(tight_cfg):

@@ -412,6 +412,37 @@ def test_hvp_ss_matches_fd_of_gradient(i):
     assert_blocks_close(h, fd, 1e-5, 1e-9)
 
 
+def _reference_hvp_ss(theta, x, s, v, act):
+    """(d2E/ds2) . v one layer at a time, as before the flat product."""
+    L = len(theta)
+    d1 = [act.df(sk) for sk in s]
+    rates = [act.f(sk) for sk in s] + [act.f(x)]
+    out = []
+    for k in range(L):
+        drive = theta[k] @ rates[k + 1]
+        if k > 0:
+            drive = drive + theta[k - 1].T @ rates[k - 1]
+        h = v[k] - act.d2f(s[k]) * drive * v[k]
+        if k < L - 1:
+            h = h - d1[k] * (theta[k] @ (d1[k + 1] * v[k + 1]))
+        if k > 0:
+            h = h - d1[k] * (theta[k - 1].T @ (d1[k - 1] * v[k - 1]))
+        out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("i", range(len(SHAPE_POOL)))
+def test_flat_hvp_ss_equals_the_layer_loop_bitwise(i, act):
+    shape, theta, x, y = make_instance(i)
+    rng = np.random.default_rng(500 + i)
+    s = random_state(shape, rng)
+    v = random_direction(shape, rng)
+    got = fp.hvp_ss(theta, x, s, v, act)
+    want = _reference_hvp_ss(theta, x, s, v, act)
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
 def test_hvp_ss_symmetry_twenty_instances():
     for i in range(20):
         shape, theta, x, y = make_instance(i)
@@ -457,9 +488,9 @@ def test_hvp_theta_s_matches_fd_of_gradient(i):
 
 
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
-def test_weight_shaped_products_into_buffers_are_bitwise_outer_products(act):
-    # the in-place fills must equal plain np.outer products bit for bit,
-    # signed zeros included, with and without caller buffers
+def test_weight_shaped_products_are_bitwise_outer_products(act):
+    # the row-filling outer products must equal plain np.outer products bit
+    # for bit, signed zeros included
     shape, theta, x, y = make_instance(4)
     rng = np.random.default_rng(9)
     s = random_state(shape, rng)
@@ -467,15 +498,18 @@ def test_weight_shaped_products_into_buffers_are_bitwise_outer_products(act):
     v = random_direction(shape, rng)
     v[0][0] = -0.0
     want = fp.hvp_theta_s(theta, x, s, v, act)
-    ops = fp.model.CurvatureOps(theta, x, s, act)
-    bufs = [[np.full(w.shape, np.nan) for w in theta] for _ in range(2)]
-    for got in (ops.apply_theta_s(v), ops.apply_theta_s(v, *bufs)):
-        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+    got = fp.model.CurvatureOps(theta, x, s, act).apply_theta_s(v)
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
     rho = [act.f(sk) for sk in s] + [act.f(x)]
     want = [-np.outer(rho[k], rho[k + 1]) for k in range(len(theta))]
-    for got in (fp.grad_theta_energy(theta, x, s, act),
-                fp.grad_theta_energy(theta, x, s, act, out=bufs[0])):
-        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+    got = fp.grad_theta_energy(theta, x, s, act)
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+def test_inf_norm_propagates_nan_from_any_block():
+    assert np.isnan(fp.model.inf_norm([np.array([1.0]), np.array([np.nan])]))
+    assert np.isnan(fp.model.inf_norm([np.array([np.nan]), np.array([1.0])]))
+    assert fp.model.inf_norm([np.array([1.0, -3.0]), np.zeros((2, 2))]) == 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,29 @@ def test_process_is_linear_in_cost_discrepancy(converged):
             np.testing.assert_allclose(a, c * b, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_neumann_theta_bar_matches_stepwise_accumulation(act, tight_cfg):
+    # theta_bar_0 - eps * J(sum of past s_bar), formed only where it is
+    # read, is the step-by-step theta_bar sum of rbp_step up to rounding
+    from fpgrad.equivalence import error_process_path
+
+    shape = fp.NetworkShape(3, (2, 4, 3))
+    theta, x, y = fp.random_instance(shape, 11)
+    s0, traj = fp.relax_free(theta, x, shape.zero_state(), act, tight_cfg)
+    assert traj.converged
+    K = 200
+    s_bars, theta_bars = error_process_path(
+        theta, x, y, s0, act, tight_cfg.step_size, K, tight_cfg.tolerance
+    )
+    p = fp.rbp_init(theta, x, y, s0, act, tight_cfg.tolerance)
+    for k in range(K + 1):
+        for a, b in zip(s_bars[k], p.s_bar):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(theta_bars[k], p.theta_bar):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        p = fp.rbp_step(p, theta, x, s0, act, tight_cfg.step_size)
+
+
 def test_instability_error_for_oversized_step(converged):
     shape, theta, x, y, act, s0, cfg = converged
     import dataclasses
