@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -314,8 +315,8 @@ def cmd_gradcheck(args) -> int:
     else:
         betas = _floats(cfg["method"]["betas"], "method.betas")
         for beta in betas:
-            if not beta > 0:
-                raise ConfigError(f"method.betas: betas must be positive, got {beta}")
+            if not 0 < beta < math.inf:
+                raise ConfigError(f"method.betas: betas must be positive and finite, got {beta}")
         errors = []
         for beta in betas:
             est = eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg)
@@ -401,9 +402,11 @@ def _degenerate(rep, tolerance) -> bool:
 def cmd_equivalence(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    threshold = _number(cfg, "method.gap_threshold")
+    if not 0 <= threshold < math.inf:
+        raise ConfigError(f"method.gap_threshold must be finite and >= 0, got {threshold}")
     reports, paths, rcfg = _run_sweep(cfg, args)
     summary = equivalence.summarize(reports)
-    threshold = _number(cfg, "method.gap_threshold")
     tol = min(rcfg.tolerance, min(r.beta for r in reports) * 1e-3)
     if all(_degenerate(r, tol) for r in reports):
         summary["note"] = "degenerate: processes are at the residual floor; slope fit skipped"

@@ -24,7 +24,7 @@ from typing import Callable, List
 import numpy as np
 
 from . import model
-from .exceptions import DivergenceError
+from .exceptions import ConvergenceError, DivergenceError
 from .model import Activation, Params, State
 
 FlatForce = Callable[[np.ndarray], np.ndarray]
@@ -45,10 +45,10 @@ class RelaxationConfig:
     record_every: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.record_every < 0:
@@ -108,6 +108,18 @@ def relax(force: FlatForce, s_init: State, cfg: RelaxationConfig):
     )
 
 
+def converged_state(result, cfg: RelaxationConfig, phase: str) -> State:
+    """The final state of a `relax` result (state, Trajectory) run under
+    cfg, or a ConvergenceError naming the phase if it did not converge."""
+    s, traj = result
+    if not traj.converged:
+        raise ConvergenceError(
+            f"{phase} did not converge within {cfg.max_steps} steps "
+            f"(residual {traj.final_residual:.3e} > tolerance {cfg.tolerance:g})"
+        )
+    return s
+
+
 def relax_free(theta: Params, x, s_init: State, act: Activation, cfg: RelaxationConfig):
     """Relax under the energy gradient alone, towards a free fixed point."""
     return relax(model.Force(theta, x, s_init, act), s_init, cfg)
@@ -147,8 +159,8 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int):
     at s_k that the update s_{k+1} = s_k - eps * g_k uses (the force at
     the last state is evaluated too).  No convergence check: fixed-horizon
     flows are wanted as-is."""
-    if step_size <= 0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
+    if not 0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     s = model.flatten(s_init)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import dynamics, model
 from .dynamics import RelaxationConfig
-from .exceptions import ConvergenceError
 from .model import Activation, Params, State
 
 METHODS = ("rbp", "eqprop", "eqprop-truncated", "fd-oracle")
@@ -82,13 +81,8 @@ def _two_point_gradient(theta, x, beta, g_free, s_nudged, act) -> Params:
 
 
 def _free_fixed_point(theta, x, act, cfg) -> State:
-    s0, traj = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
-    if not traj.converged:
-        raise ConvergenceError(
-            f"free phase did not converge within {cfg.max_steps} steps "
-            f"(residual {traj.final_residual:.3e} > tolerance {cfg.tolerance:g})"
-        )
-    return s0
+    result = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
+    return dynamics.converged_state(result, cfg, "free phase")
 
 
 def eqprop_gradient(
@@ -111,12 +105,8 @@ def eqprop_gradient(
     cfg = tightened(cfg, beta)
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
-    s_nudged, traj = dynamics.relax_nudged(theta, x, y, beta, s_free, act, cfg)
-    if not traj.converged:
-        raise ConvergenceError(
-            f"nudged phase did not converge within {cfg.max_steps} steps "
-            f"(residual {traj.final_residual:.3e} > tolerance {cfg.tolerance:g})"
-        )
+    result = dynamics.relax_nudged(theta, x, y, beta, s_free, act, cfg)
+    s_nudged = dynamics.converged_state(result, cfg, "nudged phase")
     g_free = model.grad_theta_energy(theta, x, s_free, act)
     grad = _two_point_gradient(theta, x, beta, g_free, s_nudged, act)
     return GradientEstimate(
@@ -124,7 +114,7 @@ def eqprop_gradient(
         method="eqprop",
         step=cfg.step_size,
         beta=beta,
-        horizon_t=traj.steps_taken * cfg.step_size,
+        horizon_t=result[1].steps_taken * cfg.step_size,
     )
 
 

@@ -14,11 +14,14 @@ s_bar and the running sum of s_bar (its Neumann-series form, see
 `rbp.SideProcess`), and both theta_bar and theta_tilde are sums of a few
 outer products of state-sized vectors per weight block, so their
 difference is formed from state-sized factors and reduced to its norm
-block by block (`_theta_gap`).
+block by block (`_theta_gap`).  The side process does not depend on
+beta: a sweep runs one, and the nudged phases of all its betas advance
+in lockstep with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional
@@ -73,13 +76,15 @@ def _check_side_finite(p: rbp.SideProcess) -> None:
         raise DivergenceError("non-finite side process during recording")
 
 
-def _theta_gap(theta: Params, x, s_free: State, act: Activation, beta: float, step_size: float):
-    """The map (s_k, S_k) -> ||theta_tilde_k - theta_bar_k||_inf, with s_k
-    the k-th nudged state and S_k the sum of the first k s_bar.
+def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float):
+    """The map (rho_k, beta, S_k) -> ||theta_tilde_k - theta_bar_k||_inf,
+    with rho_k the firing rates of the k-th nudged state at that beta and
+    S_k the sum of the first k s_bar; `ops` holds the rates and slopes at
+    the free point.
 
     For the block of layers a and b (b the clamped input for the last
     block), with rho* and d1* the rates and slopes at the free point,
-    drho = rho(s_k) - rho* and u = drho/beta + eps * d1* . S_k,
+    drho = rho_k - rho* and u = drho/beta + eps * d1* . S_k,
 
         theta_tilde_k - theta_bar_k = -[u_a rho*_b^T + rho*_a u_b^T + drho_a drho_b^T / beta]
 
@@ -87,23 +92,22 @@ def _theta_gap(theta: Params, x, s_free: State, act: Activation, beta: float, st
     weight term: theta_bar_0 = 0 and the readout has no dC/dW part.  The
     cancellation between the two processes happens in the state-sized u
     and drho; each block is one (m x 3) @ (3 x n) product into one
-    buffer, then its max and min.
+    buffer, shared by every beta, then its max and min.
     """
-    bounds = model.layer_bounds(s_free)
-    v = model.flatten(s_free)
-    rho = act.f(v)
-    eps_d1 = step_size * act.df(v)
-    rho_x = act.f(np.asarray(x, dtype=float))
+    bounds = ops.bounds
+    n = bounds[-1]
+    rho, rho_x = ops.rates[:n], ops.rates[n:]
+    eps_d1 = step_size * ops.d1_flat
     # rows (u, rho*, drho/beta) and (rho*, u, drho): block (a, b) of their
     # product is left[:, a].T @ right[:, b]
-    left, right = np.empty((3, len(v))), np.empty((3, len(v)))
+    left, right = np.empty((3, n)), np.empty((3, n))
     left[1] = right[0] = rho
     u, drho_beta, drho = left[0], left[2], right[2]
     buf = np.empty(max(w.size for w in theta))
     last = len(theta) - 1
 
-    def gap(s: np.ndarray, s_sum: np.ndarray) -> float:
-        np.subtract(act.f(s), rho, out=drho)
+    def gap(rho_k: np.ndarray, beta: float, s_sum: np.ndarray) -> float:
+        np.subtract(rho_k, rho, out=drho)
         np.divide(drho, beta, out=drho_beta)
         np.add(drho_beta, np.multiply(eps_d1, s_sum, out=u), out=u)
         right[1] = u
@@ -131,56 +135,20 @@ def compare_processes(
     cfg: RelaxationConfig,
     s_free: Optional[State] = None,
 ) -> EquivalenceReport:
-    """Run both processes for num_steps on the shared grid and report gaps.
-
-    One Euler loop runs the nudged phase; the force g_k it evaluates at
-    each state gives both the next state and the readout s_tilde_k =
-    g_k / beta.  The side process advances beside it in its flat
-    Neumann form (s_bar and the running sum S_k), and each grid point is
-    reduced to its four norms at once.  The theta gap is formed from
-    state-sized factors (see `_theta_gap`): neither theta_tilde nor
-    theta_bar is ever built, no weight-shaped quantity is carried from one
-    step to the next, and memory does not grow with num_steps beyond the
-    four per-step lists.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    cfg = eqprop.tightened(cfg, beta)
-    if s_free is None:
-        s_free = eqprop._free_fixed_point(theta, x, act, cfg)
-    eps = cfg.step_size
-    side = rbp.side_process(theta, x, y, s_free, act, eps, cfg.tolerance)
-    force = model.Force(theta, x, s_free, act, y, beta)
-    theta_gap = _theta_gap(theta, x, s_free, act, beta, eps)
-    s_gaps, theta_gaps, sbar_norms, stilde_norms = [], [], [], []
-    for (s, g), p in zip(dynamics._flow(force, s_free, eps, num_steps), side):
-        s_tilde = g / beta
-        s_gaps.append(float(np.abs(s_tilde - p.s_bar).max()))
-        theta_gaps.append(theta_gap(s, p.s_sum))
-        sbar_norms.append(float(np.abs(p.s_bar).max()))
-        stilde_norms.append(float(np.abs(s_tilde).max()))
-    _check_side_finite(p)
-    return EquivalenceReport(
-        beta=beta,
-        step=eps,
-        num_steps=num_steps,
-        per_step_s_gap=s_gaps,
-        per_step_theta_gap=theta_gaps,
-        per_step_sbar_norm=sbar_norms,
-        per_step_stilde_norm=stilde_norms,
-        max_s_gap=max(s_gaps),
-        max_theta_gap=max(theta_gaps),
-        reference_scale=max(sbar_norms),
-    )
+    """Run both processes for num_steps on the shared grid and report
+    gaps: the sweep (`beta_sweep`) of the single beta."""
+    return beta_sweep(theta, x, y, [beta], num_steps, act, cfg, s_free=s_free)[0]
 
 
 def check_betas(betas) -> List[float]:
-    """The betas of a sweep as floats: non-empty, positive, non-increasing;
-    a ValueError says which rule a value breaks."""
+    """The betas of a sweep as floats: non-empty, finite, positive,
+    non-increasing; a ValueError says which rule a value breaks."""
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("betas must be non-empty")
     for b in betas:
+        if not math.isfinite(b):
+            raise ValueError(f"betas must be finite, got {b}")
         if not b > 0:
             raise ValueError(f"betas must be positive, got {b}")
     for a, b in zip(betas, betas[1:]):
@@ -197,16 +165,46 @@ def beta_sweep(
     num_steps: int,
     act: Activation,
     cfg: RelaxationConfig,
+    s_free: Optional[State] = None,
 ) -> List[EquivalenceReport]:
-    """One report per beta on the identical grid.
+    """One report per beta, all on the identical grid.
 
-    The free fixed point is located once, at a tolerance tight enough for
-    the smallest beta, and shared by every comparison.
+    The free fixed point is located once (unless `s_free` is given), at a
+    tolerance tight enough for the smallest beta, and shared by every
+    comparison.  The side process does not depend on beta, so one runs
+    for the whole sweep; each beta's nudged phase is one Euler loop, and
+    all of them advance in lockstep with it.  The force g_k of a nudged
+    step gives both the next state and the readout s_tilde_k = g_k /
+    beta, and its firing rates give the theta gap (see `_theta_gap`):
+    neither theta_tilde nor theta_bar is ever built, no weight-shaped
+    quantity is carried from one step to the next, and memory does not
+    grow with num_steps beyond the four per-step lists of each beta.
     """
     betas = check_betas(betas)
     cfg = eqprop.tightened(cfg, min(betas))
-    s_free = eqprop._free_fixed_point(theta, x, act, cfg)
-    return [compare_processes(theta, x, y, b, num_steps, act, cfg, s_free=s_free) for b in betas]
+    if s_free is None:
+        s_free = eqprop._free_fixed_point(theta, x, act, cfg)
+    eps = cfg.step_size
+    side = rbp.SideProcess(theta, x, y, s_free, act, eps, cfg.tolerance)
+    theta_gap = _theta_gap(theta, side.curvature, eps)
+    forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
+    flows = [dynamics._flow(f, s_free, eps, num_steps) for f in forces]
+    reports = [EquivalenceReport(b, eps, num_steps, [], [], [], [], 0.0, 0.0, 0.0) for b in betas]
+    # the flows come first: zip stops at their end before advancing the side
+    for *points, p in zip(*flows, side):
+        sbar_norm = float(np.abs(p.s_bar).max())
+        for r, force, (_, g) in zip(reports, forces, points):
+            s_tilde = g / r.beta
+            r.per_step_s_gap.append(float(np.abs(s_tilde - p.s_bar).max()))
+            r.per_step_theta_gap.append(theta_gap(force.rho, r.beta, p.s_sum))
+            r.per_step_sbar_norm.append(sbar_norm)
+            r.per_step_stilde_norm.append(float(np.abs(s_tilde).max()))
+    _check_side_finite(p)
+    for r in reports:
+        r.max_s_gap = max(r.per_step_s_gap)
+        r.max_theta_gap = max(r.per_step_theta_gap)
+        r.reference_scale = max(r.per_step_sbar_norm)
+    return reports
 
 
 def truncation_correspondence(

@@ -60,9 +60,13 @@ def _logistic(v):
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
-def _logistic_d1(v):
+def _logistic_rate_slope(v):
     f = _logistic(v)
-    return f * (1.0 - f)
+    return f, f * (1.0 - f)
+
+
+def _logistic_d1(v):
+    return _logistic_rate_slope(v)[1]
 
 
 def _logistic_d2(v):
@@ -70,9 +74,13 @@ def _logistic_d2(v):
     return f * (1.0 - f) * (1.0 - 2.0 * f)
 
 
-def _tanh_d1(v):
+def _tanh_rate_slope(v):
     t = np.tanh(v)
-    return 1.0 - t * t
+    return t, 1.0 - t * t
+
+
+def _tanh_d1(v):
+    return _tanh_rate_slope(v)[1]
 
 
 def _tanh_d2(v):
@@ -95,13 +103,21 @@ class Activation:
 
     `d2f` may be None for activations whose second derivative does not
     exist (piecewise-linear ones); operations that need curvature reject
-    those explicitly.
+    those explicitly.  `f_df`, if given, returns (f(v), df(v)) from one
+    evaluation of f, bit for bit the pair of separate calls.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     d2f: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f_df: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def rate_slope(self, v):
+        """(f(v), df(v)): the firing rates and their slopes."""
+        if self.f_df is None:
+            return self.f(v), self.df(v)
+        return self.f_df(v)
 
     def require_curvature(self) -> None:
         if self.d2f is None:
@@ -111,8 +127,8 @@ class Activation:
             )
 
 
-LOGISTIC = Activation("logistic", _logistic, _logistic_d1, _logistic_d2)
-TANH = Activation("tanh", np.tanh, _tanh_d1, _tanh_d2)
+LOGISTIC = Activation("logistic", _logistic, _logistic_d1, _logistic_d2, _logistic_rate_slope)
+TANH = Activation("tanh", np.tanh, _tanh_d1, _tanh_d2, _tanh_rate_slope)
 HARD_SIGMOID = Activation("hard-sigmoid", _hard_sigmoid, _hard_sigmoid_d1, None)
 
 ACTIVATIONS = {a.name: a for a in (LOGISTIC, TANH, HARD_SIGMOID)}
@@ -308,41 +324,43 @@ def energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> float:
     return total
 
 
-def _drive(theta: Params, rates: list, out: State) -> None:
-    """Total synaptic input to each layer, W_k rho(next) + W_{k-1}^T rho(prev),
-    written into the layer views `out`; `rates` holds the firing rates of
-    the layers and then of the input."""
-    for k, a in enumerate(out):
-        np.dot(theta[k], rates[k + 1], out=a)
-        if k > 0:
-            a += np.dot(theta[k - 1].T, rates[k - 1])
-
-
 class Force:
     """d(E + beta*C)/ds as a function of the flat state: the negated
     velocity of the free relaxation (no target) or of the nudged one.
 
     Built once per relaxation: the network is checked against the layout
-    of the state `s`, and the input rates are pinned.  A call then makes
-    one `act.f` and one `act.df` call over the whole state, writes the
-    drive into one buffer block by block (no dense N x N matrix), and adds
-    the nudge to the output layer.  Any real beta is accepted; the
-    relaxations check beta >= 0 themselves.
+    of the state `s`, and the buffers are allocated.  A call evaluates the
+    activation once over the whole state (`Activation.rate_slope`) into
+    `rates`, whose tail holds rho(x), pinned; writes the drive into one
+    buffer block by block (no dense N x N matrix); and adds the nudge to
+    the output layer.  `rho` (the head of `rates`), `slopes` and `drive`
+    then hold the rates, slopes and drive of the state evaluated last.
+    Any real beta is accepted; the relaxations check beta >= 0 themselves.
     """
 
     def __init__(self, theta: Params, x, s: State, act: Activation, y=None, beta: float = 0.0):
         _check_network(theta, x, s)
         self.theta, self.act, self.beta = theta, act, beta
         self.y = None if y is None else _target(y, s)
-        self.bounds = layer_bounds(s)
-        self.rho_x = act.f(np.asarray(x, dtype=float))
-        self._drive = np.empty(self.bounds[-1])
-        self._drive_layers = split(self._drive, self.bounds)
+        self.bounds = bounds = layer_bounds(s)
+        n = bounds[-1]
+        self.rates = np.empty(n + len(x))
+        self.rates[n:] = act.f(np.asarray(x, dtype=float))
+        self.rho = self.rates[:n]
+        # the layers' rates, then the input's
+        self.rate_layers = split(self.rates, bounds + [len(self.rates)])
+        self.drive = np.empty(n)
+        self._drive_layers = split(self.drive, bounds)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        rates = split(self.act.f(s), self.bounds) + [self.rho_x]
-        _drive(self.theta, rates, self._drive_layers)
-        g = s - self.act.df(s) * self._drive
+        self.rho[...], self.slopes = self.act.rate_slope(s)
+        theta, rates = self.theta, self.rate_layers
+        # total synaptic input to each layer, W_k rho(next) + W_{k-1}^T rho(prev)
+        for k, a in enumerate(self._drive_layers):
+            np.dot(theta[k], rates[k + 1], out=a)
+            if k > 0:
+                a += np.dot(theta[k - 1].T, rates[k - 1])
+        g = s - self.slopes * self.drive
         if self.y is not None:
             n = self.bounds[1]
             g[:n] += self.beta * (s[:n] - self.y)
@@ -419,29 +437,34 @@ class CurvatureOps:
     """Both second-derivative products of the energy at one frozen state.
 
     Everything that depends only on (theta, x, s) is computed once at
-    construction, so repeatedly applying the operators to different
-    directions (the inner loop of the error-derivative process) costs
-    only the matrix-vector work.  `apply_ss` maps a flat direction to a
-    flat product; `apply_theta_s` takes a direction in per-layer form.
+    construction, from one force evaluation at s, so repeatedly applying
+    the operators to different directions (the inner loop of the
+    error-derivative process) costs only the matrix-vector work.
+    `apply_ss` maps a flat direction to a flat product; `apply_theta_s`
+    takes a direction in per-layer form.  With `curvature=False` only
+    `apply_theta_s` is available, and the activation needs no second
+    derivative.
     """
 
-    def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation):
-        act.require_curvature()
-        _check_network(theta, x, s)
+    def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation, curvature: bool = True):
+        if curvature:
+            act.require_curvature()
+        force = Force(theta, x, s, act)
+        v = flatten(s)
+        force(v)
         self.theta = theta
         self.num_layers = len(theta)
-        self.bounds = bounds = layer_bounds(s)
-        v = flatten(s)
-        self.rho = split(act.f(v), bounds)
-        self.d1_flat = act.df(v)
-        self.d1 = split(self.d1_flat, bounds)
-        rates = self.rho + [act.f(np.asarray(x, dtype=float))]
+        self.bounds = force.bounds
+        # the rates of the layers and then of the input, flat and per layer
+        self.rates = force.rates
+        self.rho = force.rate_layers[:-1]
         # firing rate of the downstream neighbour seen by each matrix
-        self.rho_down = rates[1:]
-        inputs = np.empty_like(v)
-        _drive(theta, rates, split(inputs, bounds))
-        # curvature of the leak-plus-drive term, diagonal per layer
-        self.d2_drive = act.d2f(v) * inputs
+        self.rho_down = force.rate_layers[1:]
+        self.d1_flat = force.slopes
+        self.d1 = split(self.d1_flat, self.bounds)
+        if curvature:
+            # curvature of the leak-plus-drive term, diagonal per layer
+            self.d2_drive = act.d2f(v) * force.drive
 
     def _check_direction(self, v: State) -> None:
         if len(v) != self.num_layers:
@@ -471,7 +494,8 @@ class CurvatureOps:
 
     def apply_theta_s(self, v: State) -> Params:
         """(d2E/dW ds) . v: sensitivity of each synaptic outer product to
-        a state perturbation."""
+        a state perturbation.  The clamped input contributes no
+        perturbation term to the last matrix."""
         self._check_direction(v)
         out = []
         for k, w in enumerate(self.theta):
@@ -490,25 +514,9 @@ def hvp_ss(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) ->
 
 
 def hvp_theta_s(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) -> Params:
-    """Mixed product (d2E/dW ds) . v.  The clamped input contributes no
-    perturbation term to the last matrix."""
-    # no curvature of the activation is needed here, but the operator
-    # bundle requires it; build the pieces directly instead
-    _check_network(theta, x, s)
-    if len(v) != len(s):
-        raise ShapeError(f"direction has {len(v)} layers, state has {len(s)}")
-    L = len(theta)
-    rho = [act.f(sk) for sk in s]
-    d1 = [act.df(sk) for sk in s]
-    rho_x = act.f(np.asarray(x, dtype=float))
-    blocks = []
-    for k in range(L):
-        down = rho[k + 1] if k < L - 1 else rho_x
-        b = -np.outer(d1[k] * v[k], down)
-        if k < L - 1:
-            b = b - np.outer(rho[k], d1[k + 1] * v[k + 1])
-        blocks.append(b)
-    return blocks
+    """Mixed product (d2E/dW ds) . v; needs no second derivative of the
+    activation."""
+    return CurvatureOps(theta, x, s, act, curvature=False).apply_theta_s(v)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ audit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import dynamics, model
 from .dynamics import RelaxationConfig
 from .eqprop import GradientEstimate
-from .exceptions import BasinJumpError, ConvergenceError
+from .exceptions import BasinJumpError
 from .model import Activation, Params, State
 
 # perturbed relaxations that land farther than this from the reference
@@ -43,8 +44,8 @@ class FDConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.scheme != "central":
             raise ValueError(f"unsupported scheme '{self.scheme}'")
 
@@ -78,13 +79,7 @@ def projected_cost(
 
 
 def _relaxed_fixed_point(force, s_init, cfg):
-    s, traj = dynamics.relax(force, s_init, cfg)
-    if not traj.converged:
-        raise ConvergenceError(
-            f"oracle relaxation did not converge within {cfg.max_steps} steps "
-            f"(residual {traj.final_residual:.3e})"
-        )
-    return s
+    return dynamics.converged_state(dynamics.relax(force, s_init, cfg), cfg, "oracle relaxation")
 
 
 def fd_objective_gradient(

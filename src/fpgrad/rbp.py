@@ -182,8 +182,9 @@ def rbp_gradient(
     side = side_process(theta, x, y, s_free, act, eps, cfg.tolerance)
     p = next(side)
     norm = float(np.abs(p.s_bar).max())
-    rising = 0
-    steps = 0
+    if not np.isfinite(norm):
+        raise DivergenceError(f"non-finite side process at t={p.t!r}")
+    rising = steps = 0
     while norm > cfg.tolerance and steps < cfg.max_steps:
         if record is not None:
             delta = eps * model.inf_norm(p.mixed(p.s_bar))

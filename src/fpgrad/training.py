@@ -10,6 +10,7 @@ replays exactly the same presentations as an uninterrupted run.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -75,16 +76,16 @@ class TrainConfig:
             raise ValueError(
                 f"unknown method '{self.method}'; expected one of {TRAIN_METHODS}"
             )
-        if self.method in ("eqprop", "eqprop-truncated") and self.beta <= 0:
-            raise ValueError(f"method '{self.method}' requires beta > 0")
+        if self.method in ("eqprop", "eqprop-truncated") and not 0 < self.beta < math.inf:
+            raise ValueError(f"method '{self.method}' requires a finite beta > 0")
         if self.method == "eqprop-truncated":
             if self.truncation_steps is None or self.truncation_steps < 1:
                 raise ValueError("eqprop-truncated requires truncation_steps >= 1")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         # zero rates are legal (no-op training, useful in tests); negative are not
-        if any(r < 0 for r in self.rates_for(None)):
-            raise ValueError("learning rates must be non-negative")
+        if not all(0 <= r < math.inf for r in self.rates_for(None)):
+            raise ValueError("learning rates must be finite and non-negative")
 
     def rates_for(self, num_matrices: Optional[int]) -> List[float]:
         if np.isscalar(self.learning_rates):
@@ -134,6 +135,8 @@ def load_dataset(path, shape: Optional[NetworkShape] = None) -> Dataset:
                 vals = [float(v) for v in row]
             except ValueError as e:
                 raise DatasetError(f"{path}: line {lineno}: {e}") from None
+            if not all(map(math.isfinite, vals)):
+                raise DatasetError(f"{path}: line {lineno}: non-finite value in {row}")
             samples.append(
                 Sample(x=np.array(vals[:n_x]), y=np.array(vals[n_x:]))
             )
@@ -252,11 +255,8 @@ def sgd_train(
             if s_init is None:
                 s_init = shape.zero_state()
             try:
-                s_free, traj = dynamics.relax_free(theta, sample.x, s_init, act, free_cfg)
-                if not traj.converged:
-                    raise ConvergenceError(
-                        f"free phase did not converge (residual {traj.final_residual:.3e})"
-                    )
+                result = dynamics.relax_free(theta, sample.x, s_init, act, free_cfg)
+                s_free = dynamics.converged_state(result, free_cfg, "free phase")
                 grad = _sample_gradient(theta, sample, act, cfg, s_free)
             except DivergenceError as e:
                 raise DivergenceError(
@@ -283,13 +283,8 @@ def sgd_train(
 
 def predict(theta: Params, x, act: Activation, cfg: RelaxationConfig) -> np.ndarray:
     """Output-layer reading at the free fixed point, from the zero state."""
-    s, traj = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
-    if not traj.converged:
-        raise ConvergenceError(
-            f"free phase did not converge within {cfg.max_steps} steps "
-            f"(residual {traj.final_residual:.3e})"
-        )
-    return s[0].copy()
+    result = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
+    return dynamics.converged_state(result, cfg, "free phase")[0].copy()
 
 
 # ---------------------------------------------------------------------------

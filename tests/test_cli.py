@@ -300,21 +300,67 @@ def test_malformed_config_numbers_exit_2_without_traceback(ws, command, key, val
     assert f"{key}: cannot read {value!r}" in proc.stderr
 
 
+def _with(cfg, key, value):
+    cfg = copy.deepcopy(cfg)
+    section, _, name = key.rpartition(".")
+    cfg[section][name] = value
+    return cfg
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, cfg",
     [
-        (["equivalence", "--beta=-1e-3"], "method.betas: betas must be positive, got -0.001"),
-        (["sweep", "--beta", "1e-4,1e-3"], "method.betas: betas must be non-increasing"),
-        (["sweep", "--steps=-1"], "method.num_steps must be >= 0, got -1"),
-        (["gradcheck", "--method", "eqprop", "--beta=-1e-3"], "betas must be positive"),
+        (["equivalence", "--beta=-1e-3"], "method.betas: betas must be positive, got -0.001",
+         BASE_CONFIG),
+        (["sweep", "--beta", "1e-4,1e-3"], "method.betas: betas must be non-increasing",
+         BASE_CONFIG),
+        (["sweep", "--steps=-1"], "method.num_steps must be >= 0, got -1", BASE_CONFIG),
+        (["gradcheck", "--method", "eqprop", "--beta=-1e-3"], "betas must be positive",
+         BASE_CONFIG),
+        # non-finite settings
+        (["relax", "--x", "0,0"], "step_size must be positive and finite, got nan",
+         _with(BASE_CONFIG, "relaxation.step_size", float("nan"))),
+        (["relax", "--x", "0,0", "--step-size", "nan"],
+         "step_size must be positive and finite, got nan", BASE_CONFIG),
+        (["gradcheck", "--method", "rbp"], "tolerance must be positive and finite, got nan",
+         _with(BASE_CONFIG, "relaxation.tolerance", float("nan"))),
+        (["gradcheck", "--method", "rbp"], "delta must be positive and finite, got inf",
+         _with(BASE_CONFIG, "method.delta", float("inf"))),
+        (["gradcheck", "--method", "eqprop", "--beta", "inf"],
+         "betas must be positive and finite, got inf", BASE_CONFIG),
+        (["equivalence", "--beta", "inf"], "method.betas: betas must be finite, got inf",
+         BASE_CONFIG),
+        (["sweep"], "method.betas: betas must be finite, got inf",
+         _with(BASE_CONFIG, "method.betas", [float("inf"), 1e-3])),
+        (["equivalence"], "method.gap_threshold must be finite and >= 0, got nan",
+         _with(BASE_CONFIG, "method.gap_threshold", float("nan"))),
+        (["train", "--beta", "inf"], "requires a finite beta > 0", XOR_CONFIG),
+        (["train"], "learning rates must be finite and non-negative",
+         _with(XOR_CONFIG, "train.learning_rates", float("nan"))),
     ],
-    ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta"],
+    ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
+         "step-size-config", "step-size-flag", "tolerance-nan", "delta-inf",
+         "gradcheck-beta-inf", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
+         "train-beta-inf", "learning-rate-nan"],
 )
-def test_out_of_range_values_exit_2_without_traceback(ws, argv, message):
-    proc = _run_cli(argv + ["--config", write_config(ws, BASE_CONFIG), "--out", "out"])
+def test_out_of_range_values_exit_2_without_traceback(ws, argv, message, cfg):
+    if argv[0] == "train":
+        cfg = dict(cfg, dataset=write_xor(ws))
+    proc = _run_cli(argv + ["--config", write_config(ws, cfg), "--out", "out"])
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_non_finite_dataset_value_exits_2_naming_the_line(ws):
+    data = ws / "xor.csv"
+    data.write_text("x0,x1,y0\n0,0,0\n0,1,nan\n1,0,1\n1,1,0\n")
+    cfg = dict(XOR_CONFIG, dataset=str(data), train=dict(XOR_CONFIG["train"], epochs=2))
+    proc = _run_cli(["train", "--config", write_config(ws, cfg), "--out", "out"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 3: non-finite value" in proc.stderr
+    assert not (ws / "out" / "trainlog.csv").exists()
 
 
 def _run_cli(argv):
@@ -323,3 +369,4 @@ def _run_cli(argv):
     return subprocess.run(
         [sys.executable, "-m", "fpgrad.cli", *argv], capture_output=True, text=True, env=env
     )
+

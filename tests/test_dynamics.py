@@ -1,12 +1,13 @@
 """Relaxation behaviour: convergence, descent, recording, divergence guards."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 
 import fpgrad as fp
-from fpgrad.exceptions import DivergenceError
+from fpgrad.exceptions import ConvergenceError, DivergenceError
 
 from conftest import make_instance, random_state
 
@@ -29,6 +30,41 @@ def test_config_validation():
         fp.RelaxationConfig(max_steps=0)
     with pytest.raises(ValueError):
         fp.RelaxationConfig(record_every=-1)
+
+
+@pytest.mark.parametrize("key", ["step_size", "tolerance"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_rejects_non_finite_settings(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        fp.RelaxationConfig(**{key: value})
+
+
+def test_fixed_horizon_flow_rejects_non_finite_step(seeded_net):
+    shape, theta, x, y, act = seeded_net
+    with pytest.raises(ValueError, match="step_size must be positive and finite, got nan"):
+        fp.free_path(theta, x, shape.zero_state(), act, float("nan"), 3)
+
+
+def test_every_unconverged_relaxation_raises_one_message(seeded_net, tight_cfg):
+    shape, theta, x, y, act = seeded_net
+    short = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12, max_steps=5)
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, tight_cfg)
+    ds = fp.Dataset([fp.Sample(x, y)])
+    runs = [
+        ("free phase", lambda: fp.eqprop_gradient(theta, x, y, 1e-3, act, short)),
+        ("nudged phase", lambda: fp.eqprop_gradient(theta, x, y, 1e-3, act, short, s_free=s0)),
+        ("free phase", lambda: fp.predict(theta, x, act, short)),
+        ("epoch 0, sample 0: free phase",
+         lambda: fp.sgd_train(ds, shape, act, fp.TrainConfig(method="rbp", epochs=1, relaxation=short))),
+        ("oracle relaxation", lambda: fp.fd_objective_gradient(theta, x, y, act, short)),
+    ]
+    for phase, run in runs:
+        with pytest.raises(ConvergenceError) as e:
+            run()
+        assert re.fullmatch(
+            rf"{phase} did not converge within 5 steps \(residual \S+ > tolerance 1e-12\)",
+            str(e.value),
+        ), str(e.value)
 
 
 def test_zero_weights_contract_to_zero_state():

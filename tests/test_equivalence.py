@@ -205,6 +205,24 @@ def test_beta_sweep_reports_equal_each_comparison_alone(converged):
         assert rep == fp.compare_processes(theta, x, y, beta, 40, act, cfg, s_free=s_free)
 
 
+def test_beta_sweep_runs_one_side_process(converged, monkeypatch):
+    # the side process does not depend on beta: K steps of it serve all
+    # three betas, and it is not advanced past step K
+    shape, theta, x, y, act, s0, cfg = converged
+    calls = []
+    apply_ss = model.CurvatureOps.apply_ss
+
+    def counted(self, v):
+        calls.append(1)
+        return apply_ss(self, v)
+
+    monkeypatch.setattr(model.CurvatureOps, "apply_ss", counted)
+    K = 40
+    reports = fp.beta_sweep(theta, x, y, [1e-3, 5e-4, 2.5e-4], K, act, cfg)
+    assert len(calls) == K
+    assert [len(r.per_step_s_gap) for r in reports] == [K + 1] * 3
+
+
 def test_late_time_decay_of_both_processes(converged):
     shape, theta, x, y, act, s0, cfg = converged
     K = 600

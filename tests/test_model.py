@@ -108,6 +108,40 @@ def test_logistic_equals_piecewise_form_bit_for_bit():
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0])
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+def test_rate_slope_is_the_pair_of_separate_calls_bit_for_bit(act):
+    rng = np.random.default_rng(1)
+    with np.errstate(invalid="ignore"):
+        for v in (_SPECIAL, rng.standard_normal(33) * 10, np.linspace(-1.0, 2.0, 31)):
+            f, df = act.rate_slope(v)
+            for got, want in ((f, act.f(v)), (df, act.df(v))):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rate_slope_defaults_to_f_and_df():
+    # an activation built without f_df still gets both from rate_slope
+    calls = []
+
+    def f(v):
+        calls.append("f")
+        return np.sin(v)
+
+    def df(v):
+        calls.append("df")
+        return np.cos(v)
+
+    act = fp.Activation("sine", f, df)
+    v = np.array([0.5, -1.0])
+    rates, slopes = act.rate_slope(v)
+    assert calls == ["f", "df"]
+    np.testing.assert_array_equal(rates, np.sin(v))
+    np.testing.assert_array_equal(slopes, np.cos(v))
+
+
 def test_unknown_activation_rejected():
     with pytest.raises(UnsupportedActivationError):
         fp.get_activation("relu")
@@ -188,6 +222,49 @@ def test_grad_s_vanishes_at_fixed_point(seeded_net):
     assert traj.converged
     g = fp.grad_s_energy(theta, x, s0, act)
     assert max(np.max(np.abs(b)) for b in g) <= cfg.tolerance
+
+
+class _ReferenceForce:
+    """`model.Force` as it was before the one-pass rates: separate act.f
+    and act.df calls per step and a fresh list of layer views."""
+
+    def __init__(self, theta, x, s, act, y=None, beta=0.0):
+        fp.model._check_network(theta, x, s)
+        self.theta, self.act, self.beta = theta, act, beta
+        self.y = None if y is None else fp.model._target(y, s)
+        self.bounds = fp.model.layer_bounds(s)
+        self.rho_x = act.f(np.asarray(x, dtype=float))
+        self._drive = np.empty(self.bounds[-1])
+        self._drive_layers = fp.model.split(self._drive, self.bounds)
+
+    def __call__(self, s):
+        rates = fp.model.split(self.act.f(s), self.bounds) + [self.rho_x]
+        for k, a in enumerate(self._drive_layers):
+            np.dot(self.theta[k], rates[k + 1], out=a)
+            if k > 0:
+                a += np.dot(self.theta[k - 1].T, rates[k - 1])
+        g = s - self.act.df(s) * self._drive
+        if self.y is not None:
+            n = self.bounds[1]
+            g[:n] += self.beta * (s[:n] - self.y)
+        return g
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", [0, 2, 4, 5])  # 2->[1], 2->[2,2,1], 4->[3,3,2], 3->[1,4]
+def test_force_equals_the_reference_force_bit_for_bit(act, index):
+    shape, theta, x, y = make_instance(index)
+    rng = np.random.default_rng(600 + index)
+    s = random_state(shape, rng)
+    for target, beta in ((None, 0.0), (y, 0.7)):
+        force = fp.model.Force(theta, x, s, act, target, beta)
+        reference = _ReferenceForce(theta, x, s, act, target, beta)
+        # successive calls on different states: the buffers carry nothing over
+        for scale in (1.0, 0.3, 2.5):
+            v = fp.model.flatten(s) * scale
+            np.testing.assert_array_equal(force(v).view(np.int64), reference(v).view(np.int64))
+            # the force keeps the rates of the state it evaluated last
+            np.testing.assert_array_equal(force.rho.view(np.int64), act.f(v).view(np.int64))
 
 
 def test_grad_theta_logistic_zero_state_quarter_blocks():
@@ -455,6 +532,40 @@ def test_hvp_ss_symmetry_twenty_instances():
         uhv = sum(float(a @ b) for a, b in zip(u, hv))
         vhu = sum(float(a @ b) for a, b in zip(v, hu))
         assert abs(uhv - vhu) <= 1e-9 * (1.0 + abs(uhv))
+
+
+_shape_index = st.integers(0, len(SHAPE_POOL) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=_shape_index, seed=st.integers(0, 2**32 - 1),
+       act=st.sampled_from([fp.LOGISTIC, fp.TANH]), scale=st.floats(0.1, 3.0))
+def test_hvp_ss_is_symmetric(index, seed, act, scale):
+    # <u, H v> = <H u, v> at any state, not only at fixed points
+    shape, theta, x, y = make_instance(index)
+    rng = np.random.default_rng(seed)
+    s = random_state(shape, rng, scale)
+    u = random_direction(shape, rng)
+    v = random_direction(shape, rng)
+    hu = fp.hvp_ss(theta, x, s, u, act)
+    hv = fp.hvp_ss(theta, x, s, v, act)
+    uhv = sum(float(a @ b) for a, b in zip(u, hv))
+    vhu = sum(float(a @ b) for a, b in zip(v, hu))
+    size = sum(float(np.abs(a) @ np.abs(b)) for a, b in zip(u, hv))
+    assert abs(uhv - vhu) <= 1e-12 * (1.0 + size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=_shape_index, seed=st.integers(0, 2**32 - 1),
+       act=st.sampled_from([fp.LOGISTIC, fp.TANH]), eps=st.floats(1e-3, 0.05))
+def test_energy_never_increases_along_the_free_euler_flow(index, seed, act, eps):
+    # with eps well below 2 / lambda_max(H) every Euler step descends
+    shape, theta, x, y = make_instance(index)
+    rng = np.random.default_rng(seed)
+    path = fp.free_path(theta, x, random_state(shape, rng), act, eps, 40)
+    energies = [fp.energy(theta, x, s, act) for s in path]
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 1e-13 * (1.0 + abs(before))
 
 
 def test_hvp_theta_s_zero_direction(seeded_net):

@@ -23,6 +23,9 @@ def converged(seeded_net, tight_cfg):
 def test_fd_config_validation():
     with pytest.raises(ValueError):
         fp.FDConfig(delta=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            fp.FDConfig(delta=bad)
     with pytest.raises(ValueError):
         fp.FDConfig(scheme="forward")
 

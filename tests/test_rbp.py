@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import fpgrad as fp
-from fpgrad.exceptions import ConvergenceError, InstabilityError, NotAtFixedPointError
+from fpgrad.exceptions import (
+    ConvergenceError,
+    DivergenceError,
+    InstabilityError,
+    NotAtFixedPointError,
+)
 from fpgrad.rbp import write_error_process_csv
 
 from conftest import make_instance, random_state
@@ -215,6 +220,14 @@ def test_side_process_cut_at_max_steps_raises(converged):
     short = dataclasses.replace(cfg, max_steps=3)
     with pytest.raises(ConvergenceError, match="side process did not converge within 3 steps"):
         fp.rbp_gradient(theta, x, y, act, short, s_free=s0)
+
+
+def test_non_finite_initial_s_bar_raises(converged):
+    # a NaN target makes s_bar_0 NaN; the gradient must not come back as
+    # the zero theta_bar_0
+    shape, theta, x, y, act, s0, cfg = converged
+    with pytest.raises(DivergenceError, match="non-finite side process at t=0.0"):
+        fp.rbp_gradient(theta, x, np.full_like(y, np.nan), act, cfg, s_free=s0)
 
 
 def test_step_leaves_its_input_unchanged(converged):

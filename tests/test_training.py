@@ -81,6 +81,14 @@ def test_load_dataset_malformed_number_reports_line(tmp_path):
         fp.load_dataset(p)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_load_dataset_non_finite_value_reports_line(tmp_path, value):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"x0,y0\n0.5,1\n0.25,{value}\n")
+    with pytest.raises(DatasetError, match="line 3: non-finite value"):
+        fp.load_dataset(p)
+
+
 def test_load_dataset_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n")
