@@ -378,7 +378,7 @@ def _run_sweep(cfg, args):
     rcfg = _relaxation(cfg)
     betas = _floats(cfg["method"]["betas"], "method.betas")
     try:
-        equivalence.check_betas(betas)
+        eqprop.check_betas(betas)
     except ValueError as e:
         raise ConfigError(f"method.betas: {e}") from None
     num_steps = _number(cfg, "method.num_steps", int)

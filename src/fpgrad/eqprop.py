@@ -12,10 +12,14 @@ phase after K steps instead of at convergence gives a truncated
 estimate, and recording the rescaled state velocity along the way gives
 the temporal-derivative process that the equivalence harness compares
 against the error-derivative side process.
+Every second phase, here and in `equivalence`, starts from one setup
+(`second_phase`) and runs its nudged phases to a fixed horizon as one
+lockstep flow (`nudged_flows`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -80,9 +84,54 @@ def _two_point_gradient(theta, x, beta, g_free, s_nudged, act) -> Params:
     return g
 
 
-def _free_fixed_point(theta, x, act, cfg) -> State:
-    result = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
+def _estimate(theta, x, beta, s_free, s_nudged, act, method, step, steps) -> GradientEstimate:
+    """The two-point estimate at a nudged state reached in `steps` Euler steps."""
+    g_free = model.grad_theta_energy(theta, x, s_free, act)
+    grad = _two_point_gradient(theta, x, beta, g_free, s_nudged, act)
+    return GradientEstimate(grad, method, step, beta, horizon_t=steps * step)
+
+
+def _free_fixed_point(theta, x, act, cfg, s_init: Optional[State] = None) -> State:
+    """The free fixed point from s_init (default: zero), recording no snapshots."""
+    s_init = model.zero_state_like(theta) if s_init is None else s_init
+    cfg = replace(cfg, record_every=0)
+    result = dynamics.relax_free(theta, x, s_init, act, cfg)
     return dynamics.converged_state(result, cfg, "free phase")
+
+
+def check_betas(betas) -> List[float]:
+    """The betas of a second phase as floats: non-empty, finite, positive,
+    non-increasing; a ValueError says which rule a value breaks."""
+    betas = [float(b) for b in betas]
+    if not betas:
+        raise ValueError("betas must be non-empty")
+    for b in betas:
+        if not math.isfinite(b):
+            raise ValueError(f"betas must be finite, got {b}")
+        if not b > 0:
+            raise ValueError(f"betas must be positive, got {b}")
+    for a, b in zip(betas, betas[1:]):
+        if b > a:
+            raise ValueError(f"betas must be non-increasing, got {a} before {b}")
+    return betas
+
+
+def second_phase(theta: Params, x, act: Activation, cfg: RelaxationConfig, betas, s_free=None):
+    """(betas, cfg, s_free) for a second phase: the betas checked, cfg
+    tightened for the smallest, and the free fixed point located under it
+    once, unless `s_free` is given."""
+    betas = check_betas(betas)
+    cfg = tightened(cfg, min(betas))
+    if s_free is None:
+        s_free = _free_fixed_point(theta, x, act, cfg)
+    return betas, cfg, s_free
+
+
+def nudged_flows(theta: Params, x, y, betas, s_free: State, act: Activation, step_size, num_steps):
+    """One nudged `model.Force` per beta, and the `zip` of their
+    `dynamics._flow`s from s_free: item k holds every beta's (s_k, g_k)."""
+    forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
+    return forces, zip(*(dynamics._flow(f, s_free, step_size, num_steps) for f in forces))
 
 
 def eqprop_gradient(
@@ -100,22 +149,11 @@ def eqprop_gradient(
     default the free phase is run here, from the zero state, with the
     tolerance tightened to beta * 1e-3.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    cfg = tightened(cfg, beta)
-    if s_free is None:
-        s_free = _free_fixed_point(theta, x, act, cfg)
+    [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
     result = dynamics.relax_nudged(theta, x, y, beta, s_free, act, cfg)
     s_nudged = dynamics.converged_state(result, cfg, "nudged phase")
-    g_free = model.grad_theta_energy(theta, x, s_free, act)
-    grad = _two_point_gradient(theta, x, beta, g_free, s_nudged, act)
-    return GradientEstimate(
-        grad=grad,
-        method="eqprop",
-        step=cfg.step_size,
-        beta=beta,
-        horizon_t=result[1].steps_taken * cfg.step_size,
-    )
+    steps = result[1].steps_taken
+    return _estimate(theta, x, beta, s_free, s_nudged, act, "eqprop", cfg.step_size, steps)
 
 
 def truncated_eqprop_gradient(
@@ -129,24 +167,13 @@ def truncated_eqprop_gradient(
     s_free: Optional[State] = None,
 ) -> GradientEstimate:
     """Same two-point formula, but the nudged phase is halted after
-    exactly `num_steps` Euler updates."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    cfg = tightened(cfg, beta)
-    if s_free is None:
-        s_free = _free_fixed_point(theta, x, act, cfg)
-    states = dynamics.nudged_path(theta, x, y, beta, s_free, act, cfg.step_size, num_steps)
-    g_free = model.grad_theta_energy(theta, x, s_free, act)
-    grad = _two_point_gradient(theta, x, beta, g_free, states[-1], act)
-    return GradientEstimate(
-        grad=grad,
-        method="eqprop-truncated",
-        step=cfg.step_size,
-        beta=beta,
-        horizon_t=num_steps * cfg.step_size,
-    )
+    exactly `num_steps` Euler updates; only the current state is held."""
+    [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
+    (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
+    for ((s, _),) in flow:
+        pass
+    s_nudged = model.split(s, force.bounds)
+    return _estimate(theta, x, beta, s_free, s_nudged, act, "eqprop-truncated", cfg.step_size, num_steps)
 
 
 def temporal_derivative_process(
@@ -169,17 +196,11 @@ def temporal_derivative_process(
     difference (s_{k+1} - s_k)/eps exactly, so no finite differencing of
     the trajectory is needed.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    cfg = tightened(cfg, beta)
-    if s_free is None:
-        s_free = _free_fixed_point(theta, x, act, cfg)
-    force = model.Force(theta, x, s_free, act, y, beta)
+    [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
+    (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
     g_free = model.grad_theta_energy(theta, x, s_free, act)
     record = TemporalProcessRecord(times=[], s_tilde=[], theta_tilde=[], beta=beta)
-    for k, (s, g) in enumerate(dynamics._flow(force, s_free, cfg.step_size, num_steps)):
+    for k, ((s, g),) in enumerate(flow):
         record.times.append(k * cfg.step_size)
         record.s_tilde.append(model.split(g / beta, force.bounds))
         s_k = model.split(s, force.bounds)

@@ -15,22 +15,21 @@ s_bar and the running sum of s_bar (its Neumann-series form, see
 outer products of state-sized vectors per weight block, so their
 difference is formed from state-sized factors and reduced to its norm
 block by block (`_theta_gap`).  The side process does not depend on
-beta: a sweep runs one, and the nudged phases of all its betas advance
-in lockstep with it.
+beta: after the shared setup (`eqprop.second_phase`), every comparison
+zips one `rbp.SideProcess` behind the lockstep flow of its betas' nudged
+phases (`eqprop.nudged_flows`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional
 
 import numpy as np
 
-from . import dynamics, eqprop, model, rbp
+from . import eqprop, model, rbp
 from .dynamics import RelaxationConfig
-from .exceptions import DivergenceError
 from .model import Activation, Params, State
 
 
@@ -61,19 +60,15 @@ def error_process_path(
     tolerance: float,
 ):
     """The side-process pair recorded at every grid point k = 0..num_steps."""
-    side = rbp.side_process(theta, x, y, s_star, act, step_size, tolerance)
-    bounds = model.layer_bounds(s_star)
+    if num_steps < 0:
+        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+    side = rbp.SideProcess.at(theta, x, y, s_star, act, step_size, tolerance)
     s_bars, theta_bars = [], []
     for p in islice(side, num_steps + 1):
-        s_bars.append(model.split(p.s_bar, bounds))
+        s_bars.append(model.split(p.s_bar, p.curvature.bounds))
         theta_bars.append(p.theta_bar())
-    _check_side_finite(p)
+    side.check_finite()
     return s_bars, theta_bars
-
-
-def _check_side_finite(p: rbp.SideProcess) -> None:
-    if not (np.isfinite(p.s_bar).all() and np.isfinite(p.s_sum).all()):
-        raise DivergenceError("non-finite side process during recording")
 
 
 def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float):
@@ -140,23 +135,6 @@ def compare_processes(
     return beta_sweep(theta, x, y, [beta], num_steps, act, cfg, s_free=s_free)[0]
 
 
-def check_betas(betas) -> List[float]:
-    """The betas of a sweep as floats: non-empty, finite, positive,
-    non-increasing; a ValueError says which rule a value breaks."""
-    betas = [float(b) for b in betas]
-    if not betas:
-        raise ValueError("betas must be non-empty")
-    for b in betas:
-        if not math.isfinite(b):
-            raise ValueError(f"betas must be finite, got {b}")
-        if not b > 0:
-            raise ValueError(f"betas must be positive, got {b}")
-    for a, b in zip(betas, betas[1:]):
-        if b > a:
-            raise ValueError(f"betas must be non-increasing, got {a} before {b}")
-    return betas
-
-
 def beta_sweep(
     theta: Params,
     x,
@@ -180,18 +158,14 @@ def beta_sweep(
     quantity is carried from one step to the next, and memory does not
     grow with num_steps beyond the four per-step lists of each beta.
     """
-    betas = check_betas(betas)
-    cfg = eqprop.tightened(cfg, min(betas))
-    if s_free is None:
-        s_free = eqprop._free_fixed_point(theta, x, act, cfg)
+    betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
     eps = cfg.step_size
-    side = rbp.SideProcess(theta, x, y, s_free, act, eps, cfg.tolerance)
+    side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
     theta_gap = _theta_gap(theta, side.curvature, eps)
-    forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
-    flows = [dynamics._flow(f, s_free, eps, num_steps) for f in forces]
+    forces, flow = eqprop.nudged_flows(theta, x, y, betas, s_free, act, eps, num_steps)
     reports = [EquivalenceReport(b, eps, num_steps, [], [], [], [], 0.0, 0.0, 0.0) for b in betas]
-    # the flows come first: zip stops at their end before advancing the side
-    for *points, p in zip(*flows, side):
+    # the flow comes first: zip stops at its end before advancing the side
+    for points, p in zip(flow, side):
         sbar_norm = float(np.abs(p.s_bar).max())
         for r, force, (_, g) in zip(reports, forces, points):
             s_tilde = g / r.beta
@@ -199,7 +173,7 @@ def beta_sweep(
             r.per_step_theta_gap.append(theta_gap(force.rho, r.beta, p.s_sum))
             r.per_step_sbar_norm.append(sbar_norm)
             r.per_step_stilde_norm.append(float(np.abs(s_tilde).max()))
-    _check_side_finite(p)
+    side.check_finite()
     for r in reports:
         r.max_s_gap = max(r.per_step_s_gap)
         r.max_theta_gap = max(r.per_step_theta_gap)
@@ -217,18 +191,20 @@ def truncation_correspondence(
     cfg: RelaxationConfig,
 ) -> float:
     """Normalised endpoint gap between the K-step truncated two-point
-    estimate and theta_bar after the same K side-process steps."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    cfg = eqprop.tightened(cfg, beta)
-    s_free = eqprop._free_fixed_point(theta, x, act, cfg)
-    truncated = eqprop.truncated_eqprop_gradient(
-        theta, x, y, beta, num_steps, act, cfg, s_free=s_free
+    estimate and theta_bar after the same K side-process steps: one
+    nudged flow zipped with the side process."""
+    [beta], cfg, s_free = eqprop.second_phase(theta, x, act, cfg, [beta])
+    eps = cfg.step_size
+    side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
+    (force,), flow = eqprop.nudged_flows(theta, x, y, [beta], s_free, act, eps, num_steps)
+    for ((s, _),), _ in zip(flow, side):
+        pass
+    side.check_finite()
+    s_nudged = model.split(s, force.bounds)
+    truncated = eqprop._estimate(
+        theta, x, beta, s_free, s_nudged, act, "eqprop-truncated", eps, num_steps
     )
-    side = rbp.side_process(theta, x, y, s_free, act, cfg.step_size, cfg.tolerance)
-    p = next(islice(side, num_steps, None))
-    _check_side_finite(p)
-    theta_bar = p.theta_bar()
+    theta_bar = side.theta_bar()
     gap = model.inf_norm([a - b for a, b in zip(truncated.grad, theta_bar)])
     return gap / (1.0 + model.inf_norm(theta_bar))
 

@@ -424,9 +424,8 @@ def grad_s_augmented(
     """d(E + beta*C)/ds for beta >= 0."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    ge = grad_s_energy(theta, x, s, act)
-    gc = grad_s_cost(y, s)
-    return [a + beta * b for a, b in zip(ge, gc)]
+    force = Force(theta, x, s, act, y, beta)
+    return split(force(flatten(s)), force.bounds)
 
 
 # ---------------------------------------------------------------------------

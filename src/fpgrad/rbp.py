@@ -12,7 +12,8 @@ s_bar decays to zero and theta_bar converges to the objective gradient;
 the decay of ||s_bar|| is the natural stopping certificate.  Being linear,
 theta_bar_k is theta_bar_0 minus eps times the mixed product of the sum
 of s_bar_0 .. s_bar_{k-1}, so the integration carries only s_bar and
-that sum (`SideProcess`).
+that sum (`SideProcess`, built from a pair).  Every side-process path, from
+`rbp_step` to the matched-grid comparison, advances a `SideProcess`.
 """
 
 from __future__ import annotations
@@ -67,26 +68,31 @@ def rbp_init(theta: Params, x, y, s_star: State, act: Activation, tolerance: flo
 
 
 class SideProcess:
-    """The side process in its Neumann-series form.
+    """The side process in its Neumann-series form, started from a pair.
 
     The operators are frozen at s_star, so theta_bar is linear in the past
     s_bar: theta_bar_k = theta_bar_0 - eps * J(S_k), with J the mixed
     product d2E/dW ds and S_k = s_bar_0 + ... + s_bar_{k-1} (Liao et al.
     2018, "Reviving and Improving Recurrent Back-Propagation").  Only
     s_bar and S_k advance, both flat state vectors; `theta_bar()` forms
-    the weight-shaped member of the pair where it is read.
+    the weight-shaped member of the pair where it is read.  Iterating
+    yields the process itself at k = 0, 1, 2, ..., advanced in place.
     """
 
     def __init__(
-        self, theta: Params, x, y, s_star: State, act: Activation, step_size: float, tolerance: float
+        self, p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation, step_size: float
     ):
-        p = rbp_init(theta, x, y, s_star, act, tolerance)
         self.curvature = model.CurvatureOps(theta, x, s_star, act)
         self.step_size = step_size
         self.theta_bar_0 = p.theta_bar
         self.s_bar = model.flatten(p.s_bar)
         self.s_sum = np.zeros_like(self.s_bar)
         self.t = p.t
+
+    @classmethod
+    def at(cls, theta: Params, x, y, s_star: State, act: Activation, step_size, tolerance):
+        """The process started at a converged free fixed point (`rbp_init`)."""
+        return cls(rbp_init(theta, x, y, s_star, act, tolerance), theta, x, s_star, act, step_size)
 
     def advance(self) -> None:
         """One forward-Euler step; s_bar becomes a fresh vector, S_k
@@ -107,23 +113,15 @@ class SideProcess:
             for t0, j in zip(self.theta_bar_0, self.mixed(self.s_sum))
         ]
 
+    def check_finite(self) -> None:
+        """A DivergenceError unless s_bar and S_k are finite."""
+        if not (np.isfinite(self.s_bar).all() and np.isfinite(self.s_sum).all()):
+            raise DivergenceError(f"non-finite side process at t={self.t!r}")
+
     def __iter__(self):
         while True:
             yield self
             self.advance()
-
-
-def side_process(
-    theta: Params, x, y, s_star: State, act: Activation, step_size: float, tolerance: float
-):
-    """An endless iterator over the side process at k = 0, 1, 2, ... steps.
-
-    Every item is the same SideProcess, advanced in place, and a step
-    touches only state-sized vectors, so running K steps holds no K-long
-    history and no weight-shaped state.  The fixed-point check runs at
-    the call.
-    """
-    return iter(SideProcess(theta, x, y, s_star, act, step_size, tolerance))
 
 
 def rbp_step(
@@ -134,20 +132,15 @@ def rbp_step(
     act: Activation,
     step_size: float,
 ) -> ErrorProcessState:
-    """One forward-Euler update of the pair, returned as a new state.
+    """One forward-Euler update of the pair, returned as a new state: one
+    step of the `SideProcess` started from p.
 
     Both equations advance from the time-t values: the theta_bar update
     uses the pre-update s_bar.  The Hessians stay pinned at s_star.
     """
-    curvature = model.CurvatureOps(theta, x, s_star, act)
-    h_ts = curvature.apply_theta_s(p.s_bar)
-    v = model.flatten(p.s_bar)
-    s_bar = v - step_size * curvature.apply_ss(v)
-    q = ErrorProcessState(
-        s_bar=model.split(s_bar, curvature.bounds),
-        theta_bar=[tb - step_size * hb for tb, hb in zip(p.theta_bar, h_ts)],
-        t=p.t + step_size,
-    )
+    side = SideProcess(p, theta, x, s_star, act, step_size)
+    side.advance()
+    q = ErrorProcessState(model.split(side.s_bar, side.curvature.bounds), side.theta_bar(), side.t)
     if not (model.all_finite(q.s_bar) and model.all_finite(q.theta_bar)):
         raise DivergenceError(f"non-finite side process at t={q.t!r}")
     return q
@@ -179,16 +172,14 @@ def rbp_gradient(
     eps = cfg.step_size
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
-    side = side_process(theta, x, y, s_free, act, eps, cfg.tolerance)
-    p = next(side)
+    p = SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
+    p.check_finite()
     norm = float(np.abs(p.s_bar).max())
-    if not np.isfinite(norm):
-        raise DivergenceError(f"non-finite side process at t={p.t!r}")
     rising = steps = 0
     while norm > cfg.tolerance and steps < cfg.max_steps:
         if record is not None:
             delta = eps * model.inf_norm(p.mixed(p.s_bar))
-        next(side)
+        p.advance()
         new_norm = float(np.abs(p.s_bar).max())
         if not np.isfinite(new_norm):
             raise DivergenceError(f"non-finite side process at t={p.t!r}")

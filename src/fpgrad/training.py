@@ -13,14 +13,14 @@ import csv
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from . import dynamics, model
+from . import model
 from .dynamics import RelaxationConfig
-from .eqprop import eqprop_gradient, tightened, truncated_eqprop_gradient
+from .eqprop import _free_fixed_point, eqprop_gradient, tightened, truncated_eqprop_gradient
 from .rbp import rbp_gradient
 from .exceptions import (
     CheckpointError,
@@ -174,12 +174,6 @@ def _parse_header(path, header) -> tuple:
 # training loop
 # ---------------------------------------------------------------------------
 
-def _free_phase_config(cfg: TrainConfig) -> RelaxationConfig:
-    if cfg.method in ("eqprop", "eqprop-truncated"):
-        return tightened(cfg.relaxation, cfg.beta)
-    return cfg.relaxation
-
-
 def _sample_gradient(theta, sample: Sample, act, cfg: TrainConfig, s_free: State) -> Params:
     if cfg.method == "rbp":
         est = rbp_gradient(theta, sample.x, sample.y, act, cfg.relaxation, s_free=s_free)
@@ -231,15 +225,14 @@ def sgd_train(
             f"dataset dims ({ds.input_dim} -> {ds.target_dim}) do not match "
             f"network ({shape.input_dim} -> {shape.layer_dims[0]})"
         )
-    # training reads only relaxation endpoints; skip snapshot recording
-    cfg = replace(cfg, relaxation=replace(cfg.relaxation, record_every=0))
     if initial_params is not None:
         model.validate_params(shape, initial_params)
         theta = model.copy_blocks(initial_params)
     else:
         theta = model.init_params(shape, np.random.default_rng(cfg.seed))
     rates = cfg.rates_for(shape.num_layers)
-    free_cfg = _free_phase_config(cfg)
+    # the eqprop estimators divide by beta: tighten their free phase as `second_phase` does
+    free_cfg = cfg.relaxation if cfg.method == "rbp" else tightened(cfg.relaxation, cfg.beta)
     log = TrainLog()
     classification = _is_classification(ds)
     stored_states = {}
@@ -252,11 +245,8 @@ def sgd_train(
         for i in order:
             sample = ds.samples[int(i)]
             s_init = stored_states.get(int(i)) if cfg.persistent_state else None
-            if s_init is None:
-                s_init = shape.zero_state()
             try:
-                result = dynamics.relax_free(theta, sample.x, s_init, act, free_cfg)
-                s_free = dynamics.converged_state(result, free_cfg, "free phase")
+                s_free = _free_fixed_point(theta, sample.x, act, free_cfg, s_init)
                 grad = _sample_gradient(theta, sample, act, cfg, s_free)
             except DivergenceError as e:
                 raise DivergenceError(
@@ -283,8 +273,7 @@ def sgd_train(
 
 def predict(theta: Params, x, act: Activation, cfg: RelaxationConfig) -> np.ndarray:
     """Output-layer reading at the free fixed point, from the zero state."""
-    result = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
-    return dynamics.converged_state(result, cfg, "free phase")[0].copy()
+    return _free_fixed_point(theta, x, act, cfg)[0].copy()
 
 
 # ---------------------------------------------------------------------------

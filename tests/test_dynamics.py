@@ -67,6 +67,24 @@ def test_every_unconverged_relaxation_raises_one_message(seeded_net, tight_cfg):
         ), str(e.value)
 
 
+def test_free_fixed_points_record_no_snapshots(seeded_net, tight_cfg, monkeypatch):
+    # rbp_gradient and predict read only the free fixed point: their
+    # relaxations record nothing, whatever the caller's record_every
+    shape, theta, x, y, act = seeded_net
+    seen = []
+    relax = fp.dynamics.relax
+
+    def spy(force, s_init, cfg):
+        seen.append(cfg.record_every)
+        return relax(force, s_init, cfg)
+
+    monkeypatch.setattr(fp.dynamics, "relax", spy)
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12, record_every=1)
+    fp.rbp_gradient(theta, x, y, act, cfg)
+    fp.predict(theta, x, act, cfg)
+    assert seen == [0, 0]
+
+
 def test_zero_weights_contract_to_zero_state():
     shape = fp.NetworkShape(2, (2, 1))
     theta = [np.zeros(ws) for ws in shape.weight_shapes()]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,51 @@ def test_requires_positive_beta(converged):
         fp.eqprop_gradient(theta, x, y, 0.0, act, cfg)
     with pytest.raises(ValueError):
         fp.truncated_eqprop_gradient(theta, x, y, -1e-3, 10, act, cfg)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), 0.0, -1e-3])
+@pytest.mark.parametrize(
+    "second_phase",
+    [
+        lambda t, x, y, b, a, c: fp.eqprop_gradient(t, x, y, b, a, c),
+        lambda t, x, y, b, a, c: fp.truncated_eqprop_gradient(t, x, y, b, 0, a, c),
+        lambda t, x, y, b, a, c: fp.temporal_derivative_process(t, x, y, b, 0, a, c),
+        lambda t, x, y, b, a, c: fp.truncation_correspondence(t, x, y, b, 0, a, c),
+        lambda t, x, y, b, a, c: fp.beta_sweep(t, x, y, [b], 0, a, c),
+    ],
+    ids=["eqprop", "truncated", "temporal", "correspondence", "sweep"],
+)
+def test_second_phases_reject_a_beta_not_finite_and_positive(converged, second_phase, beta):
+    # nan and inf fail as early as 0 and negative betas, naming the rule
+    shape, theta, x, y, act, s0, cfg = converged
+    with pytest.raises(ValueError, match=r"^betas must be (finite|positive), got "):
+        second_phase(theta, x, y, beta, act, cfg)
+
+
+def test_truncated_memory_does_not_grow_with_steps(tight_cfg):
+    # the truncated estimate reads the last state of the nudged flow; going
+    # from 50 to 400 steps adds less than one weight vector to the peak
+    # (keeping the path would add 350 states)
+    shape = fp.NetworkShape(64, (10, 256, 256))
+    theta, x, y = fp.random_instance(shape, 0)
+    beta = 1e-3
+    cfg = fp.eqprop.tightened(tight_cfg, beta)
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), fp.LOGISTIC, cfg)
+    theta_bytes = 8 * shape.num_params
+
+    def peak(num_steps):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fp.truncated_eqprop_gradient(theta, x, y, beta, num_steps, fp.LOGISTIC, cfg, s_free=s0)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(50)
+        short, long = peak(50), peak(400)
+    finally:
+        tracemalloc.stop()
+    assert long - short < theta_bytes
 
 
 def test_truncated_zero_steps_gives_zero_gradient(converged):

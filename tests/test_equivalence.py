@@ -51,6 +51,12 @@ def test_zero_weights_closed_form_recursion():
     assert rep.max_s_gap <= 5 * beta * abs(y[0])
 
 
+def test_error_process_path_rejects_negative_steps(converged):
+    shape, theta, x, y, act, s0, cfg = converged
+    with pytest.raises(ValueError, match="num_steps must be >= 0, got -1"):
+        error_process_path(theta, x, y, s0, act, cfg.step_size, -1, cfg.tolerance)
+
+
 def test_seeded_gaps_small_and_linear_in_beta(converged):
     shape, theta, x, y, act, s0, cfg = converged
     K = 300

@@ -230,6 +230,16 @@ def test_non_finite_initial_s_bar_raises(converged):
         fp.rbp_gradient(theta, x, np.full_like(y, np.nan), act, cfg, s_free=s0)
 
 
+@pytest.mark.parametrize("member", ["s_bar", "theta_bar"])
+def test_step_raises_on_a_non_finite_result(converged, member):
+    # a non-finite theta_bar with a finite s_bar must raise too
+    shape, theta, x, y, act, s0, cfg = converged
+    p = fp.rbp_init(theta, x, y, s0, act, cfg.tolerance)
+    getattr(p, member)[-1][...] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite side process at t="):
+        fp.rbp_step(p, theta, x, s0, act, cfg.step_size)
+
+
 def test_step_leaves_its_input_unchanged(converged):
     shape, theta, x, y, act, s0, cfg = converged
     p = fp.rbp_init(theta, x, y, s0, act, cfg.tolerance)
