@@ -7,18 +7,20 @@ equivalence harness need both phases and the error-derivative side
 process to live on exactly the same time grid, and a higher-order
 integrator would break that step-by-step alignment.
 
-The integrators run on the flat state, one float64 vector with the layers
-end to end (see `model.flatten`), under a force that maps such a vector
-to its flat drift, such as `model.Force`.  Lists of per-layer arrays
-appear only at the boundary: the initial state in, the final state and
-the recorded snapshots out.
+Every integrator is one Euler loop (`_flow`) on the flat state, one
+float64 vector with the layers end to end (see `model.flatten`), under a
+force that maps such a vector to its flat drift, such as `model.Force`.
+Lists of per-layer arrays appear only at the boundary: the initial state
+in, the final state and the recorded snapshots out.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List
 
 import numpy as np
@@ -67,7 +69,7 @@ class Trajectory:
 
 
 def relax(force: FlatForce, s_init: State, cfg: RelaxationConfig):
-    """Iterate s <- s - eps * force(s) on the flat state until the residual
+    """Run the Euler flow (`_flow`) from s_init until the residual
     max|force(s)| drops below tolerance or max_steps is reached.
 
     Returns (final state, Trajectory), both in per-layer form.
@@ -76,29 +78,15 @@ def relax(force: FlatForce, s_init: State, cfg: RelaxationConfig):
     trajectory.
     """
     eps, every = cfg.step_size, cfg.record_every
+    times, snapshots = [], []
+    for k, (s, _, residual) in enumerate(_flow(force, s_init, eps, cfg.max_steps)):
+        done = residual <= cfg.tolerance or k == cfg.max_steps
+        if k == 0 or done or (every > 0 and k % every == 0):
+            times.append(k * eps)
+            snapshots.append(s.copy())
+        if done:
+            break
     bounds = model.layer_bounds(s_init)
-    s = model.flatten(s_init)
-    g = force(s)
-    residual = float(np.abs(g).max())
-    times, snapshots = [0.0], [s.copy()]
-    last_recorded = k = 0
-    # overflow is detected explicitly through the residual, not via warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        while residual > cfg.tolerance and k < cfg.max_steps:
-            s -= eps * g
-            k += 1
-            g = force(s)
-            residual = float(np.abs(g).max())
-            # a non-finite component anywhere surfaces in the residual
-            if not math.isfinite(residual):
-                raise DivergenceError(f"non-finite state at step {k}", step=k)
-            if every > 0 and k % every == 0:
-                times.append(k * eps)
-                snapshots.append(s.copy())
-                last_recorded = k
-    if k > last_recorded:
-        times.append(k * eps)
-        snapshots.append(s.copy())
     return model.split(s, bounds), Trajectory(
         times=times,
         states=[model.split(v, bounds) for v in snapshots],
@@ -141,8 +129,7 @@ def relax_nudged(
     fixed point feeding this phase should be located to well below
     beta * 1e-3.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    model.check_beta(beta)
     if beta > 0 and cfg.tolerance > beta * 1e-3:
         warnings.warn(
             f"relaxation tolerance {cfg.tolerance:g} is loose relative to "
@@ -154,24 +141,32 @@ def relax_nudged(
 
 
 def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int):
-    """The flat states s_k of exactly n_steps Euler updates from s_init,
-    the initial one first, each a fresh vector, paired with the force g_k
-    at s_k that the update s_{k+1} = s_k - eps * g_k uses (the force at
-    the last state is evaluated too).  No convergence check: fixed-horizon
-    flows are wanted as-is."""
+    """The one Euler loop: yields (s_k, g_k, max|g_k|) for k = 0..n_steps,
+    g_k the force at s_k and s_{k+1} = s_k - eps * g_k.  s_k is a copy of
+    s_init updated in place (copy what you keep); g_k is fresh.  A
+    non-finite residual, the initial one included, raises DivergenceError
+    at its step.  numpy keeps its error state in a context variable: the
+    loop runs in a copy of the caller's context that ignores overflow (it
+    surfaces in the residual), so the setting never reaches the consumer."""
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    s = model.flatten(s_init)
-    g = force(s)
-    yield s, g
-    for k in range(1, n_steps + 1):
-        s = s - step_size * g
-        if not np.isfinite(s).all():
-            raise DivergenceError(f"non-finite state at step {k}", step=k)
-        g = force(s)
-        yield s, g
+
+    def euler(s: np.ndarray):
+        for k in range(n_steps + 1):
+            if k:
+                s -= step_size * g
+            g = force(s)
+            residual = float(np.abs(g).max())
+            # a non-finite component anywhere surfaces in the residual
+            if not math.isfinite(residual):
+                raise DivergenceError(f"non-finite state at step {k}", step=k)
+            yield s, g, residual
+
+    ctx = contextvars.copy_context()
+    ctx.run(np.seterr, over="ignore", invalid="ignore")
+    return iter(partial(ctx.run, next, euler(model.flatten(s_init))), None)
 
 
 def path(force: FlatForce, s_init: State, step_size: float, n_steps: int):
@@ -180,7 +175,7 @@ def path(force: FlatForce, s_init: State, step_size: float, n_steps: int):
     Returns a list of n_steps + 1 states including the initial one.
     """
     bounds = model.layer_bounds(s_init)
-    return [model.split(s, bounds) for s, _ in _flow(force, s_init, step_size, n_steps)]
+    return [model.split(s.copy(), bounds) for s, _, _ in _flow(force, s_init, step_size, n_steps)]
 
 
 def free_path(theta: Params, x, s_init: State, act: Activation, step_size: float, n_steps: int):
@@ -197,14 +192,13 @@ def nudged_path(
     step_size: float,
     n_steps: int,
 ):
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    model.check_beta(beta)
     return path(model.Force(theta, x, s_init, act, y, beta), s_init, step_size, n_steps)
 
 
 def free_endpoint(theta: Params, x, s_init: State, act: Activation, step_size: float, n_steps: int) -> State:
     """Final state of a fixed-horizon free flow, without recording."""
-    for s, _ in _flow(model.Force(theta, x, s_init, act), s_init, step_size, n_steps):
+    for s, _, _ in _flow(model.Force(theta, x, s_init, act), s_init, step_size, n_steps):
         pass
     return model.split(s, model.layer_bounds(s_init))
 

@@ -116,6 +116,12 @@ def check_betas(betas) -> List[float]:
     return betas
 
 
+def check_num_steps(num_steps: int) -> None:
+    """A ValueError naming num_steps unless it is >= 0."""
+    if num_steps < 0:
+        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+
+
 def second_phase(theta: Params, x, act: Activation, cfg: RelaxationConfig, betas, s_free=None):
     """(betas, cfg, s_free) for a second phase: the betas checked, cfg
     tightened for the smallest, and the free fixed point located under it
@@ -129,7 +135,7 @@ def second_phase(theta: Params, x, act: Activation, cfg: RelaxationConfig, betas
 
 def nudged_flows(theta: Params, x, y, betas, s_free: State, act: Activation, step_size, num_steps):
     """One nudged `model.Force` per beta, and the `zip` of their
-    `dynamics._flow`s from s_free: item k holds every beta's (s_k, g_k)."""
+    `dynamics._flow`s from s_free: item k holds item k of every flow."""
     forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
     return forces, zip(*(dynamics._flow(f, s_free, step_size, num_steps) for f in forces))
 
@@ -168,9 +174,10 @@ def truncated_eqprop_gradient(
 ) -> GradientEstimate:
     """Same two-point formula, but the nudged phase is halted after
     exactly `num_steps` Euler updates; only the current state is held."""
+    check_num_steps(num_steps)
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
     (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
-    for ((s, _),) in flow:
+    for ((s, _, _),) in flow:
         pass
     s_nudged = model.split(s, force.bounds)
     return _estimate(theta, x, beta, s_free, s_nudged, act, "eqprop-truncated", cfg.step_size, num_steps)
@@ -196,11 +203,12 @@ def temporal_derivative_process(
     difference (s_{k+1} - s_k)/eps exactly, so no finite differencing of
     the trajectory is needed.
     """
+    check_num_steps(num_steps)
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
     (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
     g_free = model.grad_theta_energy(theta, x, s_free, act)
     record = TemporalProcessRecord(times=[], s_tilde=[], theta_tilde=[], beta=beta)
-    for k, ((s, g),) in enumerate(flow):
+    for k, ((s, g, _),) in enumerate(flow):
         record.times.append(k * cfg.step_size)
         record.s_tilde.append(model.split(g / beta, force.bounds))
         s_k = model.split(s, force.bounds)

@@ -60,8 +60,7 @@ def error_process_path(
     tolerance: float,
 ):
     """The side-process pair recorded at every grid point k = 0..num_steps."""
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+    eqprop.check_num_steps(num_steps)
     side = rbp.SideProcess.at(theta, x, y, s_star, act, step_size, tolerance)
     s_bars, theta_bars = [], []
     for p in islice(side, num_steps + 1):
@@ -158,6 +157,7 @@ def beta_sweep(
     quantity is carried from one step to the next, and memory does not
     grow with num_steps beyond the four per-step lists of each beta.
     """
+    eqprop.check_num_steps(num_steps)
     betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
     eps = cfg.step_size
     side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
@@ -167,12 +167,13 @@ def beta_sweep(
     # the flow comes first: zip stops at its end before advancing the side
     for points, p in zip(flow, side):
         sbar_norm = float(np.abs(p.s_bar).max())
-        for r, force, (_, g) in zip(reports, forces, points):
-            s_tilde = g / r.beta
-            r.per_step_s_gap.append(float(np.abs(s_tilde - p.s_bar).max()))
+        for r, force, (_, g, residual) in zip(reports, forces, points):
+            r.per_step_s_gap.append(float(np.abs(g / r.beta - p.s_bar).max()))
             r.per_step_theta_gap.append(theta_gap(force.rho, r.beta, p.s_sum))
             r.per_step_sbar_norm.append(sbar_norm)
-            r.per_step_stilde_norm.append(float(np.abs(s_tilde).max()))
+            # max|g|/beta is max|g/beta| bit for bit: dividing by a
+            # positive beta is correctly rounded and monotone
+            r.per_step_stilde_norm.append(residual / r.beta)
     side.check_finite()
     for r in reports:
         r.max_s_gap = max(r.per_step_s_gap)
@@ -193,11 +194,12 @@ def truncation_correspondence(
     """Normalised endpoint gap between the K-step truncated two-point
     estimate and theta_bar after the same K side-process steps: one
     nudged flow zipped with the side process."""
+    eqprop.check_num_steps(num_steps)
     [beta], cfg, s_free = eqprop.second_phase(theta, x, act, cfg, [beta])
     eps = cfg.step_size
     side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
     (force,), flow = eqprop.nudged_flows(theta, x, y, [beta], s_free, act, eps, num_steps)
-    for ((s, _),), _ in zip(flow, side):
+    for ((s, _, _),), _ in zip(flow, side):
         pass
     side.check_finite()
     s_nudged = model.split(s, force.bounds)

@@ -193,12 +193,6 @@ class Sample:
     y: np.ndarray
 
 
-def shape_of_params(theta: Params) -> NetworkShape:
-    """Recover the layer layout implied by a weight list."""
-    _check_params_chain(theta)
-    return NetworkShape(theta[-1].shape[1], tuple(w.shape[0] for w in theta))
-
-
 def _check_params_chain(theta: Params) -> None:
     if len(theta) < 1:
         raise ShapeError("parameter list is empty")
@@ -335,7 +329,7 @@ class Force:
     buffer block by block (no dense N x N matrix); and adds the nudge to
     the output layer.  `rho` (the head of `rates`), `slopes` and `drive`
     then hold the rates, slopes and drive of the state evaluated last.
-    Any real beta is accepted; the relaxations check beta >= 0 themselves.
+    Any real beta is accepted; the relaxations check theirs (`check_beta`).
     """
 
     def __init__(self, theta: Params, x, s: State, act: Activation, y=None, beta: float = 0.0):
@@ -413,6 +407,12 @@ def grad_theta_cost(theta: Params, y: np.ndarray, s: State) -> Params:
     return zero_params_like(theta)
 
 
+def check_beta(beta: float) -> None:
+    """A ValueError naming beta unless it is finite and >= 0."""
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+
+
 def grad_s_augmented(
     theta: Params,
     x: np.ndarray,
@@ -421,9 +421,8 @@ def grad_s_augmented(
     beta: float,
     act: Activation,
 ) -> State:
-    """d(E + beta*C)/ds for beta >= 0."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    """d(E + beta*C)/ds for a finite beta >= 0."""
+    check_beta(beta)
     force = Force(theta, x, s, act, y, beta)
     return split(force(flatten(s)), force.bounds)
 

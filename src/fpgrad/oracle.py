@@ -216,8 +216,7 @@ def check_dbeta_energy_identity(
     slightly below zero when beta = 0; the blended energy still has a
     nearby minimum for |b| small).
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    model.check_beta(beta)
     fd = fd or FDConfig()
     tight = replace(
         cfg, tolerance=min(cfg.tolerance, _ORACLE_TOLERANCE), record_every=0

@@ -2,6 +2,7 @@
 
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,41 @@ def test_nudged_rejects_negative_beta(seeded_net):
         fp.relax_nudged(theta, x, y, -1e-3, shape.zero_state(), act, cfg)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -1e-3])
+@pytest.mark.parametrize(
+    "nudged",
+    [
+        lambda t, x, y, b, s, a: fp.relax_nudged(t, x, y, b, s, a, fp.RelaxationConfig()),
+        lambda t, x, y, b, s, a: fp.nudged_path(t, x, y, b, s, a, 0.1, 3),
+        lambda t, x, y, b, s, a: fp.grad_s_augmented(t, x, y, s, b, a),
+        lambda t, x, y, b, s, a: fp.check_dbeta_energy_identity(t, x, y, b, a, fp.RelaxationConfig()),
+    ],
+    ids=["relax_nudged", "nudged_path", "grad_s_augmented", "dbeta_identity"],
+)
+def test_nudged_dynamics_reject_a_beta_not_finite_and_non_negative(seeded_net, nudged, beta):
+    shape, theta, x, y, act = seeded_net
+    with pytest.raises(ValueError, match=r"^beta must be finite and >= 0, got "):
+        nudged(theta, x, y, beta, shape.zero_state(), act)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t, x, s, a: fp.relax_free(t, x, s, a, fp.RelaxationConfig()),
+        lambda t, x, s, a: fp.free_path(t, x, s, a, 0.1, 3),
+    ],
+    ids=["relax", "path"],
+)
+def test_non_finite_start_state_diverges_at_step_zero(seeded_net, run):
+    # before, relax returned an unconverged trajectory after 0 steps
+    shape, theta, x, y, act = seeded_net
+    start = shape.zero_state()
+    start[1][0] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite state at step 0") as err:
+        run(theta, x, start, act)
+    assert err.value.step == 0
+
+
 def test_divergence_guard_reports_step(seeded_net):
     shape, theta, x, y, act = seeded_net
     big = fp.RelaxationConfig(step_size=1e6, tolerance=1e-8, max_steps=5000)
@@ -358,3 +394,53 @@ def test_flat_relax_diverges_at_the_reference_step(seeded_net, act):
     with pytest.raises(DivergenceError) as got:
         fp.relax_free(theta, x, s_init, act, big)
     assert got.value.step == want.value.step > 1
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_paths_diverge_at_the_reference_step_without_warnings(seeded_net, act):
+    # a path and a relaxation share one Euler loop and one divergence rule;
+    # overflow shows in the residual, never as a RuntimeWarning
+    shape, theta, x, y, _ = seeded_net
+    s_init = [b + 1.0 for b in shape.zero_state()]
+    big = fp.RelaxationConfig(step_size=1e3, tolerance=1e-8, max_steps=5000)
+    with pytest.raises(DivergenceError) as want:
+        _reference_relax(_reference_force(theta, x, act), s_init, big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as got:
+            fp.free_path(theta, x, s_init, act, 1e3, 5000)
+    assert got.value.step == want.value.step > 1
+
+
+def test_flows_leave_the_numpy_error_state_alone(seeded_net, tight_cfg):
+    # the flows ignore overflow in their own context; a consumer between
+    # two steps, and the caller after a flow is dropped, see its own state
+    shape, theta, x, y, act = seeded_net
+    outside = np.geterr()
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, tight_cfg)
+    force = fp.model.Force(theta, x, s0, act, y, 1e-3)
+    flows = [fp.dynamics._flow(force, s0, 0.1, 5) for _ in range(2)]
+    for _ in zip(*flows):
+        assert np.geterr() == outside
+    dropped = fp.dynamics._flow(force, s0, 0.1, 5)
+    next(dropped)
+    del dropped
+    fp.beta_sweep(theta, x, y, [1e-3, 5e-4], 5, act, tight_cfg, s_free=s0)
+    assert np.geterr() == outside
+
+
+def test_kept_states_are_distinct_arrays(seeded_net):
+    # the flow updates one vector in place: the snapshots of a relaxation,
+    # its final state and the states of a path are copies
+    shape, theta, x, y, act = seeded_net
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-8, max_steps=6, record_every=1)
+    s, traj = fp.relax_free(theta, x, shape.zero_state(), act, cfg)
+    paths = fp.free_path(theta, x, shape.zero_state(), act, 0.1, 6)
+    for kept in (traj.states, paths):
+        assert len(kept) == 7
+        for a, b in zip(kept, kept[1:]):
+            assert not np.shares_memory(a[0], b[0])
+            assert not np.array_equal(a[0], b[0])
+    assert not np.shares_memory(s[0], traj.states[-1][0])
+    _assert_same_bits(s, traj.states[-1])
+    _assert_same_bits(paths[-1], s)

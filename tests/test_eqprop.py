@@ -124,6 +124,33 @@ def test_second_phases_reject_a_beta_not_finite_and_positive(converged, second_p
         second_phase(theta, x, y, beta, act, cfg)
 
 
+@pytest.mark.parametrize(
+    "second_phase",
+    [
+        lambda t, x, y, a, c: fp.truncated_eqprop_gradient(t, x, y, 1e-3, -1, a, c),
+        lambda t, x, y, a, c: fp.temporal_derivative_process(t, x, y, 1e-3, -1, a, c),
+        lambda t, x, y, a, c: fp.truncation_correspondence(t, x, y, 1e-3, -1, a, c),
+        lambda t, x, y, a, c: fp.beta_sweep(t, x, y, [1e-3], -1, a, c),
+    ],
+    ids=["truncated", "temporal", "correspondence", "sweep"],
+)
+def test_fixed_horizons_reject_negative_steps_before_the_free_phase(
+    converged, second_phase, monkeypatch
+):
+    shape, theta, x, y, act, s0, cfg = converged
+    calls = []
+    relax = fp.dynamics.relax
+
+    def counted(*args):
+        calls.append(1)
+        return relax(*args)
+
+    monkeypatch.setattr(fp.dynamics, "relax", counted)
+    with pytest.raises(ValueError, match=r"^num_steps must be >= 0, got -1$"):
+        second_phase(theta, x, y, act, cfg)
+    assert calls == []
+
+
 def test_truncated_memory_does_not_grow_with_steps(tight_cfg):
     # the truncated estimate reads the last state of the nudged flow; going
     # from 50 to 400 steps adds less than one weight vector to the peak

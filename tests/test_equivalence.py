@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fpgrad as fp
 from fpgrad import model
@@ -227,6 +228,18 @@ def test_beta_sweep_runs_one_side_process(converged, monkeypatch):
     reports = fp.beta_sweep(theta, x, y, [1e-3, 5e-4, 2.5e-4], K, act, cfg)
     assert len(calls) == K
     assert [len(r.per_step_s_gap) for r in reports] == [K + 1] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8),
+    beta=st.floats(1e-150, 1e150),
+)
+def test_stilde_norm_from_the_residual_is_bit_for_bit(g, beta):
+    # beta_sweep reads max|g/beta| as max|g|/beta: division by a positive
+    # beta is correctly rounded and monotone, so the two agree exactly
+    g = np.array(g)
+    assert float(np.abs(g).max()) / beta == float(np.abs(g / beta).max())
 
 
 def test_late_time_decay_of_both_processes(converged):
