@@ -292,6 +292,11 @@ def cmd_gradcheck(args) -> int:
     method = cfg["method"]["name"]
     if method not in ("rbp", "eqprop"):
         raise ConfigError(f"gradcheck supports methods rbp and eqprop, got '{method}'")
+    if method == "eqprop":
+        betas = _floats(cfg["method"]["betas"], "method.betas")
+        for beta in betas:
+            if not 0 < beta < math.inf:
+                raise ConfigError(f"method.betas: betas must be positive and finite, got {beta}")
     reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd)
 
     def corrupted(grad):
@@ -307,10 +312,6 @@ def cmd_gradcheck(args) -> int:
         rep["method"] = "rbp"
         reports.append(rep)
     else:
-        betas = _floats(cfg["method"]["betas"], "method.betas")
-        for beta in betas:
-            if not 0 < beta < math.inf:
-                raise ConfigError(f"method.betas: betas must be positive and finite, got {beta}")
         errors = []
         for beta in betas:
             grad = corrupted(eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg).grad)
@@ -393,7 +394,7 @@ def cmd_equivalence(args) -> int:
         raise ConfigError(f"method.gap_threshold must be finite and >= 0, got {threshold}")
     reports, paths, rcfg = _run_sweep(cfg, args)
     summary = equivalence.summarize(reports)
-    tol = min(rcfg.tolerance, min(r.beta for r in reports) * 1e-3)
+    tol = eqprop.tightened(rcfg, min(r.beta for r in reports)).tolerance
     if all(_degenerate(r, tol) for r in reports):
         summary["note"] = "degenerate: processes are at the residual floor; slope fit skipped"
         _write_json(_out_path(args, "equivalence_summary.json"), summary)

@@ -73,22 +73,15 @@ def tightened(cfg: RelaxationConfig, beta: float) -> RelaxationConfig:
     return replace(cfg, tolerance=min(cfg.tolerance, beta * 1e-3), record_every=0)
 
 
-def _two_point_gradient(theta, x, beta, g_free, s_nudged, act) -> Params:
-    """(1/beta) * (dE^beta/dW at the nudged state - g_free), where g_free
-    is dE/dW at the free state.  The quadratic cost has no weight term
-    (`model.grad_theta_cost` is zero), so dE^beta/dW is dE/dW."""
-    g = model.grad_theta_energy(theta, x, s_nudged, act)
-    for gn, gf in zip(g, g_free):
+def _two_point_gradient(g_nudged: Params, g_free: Params, beta: float) -> Params:
+    """(1/beta) * (g_nudged - g_free), formed in g_nudged, from dE^beta/dW
+    at the nudged state and dE/dW at the free state.  The quadratic cost
+    has no weight term (`model.grad_theta_cost` is zero), so dE^beta/dW
+    is dE/dW."""
+    for gn, gf in zip(g_nudged, g_free):
         gn -= gf
         gn /= beta
-    return g
-
-
-def _estimate(theta, x, beta, s_free, s_nudged, act, method, step, steps) -> GradientEstimate:
-    """The two-point estimate at a nudged state reached in `steps` Euler steps."""
-    g_free = model.grad_theta_energy(theta, x, s_free, act)
-    grad = _two_point_gradient(theta, x, beta, g_free, s_nudged, act)
-    return GradientEstimate(grad, method, step, beta, horizon_t=steps * step)
+    return g_nudged
 
 
 def _free_fixed_point(theta, x, act, cfg, s_init: Optional[State] = None) -> State:
@@ -158,8 +151,10 @@ def eqprop_gradient(
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
     result = dynamics.relax_nudged(theta, x, y, beta, s_free, act, cfg)
     s_nudged = dynamics.converged_state(result, cfg, "nudged phase")
+    g_free = model.grad_theta_energy(theta, x, s_free, act)
+    grad = _two_point_gradient(model.grad_theta_energy(theta, x, s_nudged, act), g_free, beta)
     steps = result[1].steps_taken
-    return _estimate(theta, x, beta, s_free, s_nudged, act, "eqprop", cfg.step_size, steps)
+    return GradientEstimate(grad, "eqprop", cfg.step_size, beta, horizon_t=steps * cfg.step_size)
 
 
 def truncated_eqprop_gradient(
@@ -173,14 +168,19 @@ def truncated_eqprop_gradient(
     s_free: Optional[State] = None,
 ) -> GradientEstimate:
     """Same two-point formula, but the nudged phase is halted after
-    exactly `num_steps` Euler updates; only the current state is held."""
+    exactly `num_steps` Euler updates; only the current state is held.
+    dE/dW is read from the nudged force at s_free, its first state, and
+    at its last."""
     check_num_steps(num_steps)
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
     (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
-    for ((s, _, _),) in flow:
-        pass
-    s_nudged = model.split(s, force.bounds)
-    return _estimate(theta, x, beta, s_free, s_nudged, act, "eqprop-truncated", cfg.step_size, num_steps)
+    for k, _ in enumerate(flow):
+        if k == 0:
+            g_free = force.grad_theta()
+    grad = _two_point_gradient(force.grad_theta(), g_free, beta)
+    return GradientEstimate(
+        grad, "eqprop-truncated", cfg.step_size, beta, horizon_t=num_steps * cfg.step_size
+    )
 
 
 def temporal_derivative_process(
@@ -201,18 +201,18 @@ def temporal_derivative_process(
 
     Under explicit Euler the analytic velocity equals the forward state
     difference (s_{k+1} - s_k)/eps exactly, so no finite differencing of
-    the trajectory is needed.
+    the trajectory is needed.  dE/dW is read from the nudged force.
     """
     check_num_steps(num_steps)
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
     (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
-    g_free = model.grad_theta_energy(theta, x, s_free, act)
     record = TemporalProcessRecord(times=[], s_tilde=[], theta_tilde=[], beta=beta)
-    for k, ((s, g, _),) in enumerate(flow):
+    for k, ((_, g, _),) in enumerate(flow):
+        if k == 0:
+            g_free = force.grad_theta()
         record.times.append(k * cfg.step_size)
         record.s_tilde.append(model.split(g / beta, force.bounds))
-        s_k = model.split(s, force.bounds)
-        record.theta_tilde.append(_two_point_gradient(theta, x, beta, g_free, s_k, act))
+        record.theta_tilde.append(_two_point_gradient(force.grad_theta(), g_free, beta))
     return record
 
 

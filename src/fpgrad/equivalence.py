@@ -82,37 +82,33 @@ def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float):
 
         theta_tilde_k - theta_bar_k = -[u_a rho*_b^T + rho*_a u_b^T + drho_a drho_b^T / beta]
 
-    (-u_a rho(x)^T for the input block), since the quadratic cost has no
-    weight term: theta_bar_0 = 0 and the readout has no dC/dW part.  The
-    cancellation between the two processes happens in the state-sized u
-    and drho; each block is one (m x 3) @ (3 x n) product into one
-    buffer, shared by every beta, then its max and min.
+    since the quadratic cost has no weight term: theta_bar_0 = 0 and the
+    readout has no dC/dW part.  Over the input, which moves with neither
+    process, u_b and drho_b are zero.  The cancellation between the two
+    processes happens in the state-sized u and drho; each block is one
+    (m x 3) @ (3 x n) product into one buffer, shared by every beta, then
+    its max and min.
     """
-    bounds = ops.bounds
-    n = bounds[-1]
-    rho, rho_x = ops.rates[:n], ops.rates[n:]
-    eps_d1 = step_size * ops.d1_flat
-    # rows (u, rho*, drho/beta) and (rho*, u, drho): block (a, b) of their
-    # product is left[:, a].T @ right[:, b]
-    left, right = np.empty((3, n)), np.empty((3, n))
-    left[1] = right[0] = rho
-    u, drho_beta, drho = left[0], left[2], right[2]
+    rho, bounds = ops.rho, ops.bounds + [len(ops.rates)]
+    n = len(rho)
+    eps_d1 = step_size * ops.slopes
+    # rows (u, rho*, drho/beta) and (rho*, u, drho), the second padded with
+    # (rho(x), 0, 0) over the input: block (a, b) of their product is
+    # left[:, a].T @ right[:, b]
+    left, right = np.empty((3, n)), np.zeros((3, len(ops.rates)))
+    left[1], right[0] = rho, ops.rates
+    u, drho_beta, drho = left[0], left[2], right[2, :n]
     buf = np.empty(max(w.size for w in theta))
-    last = len(theta) - 1
 
     def gap(rho_k: np.ndarray, beta: float, s_sum: np.ndarray) -> float:
         np.subtract(rho_k, rho, out=drho)
         np.divide(drho, beta, out=drho_beta)
         np.add(drho_beta, np.multiply(eps_d1, s_sum, out=u), out=u)
-        right[1] = u
+        right[1, :n] = u
         worst = []
         for k, w in enumerate(theta):
-            a = slice(bounds[k], bounds[k + 1])
-            out = buf[: w.size].reshape(w.shape)
-            if k < last:
-                np.matmul(left[:, a].T, right[:, bounds[k + 1] : bounds[k + 2]], out=out)
-            else:
-                np.multiply(u[a, None], rho_x, out=out)
+            a, b, c = bounds[k : k + 3]
+            out = np.matmul(left[:, a:b].T, right[:, b:c], out=buf[: w.size].reshape(w.shape))
             worst.append(max(out.max(), -out.min()))
         return float(np.max(worst))
 
@@ -193,21 +189,19 @@ def truncation_correspondence(
 ) -> float:
     """Normalised endpoint gap between the K-step truncated two-point
     estimate and theta_bar after the same K side-process steps: one
-    nudged flow zipped with the side process."""
+    nudged flow zipped with the side process, dE/dW read from the last
+    nudged force and from the side's force at the free point."""
     eqprop.check_num_steps(num_steps)
     [beta], cfg, s_free = eqprop.second_phase(theta, x, act, cfg, [beta])
     eps = cfg.step_size
     side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
     (force,), flow = eqprop.nudged_flows(theta, x, y, [beta], s_free, act, eps, num_steps)
-    for ((s, _, _),), _ in zip(flow, side):
+    for _ in zip(flow, side):
         pass
     side.check_finite()
-    s_nudged = model.split(s, force.bounds)
-    truncated = eqprop._estimate(
-        theta, x, beta, s_free, s_nudged, act, "eqprop-truncated", eps, num_steps
-    )
+    truncated = eqprop._two_point_gradient(force.grad_theta(), side.curvature.grad_theta(), beta)
     theta_bar = side.theta_bar()
-    gap = model.inf_norm([a - b for a, b in zip(truncated.grad, theta_bar)])
+    gap = model.inf_norm([a - b for a, b in zip(truncated, theta_bar)])
     return gap / (1.0 + model.inf_norm(theta_bar))
 
 

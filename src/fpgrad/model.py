@@ -29,7 +29,9 @@ of L vectors (entry k of dimension d_k), Params a list of L matrices
 (matrix k of shape d_k x d_{k+1}, with d_L meaning the input dimension).
 The relaxations run on the flat state instead, the L vectors laid end to
 end in one float64 vector (`flatten`, `split`), under the one force
-kernel `Force`.
+kernel `Force`.  It is the only code that evaluates the activation on a
+state: the energy, both weight derivatives and both curvature products
+read the rates, slopes and drive of a `Force` evaluation.
 """
 
 from __future__ import annotations
@@ -305,16 +307,12 @@ def text_output(path_or_file):
 
 def energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> float:
     """Scalar energy of a state given clamped input x."""
-    _check_network(theta, x, s)
-    L = len(theta)
+    r = Force(theta, x, s, act).activate(flatten(s)).rate_layers
     total = 0.0
     for sk in s:
         total += 0.5 * float(np.dot(sk, sk))
-    rho = [act.f(sk) for sk in s]
-    rho_x = act.f(np.asarray(x, dtype=float))
-    for k in range(L - 1):
-        total -= float(rho[k] @ theta[k] @ rho[k + 1])
-    total -= float(rho[L - 1] @ theta[L - 1] @ rho_x)
+    for k, w in enumerate(theta):
+        total -= float(r[k] @ w @ r[k + 1])
     return total
 
 
@@ -323,13 +321,14 @@ class Force:
     velocity of the free relaxation (no target) or of the nudged one.
 
     Built once per relaxation: the network is checked against the layout
-    of the state `s`, and the buffers are allocated.  A call evaluates the
-    activation once over the whole state (`Activation.rate_slope`) into
-    `rates`, whose tail holds rho(x), pinned; writes the drive into one
-    buffer block by block (no dense N x N matrix); and adds the nudge to
-    the output layer.  `rho` (the head of `rates`), `slopes` and `drive`
-    then hold the rates, slopes and drive of the state evaluated last.
-    Any real beta is accepted; the relaxations check theirs (`check_beta`).
+    of the state `s`, and the buffers are allocated.  `activate` evaluates
+    the activation once over the whole state (`Activation.rate_slope`)
+    into `rates`, whose tail holds rho(x), pinned, and `slopes`; a call
+    activates, writes the drive into one buffer block by block (no dense
+    N x N matrix), and adds the nudge to the output layer.  `rho` (the
+    head of `rates`), `slopes` and `drive` then hold the rates, slopes and
+    drive of the state evaluated last, which `grad_theta` and
+    `apply_theta_s` read.  Any real beta is accepted (see `check_beta`).
     """
 
     def __init__(self, theta: Params, x, s: State, act: Activation, y=None, beta: float = 0.0):
@@ -346,8 +345,13 @@ class Force:
         self.drive = np.empty(n)
         self._drive_layers = split(self.drive, bounds)
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
+    def activate(self, s: np.ndarray) -> "Force":
+        """The force, holding the rates and slopes of the flat state s."""
         self.rho[...], self.slopes = self.act.rate_slope(s)
+        return self
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        self.activate(s)
         theta, rates = self.theta, self.rate_layers
         # total synaptic input to each layer, W_k rho(next) + W_{k-1}^T rho(prev)
         for k, a in enumerate(self._drive_layers):
@@ -360,6 +364,32 @@ class Force:
             g[:n] += self.beta * (s[:n] - self.y)
         return g
 
+    def grad_theta(self) -> Params:
+        """dE/dW at the state evaluated last: -r_k r_{k+1}^T, one outer
+        product of firing rates per weight matrix, rho(x) the last r."""
+        r = self.rate_layers
+        return [_outer(-r[k], r[k + 1], np.empty(w.shape)) for k, w in enumerate(self.theta)]
+
+    def _check_direction(self, v: State) -> None:
+        got = [np.shape(vk) for vk in v]
+        want = [(b - a,) for a, b in zip(self.bounds, self.bounds[1:])]
+        if got != want:
+            raise ShapeError(f"direction has layer shapes {got}, state has {want}")
+
+    def apply_theta_s(self, v: State) -> Params:
+        """(d2E/dW ds) . v at the state evaluated last: sensitivity of each
+        synaptic outer product to a state perturbation.  The clamped input
+        contributes no perturbation term to the last matrix."""
+        self._check_direction(v)
+        r, d1 = self.rate_layers, split(self.slopes, self.bounds)
+        out = []
+        for k, w in enumerate(self.theta):
+            b = _outer(-(d1[k] * v[k]), r[k + 1], np.empty(w.shape))
+            if k < len(self.theta) - 1:
+                b -= _outer(r[k], d1[k + 1] * v[k + 1], np.empty(w.shape))
+            out.append(b)
+        return out
+
 
 def grad_s_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> State:
     """dE/ds; its negative is the velocity of the free relaxation."""
@@ -369,14 +399,7 @@ def grad_s_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> St
 
 def grad_theta_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> Params:
     """dE/dW as one outer product of firing rates per weight matrix."""
-    _check_network(theta, x, s)
-    L = len(theta)
-    rho = [act.f(sk) for sk in s]
-    rho_x = act.f(np.asarray(x, dtype=float))
-    return [
-        _outer(-rho[k], rho[k + 1] if k < L - 1 else rho_x, np.empty(w.shape))
-        for k, w in enumerate(theta)
-    ]
+    return Force(theta, x, s, act).activate(flatten(s)).grad_theta()
 
 
 def _target(y, s: State) -> np.ndarray:
@@ -431,50 +454,26 @@ def grad_s_augmented(
 # second-order operators
 # ---------------------------------------------------------------------------
 
-class CurvatureOps:
-    """Both second-derivative products of the energy at one frozen state.
+class CurvatureOps(Force):
+    """Both second-derivative products of the energy at one frozen state:
+    the free `Force` evaluated once at s, plus the curvature of its drive.
 
     Everything that depends only on (theta, x, s) is computed once at
-    construction, from one force evaluation at s, so repeatedly applying
-    the operators to different directions (the inner loop of the
-    error-derivative process) costs only the matrix-vector work.
-    `apply_ss` maps a flat direction to a flat product; `apply_theta_s`
-    takes a direction in per-layer form.  With `curvature=False` only
-    `apply_theta_s` is available, and the activation needs no second
-    derivative.
+    construction, so repeatedly applying the operators to different
+    directions (the inner loop of the error-derivative process) costs only
+    the matrix-vector work; calling it as a force again would move the
+    state it is frozen at.  `apply_ss` maps a flat direction to a flat
+    product; `apply_theta_s` takes a direction in per-layer form.
     """
 
-    def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation, curvature: bool = True):
-        if curvature:
-            act.require_curvature()
-        force = Force(theta, x, s, act)
+    def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation):
+        act.require_curvature()
+        super().__init__(theta, x, s, act)
         v = flatten(s)
-        force(v)
-        self.theta = theta
-        self.num_layers = len(theta)
-        self.bounds = force.bounds
-        # the rates of the layers and then of the input, flat and per layer
-        self.rates = force.rates
-        self.rho = force.rate_layers[:-1]
-        # firing rate of the downstream neighbour seen by each matrix
-        self.rho_down = force.rate_layers[1:]
-        self.d1_flat = force.slopes
-        self.d1 = split(self.d1_flat, self.bounds)
-        if curvature:
-            # curvature of the leak-plus-drive term, diagonal per layer
-            self.d2_drive = act.d2f(v) * force.drive
-
-    def _check_direction(self, v: State) -> None:
-        if len(v) != self.num_layers:
-            raise ShapeError(
-                f"direction has {len(v)} layers, state has {self.num_layers}"
-            )
-        for k, (vk, rk) in enumerate(zip(v, self.rho)):
-            if np.shape(vk) != np.shape(rk):
-                raise ShapeError(
-                    f"direction layer {k} has shape {np.shape(vk)}, "
-                    f"state layer has {np.shape(rk)}"
-                )
+        self(v)
+        self.d1 = split(self.slopes, self.bounds)
+        # curvature of the leak-plus-drive term, diagonal per layer
+        self.d2_drive = act.d2f(v) * self.drive
 
     def apply_ss(self, v: np.ndarray) -> np.ndarray:
         """(d2E/ds2) . v for a flat direction v: diagonal curvature of each
@@ -482,26 +481,13 @@ class CurvatureOps:
         clamped input carries no direction component)."""
         theta, d1 = self.theta, self.d1
         h = v - self.d2_drive * v
-        dv = split(self.d1_flat * v, self.bounds)
+        dv = split(self.slopes * v, self.bounds)
         for k, hk in enumerate(split(h, self.bounds)):
-            if k < self.num_layers - 1:
+            if k < len(theta) - 1:
                 hk -= d1[k] * (theta[k] @ dv[k + 1])
             if k > 0:
                 hk -= d1[k] * (theta[k - 1].T @ dv[k - 1])
         return h
-
-    def apply_theta_s(self, v: State) -> Params:
-        """(d2E/dW ds) . v: sensitivity of each synaptic outer product to
-        a state perturbation.  The clamped input contributes no
-        perturbation term to the last matrix."""
-        self._check_direction(v)
-        out = []
-        for k, w in enumerate(self.theta):
-            b = _outer(-(self.d1[k] * v[k]), self.rho_down[k], np.empty(w.shape))
-            if k < self.num_layers - 1:
-                b -= _outer(self.rho[k], self.d1[k + 1] * v[k + 1], np.empty(w.shape))
-            out.append(b)
-        return out
 
 
 def hvp_ss(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) -> State:
@@ -514,7 +500,7 @@ def hvp_ss(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) ->
 def hvp_theta_s(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) -> Params:
     """Mixed product (d2E/dW ds) . v; needs no second derivative of the
     activation."""
-    return CurvatureOps(theta, x, s, act, curvature=False).apply_theta_s(v)
+    return Force(theta, x, s, act).activate(flatten(s)).apply_theta_s(v)
 
 
 # ---------------------------------------------------------------------------

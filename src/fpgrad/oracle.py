@@ -130,30 +130,27 @@ def fd_objective_gradient(
     return GradientEstimate(grad=grad, method="fd-oracle", step=cfg.step_size)
 
 
-def fd_hvp_ss(theta: Params, x, s: State, v: State, act: Activation, fd: FDConfig = None) -> State:
-    """Directional central difference of dE/ds along v."""
+def _directional_difference(grad, theta: Params, x, s: State, v: State, act: Activation, fd: FDConfig):
+    """Directional central difference of `grad` (dE/ds or dE/dW) along v."""
     fd = fd or FDConfig(delta=1e-5)
     scale = np.sqrt(sum(float(np.dot(vk, vk)) for vk in v))
     if scale == 0.0:
-        return [np.zeros_like(sk) for sk in s]
+        return [np.zeros_like(g) for g in grad(theta, x, s, act)]
     unit = [vk / scale for vk in v]
     h = fd.delta
-    g_plus = model.grad_s_energy(theta, x, model.add_scaled(s, h, unit), act)
-    g_minus = model.grad_s_energy(theta, x, model.add_scaled(s, -h, unit), act)
+    g_plus = grad(theta, x, model.add_scaled(s, h, unit), act)
+    g_minus = grad(theta, x, model.add_scaled(s, -h, unit), act)
     return [(gp - gm) * (scale / (2.0 * h)) for gp, gm in zip(g_plus, g_minus)]
+
+
+def fd_hvp_ss(theta: Params, x, s: State, v: State, act: Activation, fd: FDConfig = None) -> State:
+    """Directional central difference of dE/ds along v."""
+    return _directional_difference(model.grad_s_energy, theta, x, s, v, act, fd)
 
 
 def fd_hvp_theta_s(theta: Params, x, s: State, v: State, act: Activation, fd: FDConfig = None) -> Params:
     """Directional central difference of dE/dW along a state direction v."""
-    fd = fd or FDConfig(delta=1e-5)
-    scale = np.sqrt(sum(float(np.dot(vk, vk)) for vk in v))
-    if scale == 0.0:
-        return model.zero_params_like(theta)
-    unit = [vk / scale for vk in v]
-    h = fd.delta
-    g_plus = model.grad_theta_energy(theta, x, model.add_scaled(s, h, unit), act)
-    g_minus = model.grad_theta_energy(theta, x, model.add_scaled(s, -h, unit), act)
-    return [(gp - gm) * (scale / (2.0 * h)) for gp, gm in zip(g_plus, g_minus)]
+    return _directional_difference(model.grad_theta_energy, theta, x, s, v, act, fd)
 
 
 def check_backward_identity(
@@ -239,10 +236,10 @@ def gradient_report(estimate: Params, reference: Params, tol: float, floor: floa
 
     An entry passes when |est - ref| <= max(tol * |ref|, floor); the
     reported relative error is |est - ref| / max(|ref|, floor / tol), so
-    the block passes iff max_rel_error <= tol.
+    the block passes iff max_rel_error <= tol; a NaN entry makes its
+    block's and the overall max_rel_error NaN, and fails.
     """
     blocks = []
-    overall_max = 0.0
     for k, (est, ref) in enumerate(zip(estimate, reference)):
         err = np.abs(np.asarray(est) - np.asarray(ref))
         denom = np.maximum(np.abs(ref), floor / tol)
@@ -256,7 +253,7 @@ def gradient_report(estimate: Params, reference: Params, tol: float, floor: floa
                 "worst_index": [int(i) for i in np.unravel_index(worst, np.shape(ref))],
             }
         )
-        overall_max = max(overall_max, float(np.max(rel)))
+    overall_max = float(np.max([b["max_rel_error"] for b in blocks]))
     return {
         "tolerance": tol,
         "floor": floor,

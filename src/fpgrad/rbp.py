@@ -19,7 +19,7 @@ that sum (`SideProcess`, built from a pair).  Every side-process path, from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class ErrorProcessState:
 def rbp_init(theta: Params, x, y, s_star: State, act: Activation, tolerance: float) -> ErrorProcessState:
     """Start the side process at a converged free fixed point."""
     residual = model.inf_norm(model.grad_s_energy(theta, x, s_star, act))
-    if residual > tolerance:
+    # written so that a NaN residual fails too
+    if not residual <= tolerance:
         raise NotAtFixedPointError(
             f"state is not a converged fixed point: residual {residual:.3e} "
             f"> tolerance {tolerance:g}"
@@ -209,10 +210,3 @@ def rbp_gradient(
         horizon_t=p.t,
     )
 
-
-def write_error_process_csv(rows: List[tuple], path_or_file) -> None:
-    """Per-step decay dump: t,norm_sbar,norm_thetabar_delta."""
-    with model.text_output(path_or_file) as f:
-        f.write("t,norm_sbar,norm_thetabar_delta\n")
-        for t, ns, nd in rows:
-            f.write(f"{float(t)!r},{float(ns)!r},{float(nd)!r}\n")

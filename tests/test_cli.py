@@ -106,6 +106,16 @@ def test_gradcheck_fault_injection_fails(ws):
     assert main(["gradcheck", "--config", cfg, "--inject-fault", "--out", "out"]) == 1
 
 
+def test_gradcheck_rejects_bad_betas_before_the_oracle_runs(ws, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(fp.oracle, "fd_objective_gradient", lambda *a, **k: calls.append(1))
+    cfg = write_config(ws, BASE_CONFIG)
+    code = main(["gradcheck", "--config", cfg, "--method", "eqprop", "--beta=-1e-3", "--out", "out"])
+    assert code == 2
+    assert calls == []
+    assert "method.betas: betas must be positive and finite, got -0.001" in capsys.readouterr().err
+
+
 def test_gradcheck_eqprop_beta_pair_reports_scaling(ws):
     cfg = write_config(ws, BASE_CONFIG)
     code = main(

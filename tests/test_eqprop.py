@@ -268,6 +268,32 @@ def test_nudged_phase_reduces_cost_on_seeded_instances():
     assert ok >= 0.95 * total
 
 
+def test_temporal_process_evaluates_the_activation_once_per_state():
+    # K Euler steps visit K + 1 states; the readouts reuse the rates the
+    # nudged force computed there instead of evaluating them again
+    shape = fp.NetworkShape(3, (2, 4))  # no layer, nor the state, 3 wide
+    theta, x, y = fp.random_instance(shape, 5)
+    n = sum(shape.layer_dims)
+    evaluated = []
+
+    def counted(fn):
+        def wrapped(v):
+            if np.size(v) != shape.input_dim:  # rho(x) is pinned, not a state
+                evaluated.append(np.size(v))
+            return fn(v)
+        return wrapped
+
+    act = fp.Activation("counted", counted(fp.LOGISTIC.f), fp.LOGISTIC.df,
+                        fp.LOGISTIC.d2f, counted(fp.LOGISTIC.f_df))
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12)
+    s_free, _ = fp.relax_free(theta, x, shape.zero_state(), act, cfg)
+    evaluated.clear()
+    K = 12
+    record = fp.temporal_derivative_process(theta, x, y, 1e-3, K, act, cfg, s_free=s_free)
+    assert len(record.theta_tilde) == K + 1
+    assert sum(evaluated) == (K + 1) * n
+
+
 def test_temporal_csv_export(converged):
     shape, theta, x, y, act, s0, cfg = converged
     rec = fp.temporal_derivative_process(theta, x, y, 1e-3, 3, act, cfg, s_free=s0)

@@ -617,6 +617,49 @@ def test_weight_shaped_products_are_bitwise_outer_products(act):
     assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
 
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+def test_energy_and_grad_theta_equal_the_per_layer_rates_bit_for_bit(act):
+    # both read the rates of one activation pass over the flat state; the
+    # reference evaluates act.f one layer at a time, the input last.  Zero
+    # and negative-zero voltages and inputs give rates of both signs of
+    # zero under tanh, and outer products that carry them
+    shape, theta, x, y = make_instance(4)
+    s = random_state(shape, np.random.default_rng(11))
+    s[0][0], s[1][1], s[2][0] = 0.0, -0.0, -0.0
+    x = x.copy()
+    x[1] = -0.0
+    rho = [act.f(sk) for sk in s] + [act.f(x)]
+    total = 0.0
+    for sk in s:
+        total += 0.5 * float(np.dot(sk, sk))
+    for k, w in enumerate(theta):
+        total -= float(rho[k] @ w @ rho[k + 1])
+    assert np.float64(fp.energy(theta, x, s, act)).tobytes() == np.float64(total).tobytes()
+    want = [-np.outer(rho[k], rho[k + 1]) for k in range(len(theta))]
+    got = fp.grad_theta_energy(theta, x, s, act)
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+def test_hvp_theta_s_needs_no_curvature_but_curvature_ops_does():
+    # the mixed product reads rates and slopes only, so the hard sigmoid
+    # works; the operator pair also holds d2E/ds2 and rejects it
+    shape, theta, x, y = make_instance(4)
+    rng = np.random.default_rng(13)
+    s = random_state(shape, rng, scale=2.0)
+    v = random_direction(shape, rng)
+    act = fp.HARD_SIGMOID
+    got = fp.hvp_theta_s(theta, x, s, v, act)
+    rho = [act.f(sk) for sk in s] + [act.f(x)]
+    d1 = [act.df(sk) for sk in s]
+    for k, b in enumerate(got):
+        want = -np.outer(d1[k] * v[k], rho[k + 1])
+        if k < len(theta) - 1:
+            want = want - np.outer(rho[k], d1[k + 1] * v[k + 1])
+        np.testing.assert_array_equal(b, want)
+    with pytest.raises(UnsupportedActivationError):
+        fp.model.CurvatureOps(theta, x, s, act)
+
+
 def test_inf_norm_propagates_nan_from_any_block():
     assert np.isnan(fp.model.inf_norm([np.array([1.0]), np.array([np.nan])]))
     assert np.isnan(fp.model.inf_norm([np.array([np.nan]), np.array([1.0])]))

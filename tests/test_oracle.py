@@ -249,3 +249,14 @@ def test_gradient_report_structure():
     assert rep["max_rel_error"] == rep["blocks"][1]["max_rel_error"]
     ok = fp.gradient_report(est, est, tol=1e-3, floor=1e-7)
     assert ok["passed"] and ok["max_rel_error"] == 0.0
+
+
+def test_gradient_report_fails_an_estimate_holding_a_nan():
+    # Python's max keeps 0.0 over a NaN; the report must not
+    ref = [np.array([[1.0, 2.0]]), np.array([[3.0]])]
+    est = [np.array([[1.0, 2.0]]), np.array([[np.nan]])]
+    rep = fp.gradient_report(est, ref, tol=1e-3, floor=1e-7)
+    assert not rep["passed"]
+    assert np.isnan(rep["max_rel_error"])
+    assert np.isnan(rep["blocks"][1]["max_rel_error"])
+    assert rep["blocks"][0]["max_rel_error"] == 0.0

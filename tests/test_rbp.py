@@ -1,7 +1,5 @@
 """Error-derivative side process: initial conditions, updates, gradient limit."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from fpgrad.exceptions import (
     InstabilityError,
     NotAtFixedPointError,
 )
-from fpgrad.rbp import write_error_process_csv
 
 from conftest import make_instance, random_state
 
@@ -50,6 +47,17 @@ def test_init_rejects_non_fixed_point(converged):
     rng = np.random.default_rng(3)
     with pytest.raises(NotAtFixedPointError):
         fp.rbp_init(theta, x, y, random_state(shape, rng), act, cfg.tolerance)
+
+
+def test_init_rejects_a_state_with_a_nan_component(converged):
+    # a NaN residual must fail the fixed-point check, not slip past it
+    shape, theta, x, y, act, s0, cfg = converged
+    s = [sk.copy() for sk in s0]
+    s[1][0] = np.nan
+    with pytest.raises(NotAtFixedPointError, match="nan"):
+        fp.rbp_init(theta, x, y, s, act, cfg.tolerance)
+    with pytest.raises(NotAtFixedPointError):
+        fp.rbp_gradient(theta, x, y, act, cfg, s_free=s)
 
 
 def test_step_stationary_at_zero(converged):
@@ -249,16 +257,3 @@ def test_step_leaves_its_input_unchanged(converged):
         np.testing.assert_array_equal(a, b)
     assert p.t == 0.0 and q.t == cfg.step_size
     assert not np.array_equal(q.s_bar[0], p.s_bar[0])
-
-
-def test_decay_csv_dump(converged):
-    shape, theta, x, y, act, s0, cfg = converged
-    record = []
-    fp.rbp_gradient(theta, x, y, act, cfg, s_free=s0, record=record)
-    buf = io.StringIO()
-    write_error_process_csv(record, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,norm_sbar,norm_thetabar_delta"
-    assert len(lines) == 1 + len(record)
-    t, ns, nd = lines[1].split(",")
-    assert float(t) == record[0][0] and float(ns) == record[0][1]
