@@ -313,8 +313,10 @@ def cmd_gradcheck(args) -> int:
         reports.append(rep)
     else:
         errors = []
+        # one free phase for every beta, under the tolerance of the smallest
+        _, _, s_free = eqprop.second_phase(theta, x, act, rcfg, [min(betas)])
         for beta in betas:
-            grad = corrupted(eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg).grad)
+            grad = corrupted(eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg, s_free).grad)
             rep = oracle.gradient_report(grad, reference.grad, _EQPROP_TOL, _EQPROP_FLOOR)
             rep.update(method="eqprop", beta=beta)
             errors.append(model.inf_norm([a - b for a, b in zip(grad, reference.grad)]))

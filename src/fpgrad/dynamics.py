@@ -100,10 +100,17 @@ def converged_state(result, cfg: RelaxationConfig, phase: str) -> State:
     """The final state of a `relax` result (state, Trajectory) run under
     cfg, or a ConvergenceError naming the phase if it did not converge."""
     s, traj = result
-    if not traj.converged:
+    return settled_state(s, traj.final_residual, cfg, phase)
+
+
+def settled_state(s, residual: float, cfg: RelaxationConfig, phase: str):
+    """s, the last state of a flow run for at most cfg.max_steps steps, if
+    its residual is within cfg.tolerance, else a ConvergenceError naming
+    the phase."""
+    if not residual <= cfg.tolerance:
         raise ConvergenceError(
             f"{phase} did not converge within {cfg.max_steps} steps "
-            f"(residual {traj.final_residual:.3e} > tolerance {cfg.tolerance:g})"
+            f"(residual {residual:.3e} > tolerance {cfg.tolerance:g})"
         )
     return s
 

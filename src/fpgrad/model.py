@@ -213,10 +213,12 @@ def _check_network(theta: Params, x: np.ndarray, s: State) -> None:
     _check_params_chain(theta)
     if len(s) != len(theta):
         raise ShapeError(f"state has {len(s)} layers, weights imply {len(theta)}")
+    # a stack of states carries one trailing axis, the same on every layer
+    stack = np.shape(s[0])[1:2]
     for k, (w, sk) in enumerate(zip(theta, s)):
-        if np.shape(sk) != (w.shape[0],):
+        if np.shape(sk) != (w.shape[0],) + stack:
             raise ShapeError(
-                f"layer {k} has width {np.shape(sk)}, expected ({w.shape[0]},)"
+                f"layer {k} has width {np.shape(sk)}, expected {(w.shape[0],) + stack}"
             )
     if np.shape(x) != (theta[-1].shape[1],):
         raise ShapeError(
@@ -329,6 +331,12 @@ class Force:
     head of `rates`), `slopes` and `drive` then hold the rates, slopes and
     drive of the state evaluated last, which `grad_theta` and
     `apply_theta_s` read.  Any real beta is accepted (see `check_beta`).
+
+    A stack of B free states, each layer of shape (d_k, B), is evaluated
+    in the same pass: the flat state, the rates and the drive then carry
+    the trailing axis, rho(x) is broadcast along it, and each block of the
+    drive is one matrix product.  A column agrees with the one-state
+    evaluation to rounding, not bit for bit.
     """
 
     def __init__(self, theta: Params, x, s: State, act: Activation, y=None, beta: float = 0.0):
@@ -336,13 +344,14 @@ class Force:
         self.theta, self.act, self.beta = theta, act, beta
         self.y = None if y is None else _target(y, s)
         self.bounds = bounds = layer_bounds(s)
-        n = bounds[-1]
-        self.rates = np.empty(n + len(x))
-        self.rates[n:] = act.f(np.asarray(x, dtype=float))
+        n, stack = bounds[-1], np.shape(s[0])[1:]
+        self.rates = np.empty((n + len(x),) + stack)
+        rho_x = act.f(np.asarray(x, dtype=float))
+        self.rates[n:] = rho_x.reshape(rho_x.shape + (1,) * len(stack))
         self.rho = self.rates[:n]
         # the layers' rates, then the input's
         self.rate_layers = split(self.rates, bounds + [len(self.rates)])
-        self.drive = np.empty(n)
+        self.drive = np.empty((n,) + stack)
         self._drive_layers = split(self.drive, bounds)
 
     def activate(self, s: np.ndarray) -> "Force":

@@ -2,7 +2,8 @@
 
 These functions never call the analytic derivative being checked: the
 objective gradient is probed by re-relaxing the network under perturbed
-weights, Hessian-vector products by differencing first derivatives, and
+weights (all probes as one stack, each then certified by a serial
+relaxation), Hessian-vector products by differencing first derivatives, and
 the two structural identities (the backward equation of the projected
 cost, and the envelope derivative of the relaxed augmented energy) by
 direct evaluation.  Keeping this module self-contained is the point; do
@@ -29,6 +30,9 @@ BASIN_JUMP_THRESHOLD = 0.5
 
 # hysteresis-suppression tolerance for oracle relaxations
 _ORACLE_TOLERANCE = 1e-12
+
+# perturbed networks relaxed as one stack: memory stays O(N * _STACK_COLUMNS)
+_STACK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,44 @@ def _relaxed_fixed_point(force, s_init, cfg):
     return dynamics.converged_state(dynamics.relax(force, s_init, cfg), cfg, "oracle relaxation")
 
 
+def _relaxed_stack(theta: Params, x, start: State, act: Activation, probes, cfg: RelaxationConfig):
+    """The flat (N, B) endpoint of the B perturbed networks of `probes`,
+    relaxed as one stack from `start` through `dynamics._flow`.
+
+    Probe (k, i, j, d) adds d to W_k[i, j].  Every column shares the
+    weight blocks of one stacked `model.Force`, and its own force is the
+    shared one less slopes * the rank-one change of its drive: d * rho_j
+    in drive_k[i] and, unless layer k + 1 is the input, d * rho_i in
+    drive_{k+1}[j].  A column whose residual is within tolerance gets no
+    drift, so it stops updating as a serial probe would; a non-finite
+    column never does, and diverges.
+    """
+    width = len(probes)
+    stack = [np.repeat(sk[:, None], width, axis=1) for sk in start]
+    shared = model.Force(theta, x, stack, act)
+    bounds = np.array(shared.bounds)
+    k, i, j, d = (np.array(c) for c in zip(*probes))
+    rows_i, rows_j, cols = bounds[k] + i, bounds[k + 1] + j, np.arange(width)
+    inner = rows_j < bounds[-1]
+    # flat offsets into the (rows, width) buffers: where each change goes,
+    # and the rate it scales
+    cols = np.concatenate([cols, cols[inner]])
+    at = np.concatenate([rows_i, rows_j[inner]]) * width + cols
+    rate_at = np.concatenate([rows_j, rows_i[inner]]) * width + cols
+    d = np.concatenate([d, d[inner]])
+
+    def force(s):
+        g = shared(s)
+        g.ravel()[at] -= shared.slopes.ravel()[at] * d * shared.rates.ravel()[rate_at]
+        g[:, np.abs(g).max(axis=0) <= cfg.tolerance] = 0.0
+        return g
+
+    for s, _, residual in dynamics._flow(force, stack, cfg.step_size, cfg.max_steps):
+        if residual <= cfg.tolerance:
+            break
+    return dynamics.settled_state(s, residual, cfg, "oracle relaxation")
+
+
 def fd_objective_gradient(
     theta: Params,
     x,
@@ -91,12 +133,17 @@ def fd_objective_gradient(
     fd: FDConfig = None,
 ) -> GradientEstimate:
     """Central difference of the objective J = cost at the free fixed point,
-    one full relaxation per perturbed weight entry.
+    one relaxation per perturbed weight entry and sign.
 
     All relaxations use a tolerance tightened to 1e-12 and, with
-    warm_start, begin at the unperturbed fixed point; a perturbed fixed
-    point landing farther than BASIN_JUMP_THRESHOLD from it aborts the
-    probe, since the objective is only differentiable within one basin.
+    warm_start, begin at the unperturbed fixed point.  The perturbed
+    networks relax together, up to _STACK_COLUMNS at a time, as one stack
+    (`_relaxed_stack`); each probe is then certified by a serial `relax`
+    under its exact perturbed weights, started from its column, which
+    settles the last bits that the stacked products round differently.
+    A certified fixed point landing farther than BASIN_JUMP_THRESHOLD
+    from the unperturbed one aborts the probe, since the objective is
+    only differentiable within one basin.
     """
     fd = fd or FDConfig()
     tight = replace(
@@ -105,28 +152,32 @@ def fd_objective_gradient(
     zero = model.zero_state_like(theta)
     s0 = _relaxed_fixed_point(model.Force(theta, x, zero, act), zero, tight)
     start = s0 if fd.warm_start else zero
-
-    def objective_at(perturbed):
-        sp = _relaxed_fixed_point(model.Force(perturbed, x, start, act), start, tight)
-        drift = model.inf_norm([a - b for a, b in zip(sp, s0)])
-        if drift > BASIN_JUMP_THRESHOLD:
-            raise BasinJumpError(
-                f"perturbed relaxation settled {drift:.3f} away from the "
-                "reference fixed point; finite difference would straddle basins"
-            )
-        return model.cost(y, sp)
-
-    grad = []
-    for k, w in enumerate(theta):
-        g = np.zeros_like(w)
-        for idx in np.ndindex(*w.shape):
+    bounds = model.layer_bounds(s0)
+    probes = [
+        (k, i, j, sign * fd.delta)
+        for k, w in enumerate(theta)
+        for i, j in np.ndindex(*w.shape)
+        for sign in (1.0, -1.0)
+    ]
+    costs = []
+    for first in range(0, len(probes), _STACK_COLUMNS):
+        chunk = probes[first:first + _STACK_COLUMNS]
+        ends = _relaxed_stack(theta, x, start, act, chunk, tight)
+        for c, (k, i, j, d) in enumerate(chunk):
             perturbed = model.copy_blocks(theta)
-            perturbed[k][idx] = w[idx] + fd.delta
-            j_plus = objective_at(perturbed)
-            perturbed[k][idx] = w[idx] - fd.delta
-            j_minus = objective_at(perturbed)
-            g[idx] = (j_plus - j_minus) / (2.0 * fd.delta)
-        grad.append(g)
+            perturbed[k][i, j] += d
+            column = model.split(ends[:, c], bounds)
+            sp = _relaxed_fixed_point(model.Force(perturbed, x, column, act), column, tight)
+            drift = model.inf_norm([a - b for a, b in zip(sp, s0)])
+            if drift > BASIN_JUMP_THRESHOLD:
+                raise BasinJumpError(
+                    f"perturbed relaxation settled {drift:.3f} away from the "
+                    "reference fixed point; finite difference would straddle basins"
+                )
+            costs.append(model.cost(y, sp))
+    grad = model.zero_params_like(theta)
+    for (k, i, j, _), j_plus, j_minus in zip(probes[0::2], costs[0::2], costs[1::2]):
+        grad[k][i, j] = (j_plus - j_minus) / (2.0 * fd.delta)
     return GradientEstimate(grad=grad, method="fd-oracle", step=cfg.step_size)
 
 

@@ -116,6 +116,20 @@ def test_gradcheck_rejects_bad_betas_before_the_oracle_runs(ws, monkeypatch, cap
     assert "method.betas: betas must be positive and finite, got -0.001" in capsys.readouterr().err
 
 
+def test_gradcheck_eqprop_relaxes_the_free_phase_once(ws, monkeypatch):
+    # the oracle keeps its own reference relaxation (`dynamics.relax`); the
+    # estimates of every beta share one free phase (`dynamics.relax_free`)
+    calls = []
+    relax_free = fp.dynamics.relax_free
+    monkeypatch.setattr(fp.dynamics, "relax_free", lambda *a: calls.append(1) or relax_free(*a))
+    cfg = write_config(ws, BASE_CONFIG)
+    code = main(
+        ["gradcheck", "--config", cfg, "--method", "eqprop", "--beta", "2e-4,1e-4", "--out", "out"]
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_gradcheck_eqprop_beta_pair_reports_scaling(ws):
     cfg = write_config(ws, BASE_CONFIG)
     code = main(

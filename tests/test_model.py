@@ -267,6 +267,33 @@ def test_force_equals_the_reference_force_bit_for_bit(act, index):
             np.testing.assert_array_equal(force.rho.view(np.int64), act.f(v).view(np.int64))
 
 
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", [0, 2, 4, 5])  # 2->[1], 2->[2,2,1], 4->[3,3,2], 3->[1,4]
+def test_stacked_force_columns_match_the_one_state_force(act, index):
+    shape, theta, x, y = make_instance(index)
+    rng = np.random.default_rng(700 + index)
+    columns = [random_state(shape, rng, scale=2.0) for _ in range(5)]
+    stack = [np.stack(layers, axis=1) for layers in zip(*columns)]
+    force = fp.model.Force(theta, x, stack, act)
+    g = force(fp.model.flatten(stack))
+    assert g.shape == (force.bounds[-1], 5)
+    for c, s in enumerate(columns):
+        one = fp.model.Force(theta, x, s, act)(fp.model.flatten(s))
+        assert np.max(np.abs(g[:, c] - one)) <= 1e-13 * np.max(np.abs(one))
+        # the stack keeps the rates of each column, rho(x) pinned below them
+        np.testing.assert_array_equal(force.rates[force.bounds[-1]:, c], act.f(x))
+
+
+def test_a_stack_needs_one_trailing_axis_on_every_layer():
+    shape, theta, x, y = make_instance(2)
+    stack = [np.zeros((d, 3)) for d in shape.layer_dims]
+    fp.model.Force(theta, x, stack, fp.LOGISTIC)
+    with pytest.raises(ShapeError, match=r"layer 1 has width \(2, 4\), expected \(2, 3\)"):
+        fp.model.Force(theta, x, [stack[0], np.zeros((2, 4)), stack[2]], fp.LOGISTIC)
+    with pytest.raises(ShapeError, match="layer 0"):
+        fp.model.Force(theta, x, [np.zeros((d, 3, 1)) for d in shape.layer_dims], fp.LOGISTIC)
+
+
 def test_grad_theta_logistic_zero_state_quarter_blocks():
     # 1-wide layers, zero voltages and zero input: every rate is 1/2
     shape = fp.NetworkShape(1, (1, 1))

@@ -7,7 +7,7 @@ import pytest
 
 import fpgrad as fp
 from fpgrad import oracle
-from fpgrad.exceptions import BasinJumpError
+from fpgrad.exceptions import BasinJumpError, ConvergenceError, DivergenceError
 
 from conftest import make_instance, random_state
 
@@ -131,6 +131,115 @@ def test_basin_jump_detection(converged, monkeypatch):
     monkeypatch.setattr(oracle, "BASIN_JUMP_THRESHOLD", 1e-12)
     with pytest.raises(BasinJumpError):
         fp.fd_objective_gradient(theta, x, y, act, cfg)
+
+
+def _serial_fd_reference(theta, x, y, act, cfg, fd):
+    """`fd_objective_gradient` as it was before the stacked probes: one
+    serial relaxation per perturbed network, from the same start."""
+    tight = dataclasses.replace(cfg, tolerance=min(cfg.tolerance, 1e-12), record_every=0)
+    zero = fp.model.zero_state_like(theta)
+    s0 = oracle._relaxed_fixed_point(fp.model.Force(theta, x, zero, act), zero, tight)
+    start = s0 if fd.warm_start else zero
+    grad = []
+    for k, w in enumerate(theta):
+        g = np.zeros_like(w)
+        for idx in np.ndindex(*w.shape):
+            costs = []
+            for delta in (fd.delta, -fd.delta):
+                perturbed = fp.model.copy_blocks(theta)
+                perturbed[k][idx] = w[idx] + delta
+                force = fp.model.Force(perturbed, x, start, act)
+                costs.append(fp.cost(y, oracle._relaxed_fixed_point(force, start, tight)))
+            g[idx] = (costs[0] - costs[1]) / (2.0 * fd.delta)
+        grad.append(g)
+    return grad
+
+
+# the gradcheck shapes of the benchmark, 2 to 23 weights
+GRADCHECK_SHAPES = [fp.NetworkShape(2, (1,)), fp.NetworkShape(2, (2, 2, 1)), fp.NetworkShape(4, (3, 3, 2))]
+
+
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
+def test_stacked_probes_match_the_serial_reference(index, act, warm_start):
+    # the hard sigmoid has slope 0 at the zero state, so its gradient is 0
+    # there: that case checks the stack's exit when no column moves
+    theta, x, y = fp.random_instance(GRADCHECK_SHAPES[index], 1201 + index)
+    cfg = fp.RelaxationConfig(tolerance=1e-12)
+    fd = fp.FDConfig(warm_start=warm_start)
+    stacked = fp.fd_objective_gradient(theta, x, y, act, cfg, fd).grad
+    serial = _serial_fd_reference(theta, x, y, act, cfg, fd)
+    largest = max(np.max(np.abs(g)) for g in serial)
+    for a, b in zip(stacked, serial):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-10 * largest
+
+
+def test_stacked_probes_are_bitwise_repeatable(converged):
+    shape, theta, x, y, act, s0, cfg = converged
+    first = fp.fd_objective_gradient(theta, x, y, fp.TANH, cfg).grad
+    second = fp.fd_objective_gradient(theta, x, y, fp.TANH, cfg).grad
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_stacked_probes_beyond_one_stack_match_the_serial_reference(monkeypatch):
+    theta, x, y = fp.random_instance(GRADCHECK_SHAPES[1], 7)
+    cfg = fp.RelaxationConfig(tolerance=1e-12)
+    whole = fp.fd_objective_gradient(theta, x, y, fp.LOGISTIC, cfg).grad
+    # 16 probes in stacks of 3: five full stacks and one of a single column
+    monkeypatch.setattr(oracle, "_STACK_COLUMNS", 3)
+    chunked = fp.fd_objective_gradient(theta, x, y, fp.LOGISTIC, cfg).grad
+    largest = max(np.max(np.abs(g)) for g in whole)
+    for a, b in zip(chunked, whole):
+        assert np.max(np.abs(a - b)) <= 1e-10 * largest
+
+
+def _relax_calls(monkeypatch):
+    """Records whether each `dynamics.relax` call converged."""
+    calls = []
+    relax = fp.dynamics.relax
+
+    def counted(force, s_init, rcfg):
+        result = relax(force, s_init, rcfg)
+        calls.append(result[1].converged)
+        return result
+
+    monkeypatch.setattr(fp.dynamics, "relax", counted)
+    return calls
+
+
+def test_a_non_finite_probe_diverges_at_its_step(converged, monkeypatch):
+    shape, theta, x, y, act, s0, cfg = converged
+    evaluations = []
+
+    def rate_slope(v):
+        f, df = act.rate_slope(v)
+        if np.ndim(v) == 2:  # a stack: column 3 turns NaN at its fifth evaluation
+            evaluations.append(1)
+            if len(evaluations) == 5:
+                f[:, 3] = np.nan
+        return f, df
+
+    calls = _relax_calls(monkeypatch)
+    poisoned = dataclasses.replace(act, f_df=rate_slope)
+    with pytest.raises(DivergenceError, match="at step 4") as info:
+        fp.fd_objective_gradient(theta, x, y, poisoned, cfg)
+    assert info.value.step == 4
+    # the reference converged; no probe reached its certification
+    assert calls == [True]
+
+
+def test_a_stack_at_max_steps_raises_before_any_certification(converged, monkeypatch):
+    shape, theta, x, y, act, s0, cfg = converged
+    # cold probes of a large delta settle a few steps after the reference
+    steps = fp.relax_free(theta, x, shape.zero_state(), act, cfg)[1].steps_taken
+    capped = dataclasses.replace(cfg, max_steps=steps)
+    calls = _relax_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match=f"oracle relaxation did not converge within {steps} steps"):
+        fp.fd_objective_gradient(theta, x, y, act, capped, fp.FDConfig(delta=0.3, warm_start=False))
+    assert calls == [True]
 
 
 # ---------------------------------------------------------------------------
