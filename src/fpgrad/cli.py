@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -297,7 +298,12 @@ def cmd_gradcheck(args) -> int:
         for beta in betas:
             if not 0 < beta < math.inf:
                 raise ConfigError(f"method.betas: betas must be positive and finite, got {beta}")
-    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd)
+        # one free phase for every beta, under the tolerance of the smallest
+        _, _, s_free = eqprop.second_phase(theta, x, act, rcfg, [min(betas)])
+    else:
+        s_free = eqprop._free_fixed_point(theta, x, act, rcfg)
+    # the oracle re-certifies the free point under its own tolerance
+    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, s_free)
 
     def corrupted(grad):
         if args.inject_fault:
@@ -307,14 +313,12 @@ def cmd_gradcheck(args) -> int:
 
     reports = []
     if method == "rbp":
-        est = rbp.rbp_gradient(theta, x, y, act, rcfg)
+        est = rbp.rbp_gradient(theta, x, y, act, rcfg, s_free)
         rep = oracle.gradient_report(corrupted(est.grad), reference.grad, _RBP_TOL, _RBP_FLOOR)
         rep["method"] = "rbp"
         reports.append(rep)
     else:
         errors = []
-        # one free phase for every beta, under the tolerance of the smallest
-        _, _, s_free = eqprop.second_phase(theta, x, act, rcfg, [min(betas)])
         for beta in betas:
             grad = corrupted(eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg, s_free).grad)
             rep = oracle.gradient_report(grad, reference.grad, _EQPROP_TOL, _EQPROP_FLOOR)
@@ -520,7 +524,9 @@ def cmd_predict(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fpgrad",
         description=(

@@ -8,7 +8,11 @@ the two structural identities (the backward equation of the projected
 cost, and the envelope derivative of the relaxed augmented energy) by
 direct evaluation.  Keeping this module self-contained is the point; do
 not "optimise" it by routing through the closed forms it exists to
-audit.
+audit.  The one input it may take from the code under test is a free
+fixed point to start its reference relaxation from.  It relaxes from
+that point under its own tolerance, so its reference is a fixed point
+whatever it is given, and every difference it forms comes from its own
+perturbed relaxations; the point only picks the fixed point audited.
 """
 
 from __future__ import annotations
@@ -131,26 +135,42 @@ def fd_objective_gradient(
     act: Activation,
     cfg: RelaxationConfig,
     fd: FDConfig = None,
+    s_free: State = None,
 ) -> GradientEstimate:
     """Central difference of the objective J = cost at the free fixed point,
     one relaxation per perturbed weight entry and sign.
 
-    All relaxations use a tolerance tightened to 1e-12 and, with
-    warm_start, begin at the unperturbed fixed point.  The perturbed
-    networks relax together, up to _STACK_COLUMNS at a time, as one stack
-    (`_relaxed_stack`); each probe is then certified by a serial `relax`
-    under its exact perturbed weights, started from its column, which
-    settles the last bits that the stacked products round differently.
-    A certified fixed point landing farther than BASIN_JUMP_THRESHOLD
-    from the unperturbed one aborts the probe, since the objective is
-    only differentiable within one basin.
+    All relaxations use a tolerance tightened to 1e-12.  The reference
+    relaxation starts from `s_free` if given, else from the zero state,
+    and with warm_start the perturbed ones begin at its fixed point.  The
+    oracle stays independent of a caller's point: it re-certifies it
+    under its own tolerance, and the costs come only from its own
+    perturbed relaxations.  Euler is deterministic, so from a free point
+    located under a looser tolerance the reference retraces the
+    zero-start flow bit for bit; from one located under a tighter one
+    (eqprop's beta * 1e-3 for beta < 1e-9) the result may move in its
+    trailing digits.
+
+    The perturbed networks relax together, up to _STACK_COLUMNS at a
+    time, as one stack (`_relaxed_stack`); each probe is then certified
+    by a serial `relax` under its exact perturbed weights, started from
+    its column, which settles the last bits that the stacked products
+    round differently.  All the probes share one `model.Force` on one
+    private copy of the weights, whose entry each probe sets and then
+    restores; the caller's theta is never written.  A certified fixed
+    point landing farther than BASIN_JUMP_THRESHOLD from the unperturbed
+    one aborts the probe, since the objective is only differentiable
+    within one basin.
     """
     fd = fd or FDConfig()
     tight = replace(
         cfg, tolerance=min(cfg.tolerance, _ORACLE_TOLERANCE), record_every=0
     )
     zero = model.zero_state_like(theta)
-    s0 = _relaxed_fixed_point(model.Force(theta, x, zero, act), zero, tight)
+    s_init = zero if s_free is None else s_free
+    probed = model.copy_blocks(theta)
+    force = model.Force(probed, x, s_init, act)
+    s0 = _relaxed_fixed_point(force, s_init, tight)
     start = s0 if fd.warm_start else zero
     bounds = model.layer_bounds(s0)
     probes = [
@@ -164,10 +184,9 @@ def fd_objective_gradient(
         chunk = probes[first:first + _STACK_COLUMNS]
         ends = _relaxed_stack(theta, x, start, act, chunk, tight)
         for c, (k, i, j, d) in enumerate(chunk):
-            perturbed = model.copy_blocks(theta)
-            perturbed[k][i, j] += d
-            column = model.split(ends[:, c], bounds)
-            sp = _relaxed_fixed_point(model.Force(perturbed, x, column, act), column, tight)
+            probed[k][i, j] = theta[k][i, j] + d
+            sp = _relaxed_fixed_point(force, model.split(ends[:, c], bounds), tight)
+            probed[k][i, j] = theta[k][i, j]
             drift = model.inf_norm([a - b for a, b in zip(sp, s0)])
             if drift > BASIN_JUMP_THRESHOLD:
                 raise BasinJumpError(

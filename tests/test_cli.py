@@ -130,6 +130,39 @@ def test_gradcheck_eqprop_relaxes_the_free_phase_once(ws, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("method", ["rbp", "eqprop"])
+def test_gradcheck_relaxes_from_the_zero_state_once(ws, monkeypatch, method):
+    # the oracle's reference relaxation continues from the estimator's free
+    # fixed point instead of running the free phase again from zero
+    zero_starts = []
+    relax = fp.dynamics.relax
+
+    def counted(force, s_init, rcfg):
+        zero_starts.append(not any(np.any(sk) for sk in s_init))
+        return relax(force, s_init, rcfg)
+
+    monkeypatch.setattr(fp.dynamics, "relax", counted)
+    cfg = write_config(ws, BASE_CONFIG)
+    assert main(["gradcheck", "--config", cfg, "--method", method, "--out", "out"]) == 0
+    assert sum(zero_starts) == 1
+
+
+def test_one_parser_serves_every_call_of_a_process(ws, capsys):
+    cfg = write_config(ws, BASE_CONFIG)
+    codes = [
+        main(["gradcheck", "--config", cfg, "--out", "first"]),
+        main(["gradcheck", "--config", cfg, "--no-such-flag"]),
+        main(["gradcheck", "--config", cfg, "--out", "second"]),
+    ]
+    assert codes == [0, 2, 0]
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    first, second = ws / "first", ws / "second"
+    assert sorted(os.listdir(first)) == sorted(os.listdir(second)) == ["gradcheck_report.json"]
+    for name in os.listdir(first):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert fp.cli.build_parser() is fp.cli.build_parser()
+
+
 def test_gradcheck_eqprop_beta_pair_reports_scaling(ws):
     cfg = write_config(ws, BASE_CONFIG)
     code = main(

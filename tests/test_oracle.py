@@ -242,6 +242,50 @@ def test_a_stack_at_max_steps_raises_before_any_certification(converged, monkeyp
     assert calls == [True]
 
 
+def _bits(blocks):
+    return [b.tobytes() for b in blocks]
+
+
+@pytest.mark.parametrize("loose", [1e-6, 1e-8])
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
+def test_a_looser_free_point_gives_the_zero_start_gradient_bit_for_bit(index, act, loose, monkeypatch):
+    theta, x, y = fp.random_instance(GRADCHECK_SHAPES[index], 1201 + index)
+    cfg = fp.RelaxationConfig(tolerance=1e-12)
+    zero = fp.model.zero_state_like(theta)
+    p, to_loose = fp.relax_free(theta, x, zero, act, dataclasses.replace(cfg, tolerance=loose))
+    to_tight = fp.relax_free(theta, x, zero, act, cfg)[1]
+    assert to_loose.converged and to_tight.converged
+    p_bits = _bits(p)
+    from_zero = fp.fd_objective_gradient(theta, x, y, act, cfg).grad
+    steps = []
+    relax = fp.dynamics.relax
+
+    def counted(force, s_init, rcfg):
+        result = relax(force, s_init, rcfg)
+        steps.append(result[1].steps_taken)
+        return result
+
+    monkeypatch.setattr(fp.dynamics, "relax", counted)
+    from_p = fp.fd_objective_gradient(theta, x, y, act, cfg, s_free=p).grad
+    assert _bits(from_p) == _bits(from_zero)
+    # the reference relaxation continues the zero-start flow where p left it
+    assert steps[0] == to_tight.steps_taken - to_loose.steps_taken
+    assert _bits(p) == p_bits
+
+
+def test_fd_gradient_never_writes_the_callers_weights(converged, monkeypatch):
+    shape, theta, x, y, act, s0, cfg = converged
+    before = _bits(theta)
+    fp.fd_objective_gradient(theta, x, y, act, cfg)
+    assert _bits(theta) == before
+    # the guard fires on the first probe, with 2P - 1 probes left
+    monkeypatch.setattr(oracle, "BASIN_JUMP_THRESHOLD", 1e-12)
+    with pytest.raises(BasinJumpError):
+        fp.fd_objective_gradient(theta, x, y, act, cfg)
+    assert _bits(theta) == before
+
+
 # ---------------------------------------------------------------------------
 # FD Hessian-vector products
 # ---------------------------------------------------------------------------
