@@ -13,8 +13,8 @@ estimate, and recording the rescaled state velocity along the way gives
 the temporal-derivative process that the equivalence harness compares
 against the error-derivative side process.
 Every second phase, here and in `equivalence`, starts from one setup
-(`second_phase`) and runs its nudged phases to a fixed horizon as one
-lockstep flow (`nudged_flows`).
+(`second_phase`); one run to a fixed horizon is one `dynamics._flow` under
+one nudged `model.Force`, which in a beta sweep has one column per beta.
 """
 
 from __future__ import annotations
@@ -126,13 +126,6 @@ def second_phase(theta: Params, x, act: Activation, cfg: RelaxationConfig, betas
     return betas, cfg, s_free
 
 
-def nudged_flows(theta: Params, x, y, betas, s_free: State, act: Activation, step_size, num_steps):
-    """One nudged `model.Force` per beta, and the `zip` of their
-    `dynamics._flow`s from s_free: item k holds item k of every flow."""
-    forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
-    return forces, zip(*(dynamics._flow(f, s_free, step_size, num_steps) for f in forces))
-
-
 def eqprop_gradient(
     theta: Params,
     x,
@@ -173,8 +166,8 @@ def truncated_eqprop_gradient(
     at its last."""
     check_num_steps(num_steps)
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
-    (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
-    for k, _ in enumerate(flow):
+    force = model.Force(theta, x, s_free, act, y, beta)
+    for k, _ in enumerate(dynamics._flow(force, s_free, cfg.step_size, num_steps)):
         if k == 0:
             g_free = force.grad_theta()
     grad = _two_point_gradient(force.grad_theta(), g_free, beta)
@@ -205,9 +198,9 @@ def temporal_derivative_process(
     """
     check_num_steps(num_steps)
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
-    (force,), flow = nudged_flows(theta, x, y, [beta], s_free, act, cfg.step_size, num_steps)
+    force = model.Force(theta, x, s_free, act, y, beta)
     record = TemporalProcessRecord(times=[], s_tilde=[], theta_tilde=[], beta=beta)
-    for k, ((_, g, _),) in enumerate(flow):
+    for k, (_, g, _) in enumerate(dynamics._flow(force, s_free, cfg.step_size, num_steps)):
         if k == 0:
             g_free = force.grad_theta()
         record.times.append(k * cfg.step_size)

@@ -14,21 +14,23 @@ s_bar and the running sum of s_bar (its Neumann-series form, see
 `rbp.SideProcess`), and both theta_bar and theta_tilde are sums of a few
 outer products of state-sized vectors per weight block, so their
 difference is formed from state-sized factors and reduced to its norm
-block by block (`_theta_gap`).  The side process does not depend on
-beta: after the shared setup (`eqprop.second_phase`), every comparison
-zips one `rbp.SideProcess` behind the lockstep flow of its betas' nudged
-phases (`eqprop.nudged_flows`).
+block by block (`_theta_gap`).  A block's norm is read from the products
+of its rows of largest bound only, where the bound certifies that no
+other row holds a larger entry (`_block_max`).  The side process does
+not depend on beta: after the shared setup (`eqprop.second_phase`),
+every comparison zips one `rbp.SideProcess` behind one nudged flow whose
+state stacks its betas as columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from . import eqprop, model, rbp
+from . import dynamics, eqprop, model, rbp
 from .dynamics import RelaxationConfig
 from .model import Activation, Params, State
 
@@ -49,16 +51,7 @@ class EquivalenceReport:
     reference_scale: float
 
 
-def error_process_path(
-    theta: Params,
-    x,
-    y,
-    s_star: State,
-    act: Activation,
-    step_size: float,
-    num_steps: int,
-    tolerance: float,
-):
+def error_process_path(theta: Params, x, y, s_star: State, act: Activation, step_size, num_steps, tolerance):
     """The side-process pair recorded at every grid point k = 0..num_steps."""
     eqprop.check_num_steps(num_steps)
     side = rbp.SideProcess.at(theta, x, y, s_star, act, step_size, tolerance)
@@ -70,11 +63,47 @@ def error_process_path(
     return s_bars, theta_bars
 
 
-def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float):
-    """The map (rho_k, beta, S_k) -> ||theta_tilde_k - theta_bar_k||_inf,
-    with rho_k the firing rates of the k-th nudged state at that beta and
-    S_k the sum of the first k s_bar; `ops` holds the rates and slopes at
-    the free point.
+# `_block_max` multiplies out this many rows of a block with more; its
+# margins cover the rounding of the row bounds and of the k = 3 products,
+# relative, and their underflow, absolute
+_CERTIFIED_ROWS, _MARGIN, _TINY = 16, 1e-12, 16 * np.nextafter(0.0, 1.0)
+
+
+def _dense_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """max|left[i].T @ right[i]| for each i, from factors of shapes
+    (B, 3, m) and (B, 3, c); NaN where a product holds one."""
+    d = np.matmul(left.transpose(0, 2, 1), right)
+    return np.abs(d, out=d).max(axis=(1, 2))
+
+
+def _block_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """`_dense_max` of one weight block, bit for bit.  Row i of
+    left[i].T @ right[i] is bounded by ub_i = sum_r |left_ri| * max_j
+    |right_rj|, and only the T = _CERTIFIED_ROWS rows of largest ub are
+    multiplied out.  If the (T+1)-th largest ub, widened by the margins,
+    is at most the largest finite |entry| lb of those rows, or is 0 (every
+    term of the other rows then rounds to 0), lb is the block's max.
+    Otherwise (a NaN fails too), or with at most T rows, it is dense.
+    """
+    m, top = left.shape[2], _CERTIFIED_ROWS
+    if m <= top:
+        return _dense_max(left, right)
+    ub = np.matmul(np.abs(right).max(axis=2)[:, None], np.abs(left))[:, 0]
+    order = np.argpartition(ub, m - top - 1, axis=1)
+    each = np.arange(len(ub))
+    lb = _dense_max(left[each[:, None, None], np.arange(3)[:, None], order[:, None, m - top:]], right)
+    bound = ub[each, order[:, m - top - 1]]
+    held = (bound == 0) | (bound * (1.0 + _MARGIN) + _TINY <= lb) & (lb < np.inf)
+    if not held.all():
+        lb[~held] = _dense_max(left[~held], right[~held])
+    return lb
+
+
+def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float, betas):
+    """The map (rho_k, S_k) -> ||theta_tilde_k - theta_bar_k||_inf, one
+    per beta, with rho_k the (n, B) firing rates of the k-th nudged states
+    of the B betas and S_k the sum of the first k s_bar; `ops` holds the
+    rates and slopes at the free point.
 
     For the block of layers a and b (b the clamped input for the last
     block), with rho* and d1* the rates and slopes at the free point,
@@ -85,45 +114,32 @@ def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float):
     since the quadratic cost has no weight term: theta_bar_0 = 0 and the
     readout has no dC/dW part.  Over the input, which moves with neither
     process, u_b and drho_b are zero.  The cancellation between the two
-    processes happens in the state-sized u and drho; each block is one
-    (m x 3) @ (3 x n) product into one buffer, shared by every beta, then
-    its max and min.
+    processes happens in the state-sized u and drho; `_block_max` reduces
+    each block's (m x 3) @ (3 x c) product of per-beta factors.
     """
     rho, bounds = ops.rho, ops.bounds + [len(ops.rates)]
-    n = len(rho)
+    n, betas = len(rho), np.asarray(betas, dtype=float)[:, None]
     eps_d1 = step_size * ops.slopes
-    # rows (u, rho*, drho/beta) and (rho*, u, drho), the second padded with
-    # (rho(x), 0, 0) over the input: block (a, b) of their product is
-    # left[:, a].T @ right[:, b]
-    left, right = np.empty((3, n)), np.zeros((3, len(ops.rates)))
-    left[1], right[0] = rho, ops.rates
-    u, drho_beta, drho = left[0], left[2], right[2, :n]
-    buf = np.empty(max(w.size for w in theta))
+    # per beta, rows (u, rho*, drho/beta) and (rho*, u, drho), the second
+    # padded with (rho(x), 0, 0) over the input: block (a, b) of beta i is
+    # left[i, :, a:b].T @ right[i, :, b:c]
+    left, right = np.empty((len(betas), 3, n)), np.zeros((len(betas), 3, len(ops.rates)))
+    left[:, 1], right[:, 0] = rho, ops.rates
+    u, drho_beta, drho = left[:, 0], left[:, 2], right[:, 2, :n]
+    blocks = [bounds[k : k + 3] for k in range(len(theta))]
 
-    def gap(rho_k: np.ndarray, beta: float, s_sum: np.ndarray) -> float:
-        np.subtract(rho_k, rho, out=drho)
-        np.divide(drho, beta, out=drho_beta)
-        np.add(drho_beta, np.multiply(eps_d1, s_sum, out=u), out=u)
-        right[1, :n] = u
-        worst = []
-        for k, w in enumerate(theta):
-            a, b, c = bounds[k : k + 3]
-            out = np.matmul(left[:, a:b].T, right[:, b:c], out=buf[: w.size].reshape(w.shape))
-            worst.append(max(out.max(), -out.min()))
-        return float(np.max(worst))
+    def gap(rho_k: np.ndarray, s_sum: np.ndarray) -> np.ndarray:
+        np.subtract(rho_k.T, rho, out=drho)
+        np.divide(drho, betas, out=drho_beta)
+        np.add(drho_beta, eps_d1 * s_sum, out=u)
+        right[:, 1, :n] = u
+        return np.max([_block_max(left[:, :, a:b], right[:, :, b:c]) for a, b, c in blocks], axis=0)
 
     return gap
 
 
 def compare_processes(
-    theta: Params,
-    x,
-    y,
-    beta: float,
-    num_steps: int,
-    act: Activation,
-    cfg: RelaxationConfig,
-    s_free: Optional[State] = None,
+    theta: Params, x, y, beta: float, num_steps: int, act: Activation, cfg: RelaxationConfig, s_free=None
 ) -> EquivalenceReport:
     """Run both processes for num_steps on the shared grid and report
     gaps: the sweep (`beta_sweep`) of the single beta."""
@@ -131,75 +147,60 @@ def compare_processes(
 
 
 def beta_sweep(
-    theta: Params,
-    x,
-    y,
-    betas,
-    num_steps: int,
-    act: Activation,
-    cfg: RelaxationConfig,
-    s_free: Optional[State] = None,
+    theta: Params, x, y, betas, num_steps: int, act: Activation, cfg: RelaxationConfig, s_free=None
 ) -> List[EquivalenceReport]:
     """One report per beta, all on the identical grid.
 
     The free fixed point is located once (unless `s_free` is given), at a
     tolerance tight enough for the smallest beta, and shared by every
     comparison.  The side process does not depend on beta, so one runs
-    for the whole sweep; each beta's nudged phase is one Euler loop, and
-    all of them advance in lockstep with it.  The force g_k of a nudged
-    step gives both the next state and the readout s_tilde_k = g_k /
-    beta, and its firing rates give the theta gap (see `_theta_gap`):
-    neither theta_tilde nor theta_bar is ever built, no weight-shaped
-    quantity is carried from one step to the next, and memory does not
-    grow with num_steps beyond the four per-step lists of each beta.
+    for the whole sweep, in lockstep with one Euler loop on the (n, B)
+    stack of the betas' nudged states, one beta per column.  Its force
+    g_k gives the next states, the readouts s_tilde_k = g_k / beta and,
+    through its firing rates, every theta gap (`_theta_gap`).  No
+    weight-shaped quantity is built or carried, and memory grows with
+    num_steps only by the four per-step gaps of each beta.  A column
+    agrees with the one-beta flow to rounding; a repeated beta gives
+    bitwise-equal reports, and a one-beta sweep is the serial one.
     """
     eqprop.check_num_steps(num_steps)
     betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
     eps = cfg.step_size
     side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
-    theta_gap = _theta_gap(theta, side.curvature, eps)
-    forces, flow = eqprop.nudged_flows(theta, x, y, betas, s_free, act, eps, num_steps)
-    reports = [EquivalenceReport(b, eps, num_steps, [], [], [], [], 0.0, 0.0, 0.0) for b in betas]
+    theta_gap = _theta_gap(theta, side.curvature, eps, betas)
+    stack = [np.repeat(sk[:, None], len(betas), axis=1) for sk in s_free]
+    force = model.Force(theta, x, stack, act, y, betas)
+    # per grid point and beta: s gap, theta gap, ||s_bar||, ||s_tilde||
+    per_step = np.empty((num_steps + 1, 4, len(betas)))
+    # s_tilde with one row per beta: a max along a row is several times
+    # faster than one down a column of the (n, B) force
+    s_tilde, beta_col = np.empty((len(betas), len(force.rho))), force.beta[:, None]
     # the flow comes first: zip stops at its end before advancing the side
-    for points, p in zip(flow, side):
-        sbar_norm = float(np.abs(p.s_bar).max())
-        for r, force, (_, g, residual) in zip(reports, forces, points):
-            r.per_step_s_gap.append(float(np.abs(g / r.beta - p.s_bar).max()))
-            r.per_step_theta_gap.append(theta_gap(force.rho, r.beta, p.s_sum))
-            r.per_step_sbar_norm.append(sbar_norm)
-            # max|g|/beta is max|g/beta| bit for bit: dividing by a
-            # positive beta is correctly rounded and monotone
-            r.per_step_stilde_norm.append(residual / r.beta)
+    for k, ((_, g, _), p) in enumerate(zip(dynamics._flow(force, stack, eps, num_steps), side)):
+        per_step[k, 3] = np.abs(np.divide(g.T, beta_col, out=s_tilde)).max(axis=1)
+        np.abs(np.subtract(s_tilde, p.s_bar, out=s_tilde), out=s_tilde).max(axis=1, out=per_step[k, 0])
+        per_step[k, 1] = theta_gap(force.rho, p.s_sum)
+        per_step[k, 2] = np.abs(p.s_bar).max()
     side.check_finite()
-    for r in reports:
-        r.max_s_gap = max(r.per_step_s_gap)
-        r.max_theta_gap = max(r.per_step_theta_gap)
-        r.reference_scale = max(r.per_step_sbar_norm)
-    return reports
+    return [
+        EquivalenceReport(b, eps, num_steps, s, t, sbar, stilde, max(s), max(t), max(sbar))
+        for b, (s, t, sbar, stilde) in zip(betas, per_step.T.tolist())
+    ]
 
 
 def truncation_correspondence(
-    theta: Params,
-    x,
-    y,
-    beta: float,
-    num_steps: int,
-    act: Activation,
-    cfg: RelaxationConfig,
+    theta: Params, x, y, beta: float, num_steps: int, act: Activation, cfg: RelaxationConfig
 ) -> float:
     """Normalised endpoint gap between the K-step truncated two-point
-    estimate and theta_bar after the same K side-process steps: one
-    nudged flow zipped with the side process, dE/dW read from the last
-    nudged force and from the side's force at the free point."""
+    estimate (`eqprop.truncated_eqprop_gradient`) and theta_bar after the
+    same K side-process steps, both from one free fixed point."""
     eqprop.check_num_steps(num_steps)
     [beta], cfg, s_free = eqprop.second_phase(theta, x, act, cfg, [beta])
-    eps = cfg.step_size
-    side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
-    (force,), flow = eqprop.nudged_flows(theta, x, y, [beta], s_free, act, eps, num_steps)
-    for _ in zip(flow, side):
+    truncated = eqprop.truncated_eqprop_gradient(theta, x, y, beta, num_steps, act, cfg, s_free).grad
+    side = rbp.SideProcess.at(theta, x, y, s_free, act, cfg.step_size, cfg.tolerance)
+    for _ in islice(side, num_steps + 1):
         pass
     side.check_finite()
-    truncated = eqprop._two_point_gradient(force.grad_theta(), side.curvature.grad_theta(), beta)
     theta_bar = side.theta_bar()
     gap = model.inf_norm([a - b for a, b in zip(truncated, theta_bar)])
     return gap / (1.0 + model.inf_norm(theta_bar))

@@ -336,15 +336,20 @@ class Force:
     in the same pass: the flat state, the rates and the drive then carry
     the trailing axis, rho(x) is broadcast along it, and each block of the
     drive is one matrix product.  A column agrees with the one-state
-    evaluation to rounding, not bit for bit.
+    evaluation to rounding, not bit for bit.  A nudged stack shares one
+    target y, as wide as the output layer, and takes one beta or one per
+    column; a one-column stack is the one-state force bit for bit.
     """
 
-    def __init__(self, theta: Params, x, s: State, act: Activation, y=None, beta: float = 0.0):
+    def __init__(self, theta: Params, x, s: State, act: Activation, y=None, beta=0.0):
         _check_network(theta, x, s)
-        self.theta, self.act, self.beta = theta, act, beta
-        self.y = None if y is None else _target(y, s)
         self.bounds = bounds = layer_bounds(s)
         n, stack = bounds[-1], np.shape(s[0])[1:]
+        if np.shape(beta) not in ((), stack):
+            raise ShapeError(f"beta has shape {np.shape(beta)}, expected () or {stack}")
+        if y is not None:
+            y = _target(y, [np.asarray(s[0])[:, 0]])[:, None] if stack else _target(y, s)
+        self.theta, self.act, self.y, self.beta = theta, act, y, np.asarray(beta, dtype=float)
         self.rates = np.empty((n + len(x),) + stack)
         rho_x = act.f(np.asarray(x, dtype=float))
         self.rates[n:] = rho_x.reshape(rho_x.shape + (1,) * len(stack))

@@ -176,6 +176,44 @@ def test_gradcheck_eqprop_beta_pair_reports_scaling(ws):
     assert 1.5 <= ratio <= 2.5
 
 
+def _hard_sigmoid_gradcheck(ws, *extra):
+    # under the hard sigmoid the zero state is a fixed point that the
+    # weights cannot move, so the fd reference is identically zero
+    cfg = dict(BASE_CONFIG, activation="hard-sigmoid")
+    argv = ["gradcheck", "--config", write_config(ws, cfg), "--method", "eqprop",
+            "--beta", "2e-4,1e-4", "--out", "out", *extra]
+    return main(argv), (ws / "out" / "gradcheck_report.json").read_text()
+
+
+def test_gradcheck_flags_an_all_zero_reference_as_degenerate(ws, capsys):
+    code, text = _hard_sigmoid_gradcheck(ws)
+    report = json.loads(text)
+    assert code == 0
+    assert report["note"].startswith("degenerate")
+    assert f"gradcheck: {report['note']}" in capsys.readouterr().out.splitlines()
+    graded = [r for r in report["reports"] if "passed" in r]
+    assert len(graded) == 2
+    assert all(r["passed"] is None for r in graded)
+
+
+def test_gradcheck_degenerate_reference_still_fails_a_wrong_estimate(ws):
+    code, text = _hard_sigmoid_gradcheck(ws, "--inject-fault")
+    assert code == 1
+    assert all(r["passed"] is False for r in json.loads(text)["reports"] if "passed" in r)
+
+
+def test_gradcheck_report_is_strict_json(ws):
+    # both errors are 0, so the beta-scaling ratio is undefined: null, not
+    # the non-standard Infinity token
+    _, text = _hard_sigmoid_gradcheck(ws)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(text, parse_constant=reject)
+    assert report["reports"][-1]["error_ratios"] == [None]
+
+
 # ---------------------------------------------------------------------------
 # equivalence and sweep
 # ---------------------------------------------------------------------------

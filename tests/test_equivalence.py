@@ -1,17 +1,55 @@
 """Matched-grid comparison of the side process and the rescaled velocities."""
 
 import io
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fpgrad as fp
-from fpgrad import model
+from fpgrad import dynamics, eqprop, equivalence, model, rbp
 from fpgrad.eqprop import _free_fixed_point, tightened
-from fpgrad.equivalence import error_process_path, summarize
+from fpgrad.equivalence import EquivalenceReport, error_process_path, summarize
+
+
+def _serial_sweep_reference(theta, x, y, betas, num_steps, act, cfg, s_free=None):
+    """The beta sweep as it ran with its nudged phases serial: one
+    one-state nudged force and Euler loop per beta, zipped in lockstep
+    with one side process, and each theta gap reduced from the dense
+    (m x 3) @ (3 x c) product of every weight block (rows u, rho*,
+    drho/beta against rho*, u, drho, see `equivalence._theta_gap`)."""
+    betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
+    eps = cfg.step_size
+    side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
+    ops = side.curvature
+    rho, bounds, n = ops.rho, ops.bounds + [len(ops.rates)], len(ops.rho)
+    eps_d1 = eps * ops.slopes
+    blocks = [bounds[k : k + 3] for k in range(len(theta))]
+    forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
+    flows = zip(*(dynamics._flow(f, s_free, eps, num_steps) for f in forces))
+    reports = [EquivalenceReport(b, eps, num_steps, [], [], [], [], 0.0, 0.0, 0.0) for b in betas]
+    for points, p in zip(flows, side):
+        sbar_norm = float(np.abs(p.s_bar).max())
+        for r, force, (_, g, residual) in zip(reports, forces, points):
+            drho = force.rho - rho
+            u = drho / r.beta + eps_d1 * p.s_sum
+            left, right = np.stack([u, rho, drho / r.beta]), np.zeros((3, len(ops.rates)))
+            right[0], right[1, :n], right[2, :n] = ops.rates, u, drho
+            gap = max(float(np.abs(left[:, a:b].T @ right[:, b:c]).max()) for a, b, c in blocks)
+            r.per_step_s_gap.append(float(np.abs(g / r.beta - p.s_bar).max()))
+            r.per_step_theta_gap.append(gap)
+            r.per_step_sbar_norm.append(sbar_norm)
+            r.per_step_stilde_norm.append(residual / r.beta)
+    side.check_finite()
+    for r in reports:
+        r.max_s_gap = max(r.per_step_s_gap)
+        r.max_theta_gap = max(r.per_step_theta_gap)
+        r.reference_scale = max(r.per_step_sbar_norm)
+    return reports
 
 
 @pytest.fixture
@@ -201,15 +239,116 @@ def test_beta_sweep_validates_order(converged):
         fp.beta_sweep(theta, x, y, [1e-3, -1e-4], 10, act, cfg)
 
 
+def _assert_within_serial(sweep, serial, tolerance):
+    # the stacked nudged products round differently from one-state ones:
+    # sbar_norm is the side process's alone and stays bit for bit, every
+    # other per-step value stays within 1e-3 * tol / beta of the serial
+    # sweep, and the fitted slopes within 1e-8
+    for rep, ref in zip(sweep, serial):
+        assert (rep.beta, rep.step, rep.num_steps) == (ref.beta, ref.step, ref.num_steps)
+        assert rep.per_step_sbar_norm == ref.per_step_sbar_norm
+        assert rep.reference_scale == ref.reference_scale
+        bound = 1e-3 * tolerance / rep.beta
+        for field in ("per_step_s_gap", "per_step_theta_gap", "per_step_stilde_norm"):
+            got, want = np.array(getattr(rep, field)), np.array(getattr(ref, field))
+            assert np.max(np.abs(got - want)) <= bound, field
+    got, want = summarize(sweep), summarize(serial)
+    if want["s_slope"] is not None:
+        assert abs(got["s_slope"] - want["s_slope"]) <= 1e-8
+        assert abs(got["theta_slope"] - want["theta_slope"]) <= 1e-8
+
+
 def test_beta_sweep_reports_equal_each_comparison_alone(converged):
+    # each beta's report is its comparison run alone in the serial sweep,
+    # to the rounding of the stacked products
     shape, theta, x, y, act, s0, cfg = converged
-    betas = [1e-3, 5e-4]
-    sweep = fp.beta_sweep(theta, x, y, betas, 40, act, cfg)
+    betas = [1e-3, 5e-4, 2.5e-4]
+    sweep = fp.beta_sweep(theta, x, y, betas, 300, act, cfg)
     # the sweep's shared free point: located once, tightened for the smallest beta
-    s_free = _free_fixed_point(theta, x, act, tightened(cfg, min(betas)))
+    tight = tightened(cfg, min(betas))
+    s_free = _free_fixed_point(theta, x, act, tight)
+    alone = [_serial_sweep_reference(theta, x, y, [b], 300, act, cfg, s_free)[0] for b in betas]
     assert len(sweep) == len(betas)
-    for beta, rep in zip(betas, sweep):
-        assert rep == fp.compare_processes(theta, x, y, beta, 40, act, cfg, s_free=s_free)
+    _assert_within_serial(sweep, alone, tight.tolerance)
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_beta_sweep_stays_within_the_serial_sweep(act, tight_cfg):
+    betas = [1e-3, 5e-4, 2.5e-4]
+    for shape, seed in [
+        (fp.NetworkShape(2, (2, 2, 1)), 42),
+        (fp.NetworkShape(4, (3, 3, 2)), 5),
+        (fp.NetworkShape(16, (5, 20, 24)), 3),
+    ]:
+        theta, x, y = fp.random_instance(shape, seed)
+        sweep = fp.beta_sweep(theta, x, y, betas, 100, act, tight_cfg)
+        serial = _serial_sweep_reference(theta, x, y, betas, 100, act, tight_cfg)
+        _assert_within_serial(sweep, serial, tightened(tight_cfg, min(betas)).tolerance)
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_one_beta_sweep_is_the_serial_sweep_bit_for_bit(act, tight_cfg):
+    # a one-column stack is the one-state force, and a certified block max
+    # is the dense one, so a single beta reproduces the serial sweep
+    for shape, seed in [
+        (fp.NetworkShape(2, (2, 2, 1)), 42),
+        (fp.NetworkShape(16, (5, 20, 24)), 3),
+        (fp.NetworkShape(8, (30, 40)), 1),
+    ]:
+        theta, x, y = fp.random_instance(shape, seed)
+        rep = fp.compare_processes(theta, x, y, 5e-4, 80, act, tight_cfg)
+        assert rep == _serial_sweep_reference(theta, x, y, [5e-4], 80, act, tight_cfg)[0]
+
+
+_FACTOR = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),  # zeros and ties
+    st.floats(-4.0, 4.0),
+    st.floats(1e-300, 1e-298),  # products underflow
+    st.floats(-1e-298, -1e-300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    width=st.integers(1, 3),
+    rows=st.integers(1, 48),
+    cols=st.integers(1, 24),
+    nan=st.sampled_from([None, "left", "right"]),
+)
+def test_certified_block_max_is_the_dense_max_bit_for_bit(data, width, rows, cols, nan):
+    left = data.draw(arrays(np.float64, (width, 3, rows), elements=_FACTOR))
+    right = data.draw(arrays(np.float64, (width, 3, cols), elements=_FACTOR))
+    if nan is not None:
+        target = left if nan == "left" else right
+        target[data.draw(st.tuples(*(st.integers(0, d - 1) for d in target.shape)))] = math.nan
+    got = equivalence._block_max(left, right)
+    want = np.array([np.abs(left[i].T @ right[i]).max() for i in range(width)])
+    assert got.shape == (width,)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[~np.isnan(got)].view(np.int64), want[~np.isnan(want)].view(np.int64))
+
+
+def test_wide_sweep_takes_no_dense_fallback(monkeypatch):
+    # on 64 -> [10, 256, 256] every 256-row block is certified from its 16
+    # rows of largest bound at every grid point; only the 10-row output
+    # block is multiplied out
+    dense = []
+    dense_max = equivalence._dense_max
+
+    def counted(left, right):
+        dense.append(left.shape[2])
+        return dense_max(left, right)
+
+    monkeypatch.setattr(equivalence, "_dense_max", counted)
+    shape = fp.NetworkShape(64, (10, 256, 256))
+    theta, x, y = fp.random_instance(shape, 601)
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12)
+    K = 100
+    fp.beta_sweep(theta, x, y, [1e-3, 5e-4, 2.5e-4], K, fp.LOGISTIC, cfg)
+    certified = equivalence._CERTIFIED_ROWS
+    assert sorted(set(dense)) == [10, certified]
+    assert dense.count(certified) == 2 * (K + 1)
 
 
 def test_beta_sweep_runs_one_side_process(converged, monkeypatch):

@@ -284,6 +284,31 @@ def test_stacked_force_columns_match_the_one_state_force(act, index):
         np.testing.assert_array_equal(force.rates[force.bounds[-1]:, c], act.f(x))
 
 
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", [0, 2, 4])
+def test_a_nudged_stack_takes_one_beta_per_column(act, index):
+    shape, theta, x, y = make_instance(index)
+    rng = np.random.default_rng(800 + index)
+    columns = [random_state(shape, rng) for _ in range(3)]
+    betas = np.array([0.7, 1e-3, 0.0])
+    stack = [np.stack(layers, axis=1) for layers in zip(*columns)]
+    force = fp.model.Force(theta, x, stack, act, y, betas)
+    g = force(fp.model.flatten(stack))
+    for c, s in enumerate(columns):
+        one = fp.model.Force(theta, x, s, act, y, betas[c])(fp.model.flatten(s))
+        assert np.max(np.abs(g[:, c] - one)) <= 1e-13 * np.max(np.abs(one))
+    # a one-column stack is the one-state force bit for bit
+    s = columns[0]
+    one = fp.model.Force(theta, x, s, act, y, 0.7)(fp.model.flatten(s))
+    column = [sk[:, None] for sk in s]
+    g1 = fp.model.Force(theta, x, column, act, y, betas[:1])(fp.model.flatten(column))
+    np.testing.assert_array_equal(g1[:, 0].view(np.int64), one.view(np.int64))
+    with pytest.raises(ShapeError, match=r"beta has shape \(2,\), expected \(\) or \(3,\)"):
+        fp.model.Force(theta, x, stack, act, y, betas[:2])
+    with pytest.raises(ShapeError, match="target has shape"):
+        fp.model.Force(theta, x, stack, act, np.append(y, 0.0), betas)
+
+
 def test_a_stack_needs_one_trailing_axis_on_every_layer():
     shape, theta, x, y = make_instance(2)
     stack = [np.zeros((d, 3)) for d in shape.layer_dims]
