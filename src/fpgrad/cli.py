@@ -295,6 +295,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"gradcheck supports methods rbp and eqprop, got '{method}'")
     if method == "eqprop":
         betas = _floats(cfg["method"]["betas"], "method.betas")
+        if not betas:
+            raise ConfigError("method.betas: betas must be non-empty")
         for beta in betas:
             if not 0 < beta < math.inf:
                 raise ConfigError(f"method.betas: betas must be positive and finite, got {beta}")
@@ -319,8 +321,9 @@ def cmd_gradcheck(args) -> int:
         reports.append(rep)
     else:
         errors = []
-        for beta in betas:
-            grad = corrupted(eqprop.eqprop_gradient(theta, x, y, beta, act, rcfg, s_free).grad)
+        # the betas' nudged phases relax as one stack, in the order given
+        for beta, est in zip(betas, eqprop.eqprop_gradients(theta, x, y, betas, act, rcfg, s_free)):
+            grad = corrupted(est.grad)
             rep = oracle.gradient_report(grad, reference.grad, _EQPROP_TOL, _EQPROP_FLOOR)
             rep.update(method="eqprop", beta=beta)
             errors.append(model.inf_norm([a - b for a, b in zip(grad, reference.grad)]))

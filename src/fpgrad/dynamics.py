@@ -11,7 +11,9 @@ Every integrator is one Euler loop (`_flow`) on the flat state, one
 float64 vector with the layers end to end (see `model.flatten`), under a
 force that maps such a vector to its flat drift, such as `model.Force`.
 Lists of per-layer arrays appear only at the boundary: the initial state
-in, the final state and the recorded snapshots out.
+in, the final state and the recorded snapshots out.  A stack of states,
+one per column, relaxes as one flow that freezes each column once it
+has converged (`relax_columns`): the oracle's probes and gradcheck's betas.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import contextvars
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, List
 
@@ -147,14 +149,15 @@ def relax_nudged(
     return relax(model.Force(theta, x, s_init, act, y, beta), s_init, cfg)
 
 
-def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int):
-    """The one Euler loop: yields (s_k, g_k, max|g_k|) for k = 0..n_steps,
-    g_k the force at s_k and s_{k+1} = s_k - eps * g_k.  s_k is a copy of
-    s_init updated in place (copy what you keep); g_k is fresh.  A
-    non-finite residual, the initial one included, raises DivergenceError
-    at its step.  numpy keeps its error state in a context variable: the
-    loop runs in a copy of the caller's context that ignores overflow (it
-    surfaces in the residual), so the setting never reaches the consumer."""
+def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int, norm=model.max_abs):
+    """The one Euler loop: yields (s_k, g_k, norm(g_k)) for k = 0..n_steps,
+    g_k the force at s_k and s_{k+1} = s_k - eps * g_k; `norm` may edit g_k.
+    s_k is a copy of s_init updated in place (copy what you keep); g_k is
+    fresh.  A non-finite residual, the initial one included, raises
+    DivergenceError at its step.  numpy keeps its error state in a context
+    variable: the loop runs in a copy of the caller's context that ignores
+    overflow (it surfaces in the residual), so the setting never reaches
+    the consumer."""
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if n_steps < 0:
@@ -165,7 +168,7 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int):
             if k:
                 s -= step_size * g
             g = force(s)
-            residual = float(np.abs(g).max())
+            residual = float(norm(g))
             # a non-finite component anywhere surfaces in the residual
             if not math.isfinite(residual):
                 raise DivergenceError(f"non-finite state at step {k}", step=k)
@@ -174,6 +177,30 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int):
     ctx = contextvars.copy_context()
     ctx.run(np.seterr, over="ignore", invalid="ignore")
     return iter(partial(ctx.run, next, euler(model.flatten(s_init))), None)
+
+
+def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: str, tolerance=None):
+    """The column-freezing relaxation: the flat (n, B) endpoint of a stack
+    of B states and each column's step count.  A column stops, as a serial
+    `relax` of it would, once max|g[:, j]| is within its tolerance (one per
+    column, default cfg.tolerance).  The column maxima, taken once a step,
+    give the flow's residual, 0 once no column moves; one still moving
+    after cfg.max_steps raises a ConvergenceError."""
+    steps = np.zeros(np.shape(stack[0])[1], dtype=int)
+    tol = np.broadcast_to(cfg.tolerance if tolerance is None else tolerance, steps.shape)
+
+    def moving(g):
+        col = np.maximum.reduce(np.abs(g), axis=0)
+        done = col <= tol  # never for a NaN, which then diverges
+        g[:, done] = col[done] = 0.0
+        np.add(steps, col > 0.0, out=steps)
+        return np.maximum.reduce(col)
+
+    for s, g, residual in _flow(force, stack, cfg.step_size, cfg.max_steps, moving):
+        if not residual:
+            return s, steps
+    worst = np.abs(g).max(axis=0).argmax()  # a moving column, past its tolerance
+    return settled_state(s, residual, replace(cfg, tolerance=float(tol[worst])), phase), steps
 
 
 def path(force: FlatForce, s_init: State, step_size: float, n_steps: int):

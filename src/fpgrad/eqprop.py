@@ -15,6 +15,8 @@ against the error-derivative side process.
 Every second phase, here and in `equivalence`, starts from one setup
 (`second_phase`); one run to a fixed horizon is one `dynamics._flow` under
 one nudged `model.Force`, which in a beta sweep has one column per beta.
+gradcheck's betas relax to their fixed points as such a stack too
+(`eqprop_gradients`), each column then certified by a serial phase.
 """
 
 from __future__ import annotations
@@ -142,12 +144,34 @@ def eqprop_gradient(
     tolerance tightened to beta * 1e-3.
     """
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
-    result = dynamics.relax_nudged(theta, x, y, beta, s_free, act, cfg)
-    s_nudged = dynamics.converged_state(result, cfg, "nudged phase")
     g_free = model.grad_theta_energy(theta, x, s_free, act)
+    return _nudged_estimate(theta, x, y, beta, s_free, act, cfg, g_free)
+
+
+def eqprop_gradients(theta: Params, x, y, betas, act: Activation, cfg: RelaxationConfig, s_free: State):
+    """`eqprop_gradient` of each beta, in the order given (repeats too),
+    from one free fixed point.  The nudged phases relax as one stack, a
+    beta per column, each to its beta's tolerance; a serial phase from each
+    column then certifies it, as the oracle certifies its probes.  A
+    column agrees with the serial estimate to rounding; one beta is it."""
+    cfgs = [tightened(cfg, beta) for beta in betas]
+    stack = [np.repeat(sk[:, None], len(cfgs), axis=1) for sk in s_free]
+    force = model.Force(theta, x, stack, act, y, betas)
+    ends, steps = dynamics.relax_columns(force, stack, cfg, "nudged phase", [c.tolerance for c in cfgs])
+    g_free = model.grad_theta_energy(theta, x, s_free, act)
+    return [
+        _nudged_estimate(theta, x, y, b, model.split(end, force.bounds), act, c, g_free, k)
+        for b, c, end, k in zip(betas, cfgs, ends.T, steps.tolist())
+    ]
+
+
+def _nudged_estimate(theta, x, y, beta, start: State, act, cfg, g_free: Params, steps=0):
+    """The two-point estimate from a nudged phase `steps` in at `start`."""
+    result = dynamics.relax_nudged(theta, x, y, beta, start, act, cfg)
+    s_nudged = dynamics.converged_state(result, cfg, "nudged phase")
     grad = _two_point_gradient(model.grad_theta_energy(theta, x, s_nudged, act), g_free, beta)
-    steps = result[1].steps_taken
-    return GradientEstimate(grad, "eqprop", cfg.step_size, beta, horizon_t=steps * cfg.step_size)
+    horizon = (steps + result[1].steps_taken) * cfg.step_size
+    return GradientEstimate(grad, "eqprop", cfg.step_size, beta, horizon_t=horizon)
 
 
 def truncated_eqprop_gradient(

@@ -76,7 +76,7 @@ def _dense_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d).max(axis=(1, 2))
 
 
-def _block_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _block_max(left: np.ndarray, right: np.ndarray, abs_left=None, max_right=None) -> np.ndarray:
     """`_dense_max` of one weight block, bit for bit.  Row i of
     left[i].T @ right[i] is bounded by ub_i = sum_r |left_ri| * max_j
     |right_rj|, and only the T = _CERTIFIED_ROWS rows of largest ub are
@@ -84,11 +84,14 @@ def _block_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     is at most the largest finite |entry| lb of those rows, or is 0 (every
     term of the other rows then rounds to 0), lb is the block's max.
     Otherwise (a NaN fails too), or with at most T rows, it is dense.
+    A caller may hold |left| and the (B, 1, 3) max_j |right_rj|.
     """
     m, top = left.shape[2], _CERTIFIED_ROWS
     if m <= top:
         return _dense_max(left, right)
-    ub = np.matmul(np.abs(right).max(axis=2)[:, None], np.abs(left))[:, 0]
+    if abs_left is None:
+        abs_left, max_right = np.abs(left), np.abs(right).max(axis=2)[:, None]
+    ub = np.matmul(max_right, abs_left)[:, 0]
     order = np.argpartition(ub, m - top - 1, axis=1)
     each = np.arange(len(ub))
     lb = _dense_max(left[each[:, None, None], np.arange(3)[:, None], order[:, None, m - top:]], right)
@@ -123,17 +126,26 @@ def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float, betas):
     # per beta, rows (u, rho*, drho/beta) and (rho*, u, drho), the second
     # padded with (rho(x), 0, 0) over the input: block (a, b) of beta i is
     # left[i, :, a:b].T @ right[i, :, b:c]
-    left, right = np.empty((len(betas), 3, n)), np.zeros((len(betas), 3, len(ops.rates)))
+    left, right = np.zeros((len(betas), 3, n)), np.zeros((len(betas), 3, len(ops.rates)))
     left[:, 1], right[:, 0] = rho, ops.rates
     u, drho_beta, drho = left[:, 0], left[:, 2], right[:, 2, :n]
-    blocks = [bounds[k : k + 3] for k in range(len(theta))]
+    # per block, its factors and `_block_max`'s |left| and max_j |right_rj|:
+    # the rows of rho* and of the rates, and right over the input (the last
+    # block), are fixed, so a step refreshes only the others
+    abs_left, spans = np.abs(left), [bounds[k : k + 3] for k in range(len(theta))]
+    blocks = [(left[:, :, a:b], right[:, :, b:c], abs_left[:, :, a:b],
+               np.abs(right[:, :, b:c]).max(axis=2)[:, None]) for a, b, c in spans]
+    moving = [(rt[:, 1:], mr[:, 0, 1:]) for lf, rt, _, mr in blocks[:-1] if lf.shape[2] > _CERTIFIED_ROWS]
 
     def gap(rho_k: np.ndarray, s_sum: np.ndarray) -> np.ndarray:
         np.subtract(rho_k.T, rho, out=drho)
         np.divide(drho, betas, out=drho_beta)
         np.add(drho_beta, eps_d1 * s_sum, out=u)
         right[:, 1, :n] = u
-        return np.max([_block_max(left[:, :, a:b], right[:, :, b:c]) for a, b, c in blocks], axis=0)
+        np.abs(left[:, ::2], out=abs_left[:, ::2])
+        for rt, max_right in moving:
+            np.maximum.reduce(np.abs(rt), axis=2, out=max_right)
+        return np.max([_block_max(*block) for block in blocks], axis=0)
 
     return gap
 

@@ -56,10 +56,11 @@ Params = List[np.ndarray]
 def _logistic(v):
     # e = exp(-|v|) never overflows, and 1/(1+e) for v >= 0, e/(1+e) below,
     # are bit for bit the two branches of the piecewise form; min(v, -v)
-    # gives -|v| while keeping the sign of a NaN, which -abs(v) would not
+    # gives -|v| while keeping the sign of a NaN, which -abs(v) would not;
+    # e <= 1, so max(e, v >= 0) is 1 for v >= 0 and e (a NaN too) below
     v = np.asarray(v, dtype=float)
     e = np.exp(np.minimum(v, -v))
-    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, v >= 0) / (1.0 + e)
 
 
 def _logistic_rate_slope(v):
@@ -247,6 +248,11 @@ def inf_norm(blocks) -> float:
     return float(np.max([np.max(np.abs(b)) for b in blocks]))
 
 
+def max_abs(v: np.ndarray):
+    """max|v|, NaN if v holds one, without `ndarray.max`'s Python wrapper."""
+    return np.maximum.reduce(np.abs(v), axis=None)
+
+
 def add_scaled(a, c: float, b):
     """Elementwise a + c*b over matching block lists."""
     return [ai + c * bi for ai, bi in zip(a, b)]
@@ -323,7 +329,8 @@ class Force:
     velocity of the free relaxation (no target) or of the nudged one.
 
     Built once per relaxation: the network is checked against the layout
-    of the state `s`, and the buffers are allocated.  `activate` evaluates
+    of the state `s`, the buffers are allocated and the weight matrices
+    bound (their entries may change in place).  `activate` evaluates
     the activation once over the whole state (`Activation.rate_slope`)
     into `rates`, whose tail holds rho(x), pinned, and `slopes`; a call
     activates, writes the drive into one buffer block by block (no dense
@@ -357,7 +364,10 @@ class Force:
         # the layers' rates, then the input's
         self.rate_layers = split(self.rates, bounds + [len(self.rates)])
         self.drive = np.empty((n,) + stack)
-        self._drive_layers = split(self.drive, bounds)
+        r, a = self.rate_layers, split(self.drive, bounds)
+        # (W_k, r_{k+1}, drive_k) and (W_k^T, r_k, drive_{k+1})
+        self._down = list(zip(theta, r[1:], a))
+        self._up = list(zip([w.T for w in theta[:-1]], r, a[1:]))
 
     def activate(self, s: np.ndarray) -> "Force":
         """The force, holding the rates and slopes of the flat state s."""
@@ -366,12 +376,11 @@ class Force:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         self.activate(s)
-        theta, rates = self.theta, self.rate_layers
-        # total synaptic input to each layer, W_k rho(next) + W_{k-1}^T rho(prev)
-        for k, a in enumerate(self._drive_layers):
-            np.dot(theta[k], rates[k + 1], out=a)
-            if k > 0:
-                a += np.dot(theta[k - 1].T, rates[k - 1])
+        # total synaptic input to each layer, W_k rho(next), then += W_{k-1}^T rho(prev)
+        for w, r, a in self._down:
+            np.dot(w, r, out=a)
+        for w, r, a in self._up:
+            a += np.dot(w, r)
         g = s - self.slopes * self.drive
         if self.y is not None:
             n = self.bounds[1]
@@ -485,22 +494,25 @@ class CurvatureOps(Force):
         super().__init__(theta, x, s, act)
         v = flatten(s)
         self(v)
-        self.d1 = split(self.slopes, self.bounds)
+        d1 = split(self.slopes, self.bounds)
         # curvature of the leak-plus-drive term, diagonal per layer
         self.d2_drive = act.d2f(v) * self.drive
+        # (rows of layer k, d1_k, W, the layer of d1 * v W couples to k)
+        rows = [slice(a, b) for a, b in zip(self.bounds, self.bounds[1:])]
+        self._dv = np.empty_like(v)
+        dv, inner = split(self._dv, self.bounds), list(enumerate(theta[:-1]))
+        self._coupling = [(rows[k], d1[k], w, dv[k + 1]) for k, w in inner] + [
+            (rows[k + 1], d1[k + 1], w.T, dv[k]) for k, w in inner]
 
     def apply_ss(self, v: np.ndarray) -> np.ndarray:
         """(d2E/ds2) . v for a flat direction v: diagonal curvature of each
         layer plus coupling through the weights to both neighbours (the
         clamped input carries no direction component)."""
-        theta, d1 = self.theta, self.d1
         h = v - self.d2_drive * v
-        dv = split(self.slopes * v, self.bounds)
-        for k, hk in enumerate(split(h, self.bounds)):
-            if k < len(theta) - 1:
-                hk -= d1[k] * (theta[k] @ dv[k + 1])
-            if k > 0:
-                hk -= d1[k] * (theta[k - 1].T @ dv[k - 1])
+        np.multiply(self.slopes, v, out=self._dv)
+        for rows, d1k, w, dv in self._coupling:
+            hk = h[rows]
+            hk -= d1k * (w @ dv)
         return h
 
 

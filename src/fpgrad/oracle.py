@@ -2,11 +2,11 @@
 
 These functions never call the analytic derivative being checked: the
 objective gradient is probed by re-relaxing the network under perturbed
-weights (all probes as one stack, each then certified by a serial
-relaxation), Hessian-vector products by differencing first derivatives, and
-the two structural identities (the backward equation of the projected
-cost, and the envelope derivative of the relaxed augmented energy) by
-direct evaluation.  Keeping this module self-contained is the point; do
+weights (all probes as one column-freezing stack, `dynamics.relax_columns`,
+each then certified by a serial relaxation), Hessian-vector products by
+differencing first derivatives, and the two structural identities (the
+backward equation of the projected cost, and the envelope derivative of
+the relaxed augmented energy) by direct evaluation.  Keeping this module self-contained is the point; do
 not "optimise" it by routing through the closed forms it exists to
 audit.  The one input it may take from the code under test is a free
 fixed point to start its reference relaxation from.  It relaxes from
@@ -92,15 +92,13 @@ def _relaxed_fixed_point(force, s_init, cfg):
 
 def _relaxed_stack(theta: Params, x, start: State, act: Activation, probes, cfg: RelaxationConfig):
     """The flat (N, B) endpoint of the B perturbed networks of `probes`,
-    relaxed as one stack from `start` through `dynamics._flow`.
+    relaxed as one stack from `start` by `dynamics.relax_columns`.
 
     Probe (k, i, j, d) adds d to W_k[i, j].  Every column shares the
     weight blocks of one stacked `model.Force`, and its own force is the
     shared one less slopes * the rank-one change of its drive: d * rho_j
     in drive_k[i] and, unless layer k + 1 is the input, d * rho_i in
-    drive_{k+1}[j].  A column whose residual is within tolerance gets no
-    drift, so it stops updating as a serial probe would; a non-finite
-    column never does, and diverges.
+    drive_{k+1}[j].
     """
     width = len(probes)
     stack = [np.repeat(sk[:, None], width, axis=1) for sk in start]
@@ -114,18 +112,14 @@ def _relaxed_stack(theta: Params, x, start: State, act: Activation, probes, cfg:
     cols = np.concatenate([cols, cols[inner]])
     at = np.concatenate([rows_i, rows_j[inner]]) * width + cols
     rate_at = np.concatenate([rows_j, rows_i[inner]]) * width + cols
-    d = np.concatenate([d, d[inner]])
+    d, rates = np.concatenate([d, d[inner]]), shared.rates.ravel()
 
     def force(s):
         g = shared(s)
-        g.ravel()[at] -= shared.slopes.ravel()[at] * d * shared.rates.ravel()[rate_at]
-        g[:, np.abs(g).max(axis=0) <= cfg.tolerance] = 0.0
+        g.ravel()[at] -= shared.slopes.ravel()[at] * d * rates[rate_at]
         return g
 
-    for s, _, residual in dynamics._flow(force, stack, cfg.step_size, cfg.max_steps):
-        if residual <= cfg.tolerance:
-            break
-    return dynamics.settled_state(s, residual, cfg, "oracle relaxation")
+    return dynamics.relax_columns(force, stack, cfg, "oracle relaxation")[0]
 
 
 def fd_objective_gradient(
@@ -172,7 +166,7 @@ def fd_objective_gradient(
     force = model.Force(probed, x, s_init, act)
     s0 = _relaxed_fixed_point(force, s_init, tight)
     start = s0 if fd.warm_start else zero
-    bounds = model.layer_bounds(s0)
+    bounds, s0_flat = model.layer_bounds(s0), model.flatten(s0)
     probes = [
         (k, i, j, sign * fd.delta)
         for k, w in enumerate(theta)
@@ -187,7 +181,7 @@ def fd_objective_gradient(
             probed[k][i, j] = theta[k][i, j] + d
             sp = _relaxed_fixed_point(force, model.split(ends[:, c], bounds), tight)
             probed[k][i, j] = theta[k][i, j]
-            drift = model.inf_norm([a - b for a, b in zip(sp, s0)])
+            drift = model.max_abs(model.flatten(sp) - s0_flat)
             if drift > BASIN_JUMP_THRESHOLD:
                 raise BasinJumpError(
                     f"perturbed relaxation settled {drift:.3f} away from the "

@@ -18,6 +18,7 @@ that sum (`SideProcess`, built from a pair).  Every side-process path, from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -175,14 +176,14 @@ def rbp_gradient(
         s_free = _free_fixed_point(theta, x, act, cfg)
     p = SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
     p.check_finite()
-    norm = float(np.abs(p.s_bar).max())
+    norm = float(model.max_abs(p.s_bar))
     rising = steps = 0
     while norm > cfg.tolerance and steps < cfg.max_steps:
         if record is not None:
             delta = eps * model.inf_norm(p.mixed(p.s_bar))
         p.advance()
-        new_norm = float(np.abs(p.s_bar).max())
-        if not np.isfinite(new_norm):
+        new_norm = float(model.max_abs(p.s_bar))
+        if not math.isfinite(new_norm):
             raise DivergenceError(f"non-finite side process at t={p.t!r}")
         if record is not None:
             record.append((p.t, new_norm, delta))

@@ -176,6 +176,38 @@ def test_gradcheck_eqprop_beta_pair_reports_scaling(ws):
     assert 1.5 <= ratio <= 2.5
 
 
+@pytest.mark.parametrize("betas", ["1e-4,2e-4", "2e-4,2e-4"], ids=["increasing", "repeated"])
+def test_gradcheck_takes_betas_in_the_order_given(ws, betas):
+    # gradcheck, unlike a sweep, accepts any order and repeats
+    cfg = write_config(ws, BASE_CONFIG)
+    argv = ["gradcheck", "--config", cfg, "--method", "eqprop", "--beta", betas, "--out", "out"]
+    assert main(argv) == 0
+    reports = json.loads((ws / "out" / "gradcheck_report.json").read_text())["reports"]
+    given = [float(b) for b in betas.split(",")]
+    assert [r.get("beta") for r in reports[:2]] == given
+    assert reports[2]["betas"] == given
+    assert all(r["passed"] for r in reports[:2])
+    if given[0] == given[1]:
+        assert reports[0]["blocks"] == reports[1]["blocks"]
+        assert reports[2]["error_ratios"] == [1.0]
+
+
+def test_one_beta_gradcheck_is_the_serial_estimate_byte_for_byte(ws, monkeypatch, capsys):
+    cfg = write_config(ws, BASE_CONFIG)
+    argv = ["gradcheck", "--config", cfg, "--method", "eqprop", "--beta", "1e-4", "--out"]
+    assert main(argv + ["stacked"]) == 0
+    stacked = capsys.readouterr().out
+
+    def serial(theta, x, y, betas, act, rcfg, s_free):
+        return [fp.eqprop_gradient(theta, x, y, b, act, rcfg, s_free) for b in betas]
+
+    monkeypatch.setattr(fp.eqprop, "eqprop_gradients", serial)
+    assert main(argv + ["serial"]) == 0
+    assert capsys.readouterr().out == stacked.replace("stacked", "serial")
+    report = "gradcheck_report.json"
+    assert (ws / "stacked" / report).read_bytes() == (ws / "serial" / report).read_bytes()
+
+
 def _hard_sigmoid_gradcheck(ws, *extra):
     # under the hard sigmoid the zero state is a fixed point that the
     # weights cannot move, so the fd reference is identically zero
@@ -423,6 +455,8 @@ def _with(cfg, key, value):
          _with(BASE_CONFIG, "method.delta", float("inf"))),
         (["gradcheck", "--method", "eqprop", "--beta", "inf"],
          "betas must be positive and finite, got inf", BASE_CONFIG),
+        (["gradcheck", "--method", "eqprop"], "method.betas: betas must be non-empty",
+         _with(BASE_CONFIG, "method.betas", [])),
         (["equivalence", "--beta", "inf"], "method.betas: betas must be finite, got inf",
          BASE_CONFIG),
         (["sweep"], "method.betas: betas must be finite, got inf",
@@ -435,7 +469,7 @@ def _with(cfg, key, value):
     ],
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
          "step-size-config", "step-size-flag", "tolerance-nan", "delta-inf",
-         "gradcheck-beta-inf", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
+         "gradcheck-beta-inf", "gradcheck-betas-empty", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
          "train-beta-inf", "learning-rate-nan"],
 )
 def test_out_of_range_values_exit_2_without_traceback(ws, argv, message, cfg):

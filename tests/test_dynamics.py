@@ -444,3 +444,67 @@ def test_kept_states_are_distinct_arrays(seeded_net):
     assert not np.shares_memory(s[0], traj.states[-1][0])
     _assert_same_bits(s, traj.states[-1])
     _assert_same_bits(paths[-1], s)
+
+
+def _stack_of(s, width):
+    return [np.repeat(sk[:, None], width, axis=1) for sk in s]
+
+
+def test_stacked_columns_stop_at_their_serial_step_counts(seeded_net, tight_cfg):
+    # one beta per column, each column to its own tolerance
+    shape, theta, x, y, act = seeded_net
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, tight_cfg)
+    betas, tolerances = [1e-3, 1e-4, 1e-2], [1e-12, 1e-9, 1e-6]
+    stack = _stack_of(s0, 3)
+    force = fp.model.Force(theta, x, stack, act, y, betas)
+    ends, steps = fp.dynamics.relax_columns(force, stack, tight_cfg, "nudged phase", tolerances)
+    assert ends.shape == (sum(shape.layer_dims), 3)
+    for j, (beta, tol) in enumerate(zip(betas, tolerances)):
+        cfg = fp.RelaxationConfig(tolerance=tol)
+        s, traj = fp.relax_nudged(theta, x, y, beta, s0, act, cfg)
+        assert steps[j] == traj.steps_taken > 0
+        assert np.max(np.abs(ends[:, j] - fp.model.flatten(s))) <= 1e-12
+
+
+def test_an_unconverged_stack_names_a_moving_column(seeded_net, tight_cfg):
+    shape, theta, x, y, act = seeded_net
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, tight_cfg)
+    stack = _stack_of(s0, 2)
+    force = fp.model.Force(theta, x, stack, act, y, [1e-3, 1e-3])
+    short = fp.RelaxationConfig(tolerance=1e-12, max_steps=5)
+    with pytest.raises(ConvergenceError) as e:
+        # the first column is settled at 1, the second moves at 1e-12
+        fp.dynamics.relax_columns(force, stack, short, "nudged phase", [1.0, 1e-12])
+    assert re.fullmatch(
+        r"nudged phase did not converge within 5 steps \(residual \S+ > tolerance 1e-12\)",
+        str(e.value),
+    ), str(e.value)
+
+
+def _poisoned(force, at, column=None):
+    """force, with a NaN in its result at its evaluation number `at` (in
+    `column` of a stack)."""
+    calls = []
+
+    def poisoned(s):
+        g = force(s)
+        calls.append(1)
+        if len(calls) == at + 1:
+            g[(..., column) if column is not None else 0] = np.nan
+        return g
+
+    return poisoned
+
+
+@pytest.mark.parametrize("step", [0, 1, 7])
+def test_a_nan_force_diverges_at_its_step(seeded_net, tight_cfg, step):
+    shape, theta, x, y, act = seeded_net
+    one = _poisoned(fp.model.Force(theta, x, shape.zero_state(), act), step)
+    with pytest.raises(DivergenceError, match=f"at step {step}") as err:
+        fp.dynamics.relax(one, shape.zero_state(), tight_cfg)
+    assert err.value.step == step
+    stack = _stack_of(shape.zero_state(), 3)
+    many = _poisoned(fp.model.Force(theta, x, stack, act), step, column=1)
+    with pytest.raises(DivergenceError, match=f"at step {step}") as err:
+        fp.dynamics.relax_columns(many, stack, tight_cfg, "stack")
+    assert err.value.step == step

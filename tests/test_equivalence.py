@@ -329,6 +329,27 @@ def test_certified_block_max_is_the_dense_max_bit_for_bit(data, width, rows, col
     assert np.array_equal(got[~np.isnan(got)].view(np.int64), want[~np.isnan(want)].view(np.int64))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    width=st.integers(1, 3),
+    rows=st.integers(17, 48),
+    cols=st.integers(1, 24),
+    pad=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+)
+def test_certified_block_max_from_held_factors_is_bit_for_bit(data, width, rows, cols, pad):
+    # as `_theta_gap` holds them: |left| a view of the whole state's, and
+    # max|right| along a row a (B, 1, 3) view
+    before, after = pad
+    wide = data.draw(arrays(np.float64, (width, 3, before + rows + after), elements=_FACTOR))
+    left = wide[:, :, before:before + rows]
+    right = data.draw(arrays(np.float64, (width, 3, cols), elements=_FACTOR))
+    held = np.abs(wide)[:, :, before:before + rows], np.abs(right).max(axis=2)[:, None]
+    got = equivalence._block_max(left, right, *held)
+    want = equivalence._block_max(left, right)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_wide_sweep_takes_no_dense_fallback(monkeypatch):
     # on 64 -> [10, 256, 256] every 256-row block is certified from its 16
     # rows of largest bound at every grid point; only the 10-row output

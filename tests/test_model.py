@@ -108,6 +108,28 @@ def test_logistic_equals_piecewise_form_bit_for_bit():
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _where_logistic(v):
+    """The `np.where` form that `_logistic` replaced."""
+    v = np.asarray(v, dtype=float)
+    e = np.exp(np.minimum(v, -v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(
+    st.one_of(
+        st.integers(0, 2**64 - 1),  # any double, NaN payloads of both signs included
+        st.sampled_from([0x7FF8000000000001, 0xFFF0000000000001, 0x8000000000000000, 1]),
+    ),
+    min_size=1, max_size=40,
+))
+def test_logistic_equals_the_where_form_bit_for_bit(bits):
+    v = np.array(bits, dtype=np.uint64).view(np.float64)
+    with np.errstate(invalid="ignore"):
+        got, want = fp.model._logistic(v), _where_logistic(v)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0])
 
 
