@@ -150,6 +150,9 @@ def _number(cfg, key: str, kind=float):
 def _apply_overrides(cfg, args) -> None:
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
+    cfg["seed"] = _number(cfg, "seed", int)
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
     if getattr(args, "dataset", None) is not None:
         if not os.path.exists(args.dataset):
             raise ConfigError(f"missing dataset file: {args.dataset}")
@@ -218,7 +221,7 @@ def _resolve_network(cfg, args):
         return shape, model.get_activation(act_name), theta
     shape = _shape(cfg)
     act = model.get_activation(cfg["activation"])
-    theta = model.init_params(shape, np.random.default_rng(_number(cfg, "seed", int)))
+    theta = model.init_params(shape, np.random.default_rng(cfg["seed"]))
     return shape, act, theta
 
 
@@ -227,7 +230,7 @@ def _resolve_data_point(cfg, shape):
     if cfg["dataset"] is not None:
         ds = training.load_dataset(cfg["dataset"], shape)
         return ds.samples[0].x, ds.samples[0].y
-    return model.random_instance(shape, _number(cfg, "seed", int))[1:]
+    return model.random_instance(shape, cfg["seed"])[1:]
 
 
 def _out_path(args, name: str) -> str:
@@ -482,7 +485,7 @@ def cmd_train(args) -> int:
             learning_rates=cfg["train"]["learning_rates"],
             epochs=_number(cfg, "train.epochs", int),
             relaxation=_relaxation(cfg),
-            seed=_number(cfg, "seed", int),
+            seed=cfg["seed"],
             persistent_state=bool(cfg["train"]["persistent_state"]),
         )
     except (TypeError, ValueError) as e:

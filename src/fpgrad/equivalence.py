@@ -14,12 +14,11 @@ s_bar and the running sum of s_bar (its Neumann-series form, see
 `rbp.SideProcess`), and both theta_bar and theta_tilde are sums of a few
 outer products of state-sized vectors per weight block, so their
 difference is formed from state-sized factors and reduced to its norm
-block by block (`_theta_gap`).  A block's norm is read from the products
-of its rows of largest bound only, where the bound certifies that no
-other row holds a larger entry (`_block_max`).  The side process does
-not depend on beta: after the shared setup (`eqprop.second_phase`),
-every comparison zips one `rbp.SideProcess` behind one nudged flow whose
-state stacks its betas as columns.
+block by block (`_theta_gap`).  A bound on each block, then one on each
+row, certifies which products need multiplying out (`_blocks_max`).  The
+side process does not depend on beta: after the shared setup
+(`eqprop.second_phase`), every comparison zips one `rbp.SideProcess`
+behind one nudged flow whose state stacks its betas as columns.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ def error_process_path(theta: Params, x, y, s_star: State, act: Activation, step
     return s_bars, theta_bars
 
 
-# `_block_max` multiplies out this many rows of a block with more; its
-# margins cover the rounding of the row bounds and of the k = 3 products,
-# relative, and their underflow, absolute
+# `_block_max` multiplies out this many rows of a block with more; the
+# margins cover the rounding of the row and block bounds and of the k = 3
+# products, relative, and their underflow, absolute
 _CERTIFIED_ROWS, _MARGIN, _TINY = 16, 1e-12, 16 * np.nextafter(0.0, 1.0)
 
 
@@ -76,7 +75,7 @@ def _dense_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d).max(axis=(1, 2))
 
 
-def _block_max(left: np.ndarray, right: np.ndarray, abs_left=None, max_right=None) -> np.ndarray:
+def _block_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """`_dense_max` of one weight block, bit for bit.  Row i of
     left[i].T @ right[i] is bounded by ub_i = sum_r |left_ri| * max_j
     |right_rj|, and only the T = _CERTIFIED_ROWS rows of largest ub are
@@ -84,14 +83,11 @@ def _block_max(left: np.ndarray, right: np.ndarray, abs_left=None, max_right=Non
     is at most the largest finite |entry| lb of those rows, or is 0 (every
     term of the other rows then rounds to 0), lb is the block's max.
     Otherwise (a NaN fails too), or with at most T rows, it is dense.
-    A caller may hold |left| and the (B, 1, 3) max_j |right_rj|.
     """
     m, top = left.shape[2], _CERTIFIED_ROWS
     if m <= top:
         return _dense_max(left, right)
-    if abs_left is None:
-        abs_left, max_right = np.abs(left), np.abs(right).max(axis=2)[:, None]
-    ub = np.matmul(max_right, abs_left)[:, 0]
+    ub = np.matmul(np.abs(right).max(axis=2)[:, None], np.abs(left))[:, 0]
     order = np.argpartition(ub, m - top - 1, axis=1)
     each = np.arange(len(ub))
     lb = _dense_max(left[each[:, None, None], np.arange(3)[:, None], order[:, None, m - top:]], right)
@@ -102,7 +98,23 @@ def _block_max(left: np.ndarray, right: np.ndarray, abs_left=None, max_right=Non
     return lb
 
 
-def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float, betas):
+def _blocks_max(left: np.ndarray, right: np.ndarray, bounds: list) -> np.ndarray:
+    """max over blocks k of `_dense_max(left[:, :, a:b], right[:, :, b:c])`,
+    (a, b, c) = bounds[k : k + 3], bit for bit.  By decreasing block bound
+    sum_r max|left_r| * max|right_r| (NaN or inf with such a factor), a
+    block skips `_block_max` if that is 0 or, widened, at most a finite running max."""
+    bound = np.add.reduce(np.maximum.reduceat(np.abs(left), bounds[:-2], axis=2)
+                          * np.maximum.reduceat(np.abs(right), bounds[1:-1], axis=2), axis=1)
+    top, wide, held = np.zeros(len(left)), bound * (1.0 + _MARGIN) + _TINY, bound == 0
+    for k in np.argsort(-bound.max(axis=0)):
+        if not held[:, k].all():
+            a, b, c = bounds[k : k + 3]
+            np.maximum(top, _block_max(left[:, :, a:b], right[:, :, b:c]), out=top)
+            held |= (wide <= top[:, None]) & (top[:, None] < np.inf)
+    return top
+
+
+def _theta_gap(ops: model.CurvatureOps, step_size: float, betas):
     """The map (rho_k, S_k) -> ||theta_tilde_k - theta_bar_k||_inf, one
     per beta, with rho_k the (n, B) firing rates of the k-th nudged states
     of the B betas and S_k the sum of the first k s_bar; `ops` holds the
@@ -117,8 +129,8 @@ def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float, betas):
     since the quadratic cost has no weight term: theta_bar_0 = 0 and the
     readout has no dC/dW part.  Over the input, which moves with neither
     process, u_b and drho_b are zero.  The cancellation between the two
-    processes happens in the state-sized u and drho; `_block_max` reduces
-    each block's (m x 3) @ (3 x c) product of per-beta factors.
+    processes happens in the state-sized u and drho; `_blocks_max` reduces
+    the blocks' (m x 3) @ (3 x c) products of per-beta factors.
     """
     rho, bounds = ops.rho, ops.bounds + [len(ops.rates)]
     n, betas = len(rho), np.asarray(betas, dtype=float)[:, None]
@@ -129,23 +141,13 @@ def _theta_gap(theta: Params, ops: model.CurvatureOps, step_size: float, betas):
     left, right = np.zeros((len(betas), 3, n)), np.zeros((len(betas), 3, len(ops.rates)))
     left[:, 1], right[:, 0] = rho, ops.rates
     u, drho_beta, drho = left[:, 0], left[:, 2], right[:, 2, :n]
-    # per block, its factors and `_block_max`'s |left| and max_j |right_rj|:
-    # the rows of rho* and of the rates, and right over the input (the last
-    # block), are fixed, so a step refreshes only the others
-    abs_left, spans = np.abs(left), [bounds[k : k + 3] for k in range(len(theta))]
-    blocks = [(left[:, :, a:b], right[:, :, b:c], abs_left[:, :, a:b],
-               np.abs(right[:, :, b:c]).max(axis=2)[:, None]) for a, b, c in spans]
-    moving = [(rt[:, 1:], mr[:, 0, 1:]) for lf, rt, _, mr in blocks[:-1] if lf.shape[2] > _CERTIFIED_ROWS]
 
     def gap(rho_k: np.ndarray, s_sum: np.ndarray) -> np.ndarray:
         np.subtract(rho_k.T, rho, out=drho)
         np.divide(drho, betas, out=drho_beta)
         np.add(drho_beta, eps_d1 * s_sum, out=u)
         right[:, 1, :n] = u
-        np.abs(left[:, ::2], out=abs_left[:, ::2])
-        for rt, max_right in moving:
-            np.maximum.reduce(np.abs(rt), axis=2, out=max_right)
-        return np.max([_block_max(*block) for block in blocks], axis=0)
+        return _blocks_max(left, right, bounds)
 
     return gap
 
@@ -179,7 +181,7 @@ def beta_sweep(
     betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
     eps = cfg.step_size
     side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
-    theta_gap = _theta_gap(theta, side.curvature, eps, betas)
+    theta_gap = _theta_gap(side.curvature, eps, betas)
     stack = [np.repeat(sk[:, None], len(betas), axis=1) for sk in s_free]
     force = model.Force(theta, x, stack, act, y, betas)
     # per grid point and beta: s gap, theta gap, ||s_bar||, ||s_tilde||

@@ -466,11 +466,19 @@ def _with(cfg, key, value):
         (["train", "--beta", "inf"], "requires a finite beta > 0", XOR_CONFIG),
         (["train"], "learning rates must be finite and non-negative",
          _with(XOR_CONFIG, "train.learning_rates", float("nan"))),
+        # a negative seed, from the flag or from the config
+        (["relax", "--x", "0,0", "--seed", "-1"], "seed must be a non-negative integer, got -1",
+         BASE_CONFIG),
+        (["train", "--seed", "-1"], "seed must be a non-negative integer, got -1", XOR_CONFIG),
+        (["gradcheck", "--method", "rbp"], "seed must be a non-negative integer, got -5",
+         dict(BASE_CONFIG, seed=-5)),
+        (["sweep"], "seed must be a non-negative integer, got -5", dict(BASE_CONFIG, seed=-5)),
     ],
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
          "step-size-config", "step-size-flag", "tolerance-nan", "delta-inf",
          "gradcheck-beta-inf", "gradcheck-betas-empty", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
-         "train-beta-inf", "learning-rate-nan"],
+         "train-beta-inf", "learning-rate-nan", "relax-seed-flag", "train-seed-flag",
+         "gradcheck-seed-config", "sweep-seed-config"],
 )
 def test_out_of_range_values_exit_2_without_traceback(ws, argv, message, cfg):
     if argv[0] == "train":

@@ -329,47 +329,88 @@ def test_certified_block_max_is_the_dense_max_bit_for_bit(data, width, rows, col
     assert np.array_equal(got[~np.isnan(got)].view(np.int64), want[~np.isnan(want)].view(np.int64))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     width=st.integers(1, 3),
-    rows=st.integers(17, 48),
-    cols=st.integers(1, 24),
-    pad=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    sizes=st.lists(st.sampled_from([1, 3, 10, 16, 17, 24, 40]), min_size=2, max_size=4),
+    poisons=st.lists(st.sampled_from(["nan", "inf", "inf facing a zero"]), max_size=2),
 )
-def test_certified_block_max_from_held_factors_is_bit_for_bit(data, width, rows, cols, pad):
-    # as `_theta_gap` holds them: |left| a view of the whole state's, and
-    # max|right| along a row a (B, 1, 3) view
-    before, after = pad
-    wide = data.draw(arrays(np.float64, (width, 3, before + rows + after), elements=_FACTOR))
-    left = wide[:, :, before:before + rows]
-    right = data.draw(arrays(np.float64, (width, 3, cols), elements=_FACTOR))
-    held = np.abs(wide)[:, :, before:before + rows], np.abs(right).max(axis=2)[:, None]
-    got = equivalence._block_max(left, right, *held)
-    want = equivalence._block_max(left, right)
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+def test_blocks_max_is_the_max_of_dense_block_maxima_bit_for_bit(data, width, sizes, poisons):
+    # blocks of at most 16 rows and of more, some scaled down or to zero so
+    # that their bound falls under the others' max; a NaN or an inf goes in
+    # any block, one whose bound alone would skip it included, and an inf
+    # facing a zero makes a NaN entry
+    bounds = np.cumsum([0] + sizes).tolist()
+    left = data.draw(arrays(np.float64, (width, 3, bounds[-2]), elements=_FACTOR))
+    right = data.draw(arrays(np.float64, (width, 3, bounds[-1]), elements=_FACTOR))
+    spans = [bounds[k : k + 3] for k in range(len(sizes) - 1)]
+    for a, b, _ in spans:
+        left[:, :, a:b] *= data.draw(st.sampled_from([1.0, 1e-3, 0.0]))
+    for poison in poisons:
+        a, b, c = data.draw(st.sampled_from(spans))
+        i, r = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, 2))
+        left[i, r, data.draw(st.integers(a, b - 1))] = math.nan if poison == "nan" else math.inf
+        if poison == "inf facing a zero":
+            right[i, r, data.draw(st.integers(b, c - 1))] = 0.0
+    with np.errstate(invalid="ignore"):
+        got = equivalence._blocks_max(left, right, bounds)
+        want = np.max([equivalence._dense_max(left[:, :, a:b], right[:, :, b:c]) for a, b, c in spans], axis=0)
+    assert got.shape == (width,)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[~np.isnan(got)].view(np.int64), want[~np.isnan(want)].view(np.int64))
+
+
+@pytest.mark.parametrize("nan_block", [0, 1])
+def test_blocks_max_never_skips_while_the_running_max_is_infinite(nan_block):
+    # both blocks' bounds are inf: one block's max is inf, and the other
+    # holds an inf facing a zero, a NaN entry; in either order of visit,
+    # the NaN is found
+    bounds = [0, 2, 4, 6]
+    left, right = np.ones((1, 3, 4)), np.ones((1, 3, 6))
+    left[0, 0, bounds[0]] = left[0, 0, bounds[1]] = math.inf
+    right[0, 0, bounds[nan_block + 1]] = 0.0
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(equivalence._blocks_max(left, right, bounds)).all()
+
+
+def _count_block_max(monkeypatch):
+    """The row count of each block that reaches `_block_max`."""
+    rows = []
+    block_max = equivalence._block_max
+
+    def counted(left, right):
+        rows.append(left.shape[2])
+        return block_max(left, right)
+
+    monkeypatch.setattr(equivalence, "_block_max", counted)
+    return rows
 
 
 def test_wide_sweep_takes_no_dense_fallback(monkeypatch):
-    # on 64 -> [10, 256, 256] every 256-row block is certified from its 16
-    # rows of largest bound at every grid point; only the 10-row output
-    # block is multiplied out
-    dense = []
-    dense_max = equivalence._dense_max
-
-    def counted(left, right):
-        dense.append(left.shape[2])
-        return dense_max(left, right)
-
-    monkeypatch.setattr(equivalence, "_dense_max", counted)
+    # on 64 -> [10, 256, 256] the bound of each 256-row block certifies it
+    # below the output block's max at every grid point, so only the 10-row
+    # output block is multiplied out, once per step; at step 0 every
+    # factor but rho* is zero, so every block's bound is 0
+    rows = _count_block_max(monkeypatch)
     shape = fp.NetworkShape(64, (10, 256, 256))
     theta, x, y = fp.random_instance(shape, 601)
     cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12)
     K = 100
     fp.beta_sweep(theta, x, y, [1e-3, 5e-4, 2.5e-4], K, fp.LOGISTIC, cfg)
-    certified = equivalence._CERTIFIED_ROWS
-    assert sorted(set(dense)) == [10, certified]
-    assert dense.count(certified) == 2 * (K + 1)
+    assert rows == [10] * K
+
+
+def test_wide_sweep_with_multiplied_out_blocks_is_the_serial_sweep(monkeypatch, tight_cfg):
+    # under tanh at seed 602 the block bounds skip most 256-row blocks but
+    # not all: both branches give the dense value bit for bit
+    rows = _count_block_max(monkeypatch)
+    shape = fp.NetworkShape(64, (10, 256, 256))
+    theta, x, y = fp.random_instance(shape, 602)
+    K = 60
+    rep = fp.compare_processes(theta, x, y, 1e-3, K, fp.TANH, tight_cfg)
+    assert 0 < rows.count(256) < 2 * K
+    assert rep == _serial_sweep_reference(theta, x, y, [1e-3], K, fp.TANH, tight_cfg)[0]
 
 
 def test_beta_sweep_runs_one_side_process(converged, monkeypatch):
