@@ -372,7 +372,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _run_sweep(cfg, args):
+def _run_sweep(cfg, args, fit_slope=False):
     shape, act, theta = _resolve_network(cfg, args)
     x, y = _resolve_data_point(cfg, shape)
     rcfg = _relaxation(cfg)
@@ -381,6 +381,8 @@ def _run_sweep(cfg, args):
         eqprop.check_betas(betas)
     except ValueError as e:
         raise ConfigError(f"method.betas: {e}") from None
+    if fit_slope and len(set(betas)) < 2:
+        raise ConfigError("method.betas: equivalence needs at least two distinct betas to fit a slope")
     num_steps = _number(cfg, "method.num_steps", int)
     if num_steps < 0:
         raise ConfigError(f"method.num_steps must be >= 0, got {num_steps}")
@@ -405,7 +407,7 @@ def cmd_equivalence(args) -> int:
     threshold = _number(cfg, "method.gap_threshold")
     if not 0 <= threshold < math.inf:
         raise ConfigError(f"method.gap_threshold must be finite and >= 0, got {threshold}")
-    reports, paths, rcfg = _run_sweep(cfg, args)
+    reports, paths, rcfg = _run_sweep(cfg, args, fit_slope=True)
     summary = equivalence.summarize(reports)
     tol = eqprop.tightened(rcfg, min(r.beta for r in reports)).tolerance
     if all(_degenerate(r, tol) for r in reports):

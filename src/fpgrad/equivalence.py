@@ -18,7 +18,8 @@ block by block (`_theta_gap`).  A bound on each block, then one on each
 row, certifies which products need multiplying out (`_blocks_max`).  The
 side process does not depend on beta: after the shared setup
 (`eqprop.second_phase`), every comparison zips one `rbp.SideProcess`
-behind one nudged flow whose state stacks its betas as columns.
+behind one nudged flow whose state stacks its betas as columns, and
+reduces the gaps of a window of `_WINDOW` grid points in one batch.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def error_process_path(theta: Params, x, y, s_star: State, act: Activation, step
 # margins cover the rounding of the row and block bounds and of the k = 3
 # products, relative, and their underflow, absolute
 _CERTIFIED_ROWS, _MARGIN, _TINY = 16, 1e-12, 16 * np.nextafter(0.0, 1.0)
+# grid points per batch of `beta_sweep`'s gaps: more save little time and cost memory
+_WINDOW = 4
 
 
 def _dense_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -102,23 +105,26 @@ def _blocks_max(left: np.ndarray, right: np.ndarray, bounds: list) -> np.ndarray
     """max over blocks k of `_dense_max(left[:, :, a:b], right[:, :, b:c])`,
     (a, b, c) = bounds[k : k + 3], bit for bit.  By decreasing block bound
     sum_r max|left_r| * max|right_r| (NaN or inf with such a factor), a
-    block skips `_block_max` if that is 0 or, widened, at most a finite running max."""
+    block skips `_block_max` in each row where that is 0 or, widened, at
+    most a finite running max; only the other rows are multiplied out."""
     bound = np.add.reduce(np.maximum.reduceat(np.abs(left), bounds[:-2], axis=2)
                           * np.maximum.reduceat(np.abs(right), bounds[1:-1], axis=2), axis=1)
     top, wide, held = np.zeros(len(left)), bound * (1.0 + _MARGIN) + _TINY, bound == 0
     for k in np.argsort(-bound.max(axis=0)):
-        if not held[:, k].all():
+        rows = np.flatnonzero(~held[:, k])
+        if len(rows):
             a, b, c = bounds[k : k + 3]
-            np.maximum(top, _block_max(left[:, :, a:b], right[:, :, b:c]), out=top)
+            top[rows] = np.maximum(top[rows], _block_max(left[rows, :, a:b], right[rows, :, b:c]))
             held |= (wide <= top[:, None]) & (top[:, None] < np.inf)
     return top
 
 
 def _theta_gap(ops: model.CurvatureOps, step_size: float, betas):
-    """The map (rho_k, S_k) -> ||theta_tilde_k - theta_bar_k||_inf, one
-    per beta, with rho_k the (n, B) firing rates of the k-th nudged states
-    of the B betas and S_k the sum of the first k s_bar; `ops` holds the
-    rates and slopes at the free point.
+    """The map (rho, S) -> ||theta_tilde_k - theta_bar_k||_inf of w grid
+    points and B betas, a (w, B) array, with rho the (w, B, n) firing rates
+    of the grid points' nudged states, one row per beta, and S the (w, n)
+    sums S_k of the first k s_bar; `ops` holds the rates and slopes at the
+    free point.
 
     For the block of layers a and b (b the clamped input for the last
     block), with rho* and d1* the rates and slopes at the free point,
@@ -129,25 +135,29 @@ def _theta_gap(ops: model.CurvatureOps, step_size: float, betas):
     since the quadratic cost has no weight term: theta_bar_0 = 0 and the
     readout has no dC/dW part.  Over the input, which moves with neither
     process, u_b and drho_b are zero.  The cancellation between the two
-    processes happens in the state-sized u and drho; `_blocks_max` reduces
-    the blocks' (m x 3) @ (3 x c) products of per-beta factors.
+    processes happens in the state-sized u and drho; one `_blocks_max`
+    call reduces the blocks' (m x 3) @ (3 x c) products of the w * B
+    (grid point, beta) factors.
     """
     rho, bounds = ops.rho, ops.bounds + [len(ops.rates)]
     n, betas = len(rho), np.asarray(betas, dtype=float)[:, None]
     eps_d1 = step_size * ops.slopes
-    # per beta, rows (u, rho*, drho/beta) and (rho*, u, drho), the second
-    # padded with (rho(x), 0, 0) over the input: block (a, b) of beta i is
-    # left[i, :, a:b].T @ right[i, :, b:c]
-    left, right = np.zeros((len(betas), 3, n)), np.zeros((len(betas), 3, len(ops.rates)))
-    left[:, 1], right[:, 0] = rho, ops.rates
-    u, drho_beta, drho = left[:, 0], left[:, 2], right[:, 2, :n]
+    # per grid point and beta, rows (u, rho*, drho/beta) and (rho*, u,
+    # drho), the second padded with (rho(x), 0, 0) over the input: block
+    # (a, b) of beta i at point j is left[j, i, :, a:b].T @ right[j, i, :, b:c]
+    shape = (_WINDOW, len(betas), 3)
+    left, right = np.zeros(shape + (n,)), np.zeros(shape + (len(ops.rates),))
+    left[:, :, 1], right[:, :, 0] = rho, ops.rates
+    u, drho_beta, drho = left[:, :, 0], left[:, :, 2], right[:, :, 2, :n]
 
-    def gap(rho_k: np.ndarray, s_sum: np.ndarray) -> np.ndarray:
-        np.subtract(rho_k.T, rho, out=drho)
-        np.divide(drho, betas, out=drho_beta)
-        np.add(drho_beta, eps_d1 * s_sum, out=u)
-        right[:, 1, :n] = u
-        return _blocks_max(left, right, bounds)
+    def gap(rho_w: np.ndarray, s_sums: np.ndarray) -> np.ndarray:
+        w = len(rho_w)
+        np.subtract(rho_w, rho, out=drho[:w])
+        np.divide(drho[:w], betas, out=drho_beta[:w])
+        np.add(drho_beta[:w], (eps_d1 * s_sums)[:, None], out=u[:w])
+        right[:w, :, 1, :n] = u[:w]
+        batch = (w * len(betas), 3, -1)
+        return _blocks_max(left[:w].reshape(batch), right[:w].reshape(batch), bounds).reshape(w, -1)
 
     return gap
 
@@ -171,7 +181,10 @@ def beta_sweep(
     for the whole sweep, in lockstep with one Euler loop on the (n, B)
     stack of the betas' nudged states, one beta per column.  Its force
     g_k gives the next states, the readouts s_tilde_k = g_k / beta and,
-    through its firing rates, every theta gap (`_theta_gap`).  No
+    through its firing rates, every theta gap (`_theta_gap`).  Each grid
+    point leaves g_k, its rates, s_bar_k and S_k in a window of
+    `_WINDOW` points; a full window, or the last point, reduces them all
+    to their gaps in one batch, bit for bit as one point at a time.  No
     weight-shaped quantity is built or carried, and memory grows with
     num_steps only by the four per-step gaps of each beta.  A column
     agrees with the one-beta flow to rounding; a repeated beta gives
@@ -186,15 +199,22 @@ def beta_sweep(
     force = model.Force(theta, x, stack, act, y, betas)
     # per grid point and beta: s gap, theta gap, ||s_bar||, ||s_tilde||
     per_step = np.empty((num_steps + 1, 4, len(betas)))
-    # s_tilde with one row per beta: a max along a row is several times
-    # faster than one down a column of the (n, B) force
-    s_tilde, beta_col = np.empty((len(betas), len(force.rho))), force.beta[:, None]
+    # the window's force g_k and rates rho_k, one row per beta (a max along
+    # a row is several times faster than one down a column), s_bar and S_k
+    g_w, rho_w = np.empty((2, _WINDOW, len(betas), len(force.rho)))
+    sbar_w, ssum_w = np.empty((2, _WINDOW, len(force.rho)))
     # the flow comes first: zip stops at its end before advancing the side
     for k, ((_, g, _), p) in enumerate(zip(dynamics._flow(force, stack, eps, num_steps), side)):
-        per_step[k, 3] = np.abs(np.divide(g.T, beta_col, out=s_tilde)).max(axis=1)
-        np.abs(np.subtract(s_tilde, p.s_bar, out=s_tilde), out=s_tilde).max(axis=1, out=per_step[k, 0])
-        per_step[k, 1] = theta_gap(force.rho, p.s_sum)
-        per_step[k, 2] = np.abs(p.s_bar).max()
+        j = k % _WINDOW
+        g_w[j], rho_w[j], sbar_w[j], ssum_w[j] = g.T, force.rho.T, p.s_bar, p.s_sum
+        if j + 1 < _WINDOW and k < num_steps:
+            continue
+        out, w = per_step[k - j : k + 1], slice(j + 1)
+        s_tilde = np.divide(g_w[w], force.beta[:, None], out=g_w[w])
+        np.abs(s_tilde).max(axis=2, out=out[:, 3])
+        np.abs(np.subtract(s_tilde, sbar_w[w, None], out=s_tilde), out=s_tilde).max(axis=2, out=out[:, 0])
+        out[:, 1] = theta_gap(rho_w[w], ssum_w[w])
+        out[:, 2] = np.abs(sbar_w[w]).max(axis=1)[:, None]
     side.check_finite()
     return [
         EquivalenceReport(b, eps, num_steps, s, t, sbar, stilde, max(s), max(t), max(sbar))

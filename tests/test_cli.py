@@ -282,6 +282,23 @@ def test_equivalence_rejects_mismatched_grid(ws):
     assert main(["equivalence", "--config", write_config(ws, cfg), "--out", "out"]) == 2
 
 
+@pytest.mark.parametrize("betas", ["1e-3", "1e-3,1e-3"])
+def test_equivalence_rejects_one_distinct_beta_before_relaxing(ws, monkeypatch, capsys, betas):
+    # no slope can be fitted, so the gate could never pass
+    calls = []
+    monkeypatch.setattr(fp.eqprop, "second_phase", lambda *a: calls.append(1))
+    cfg = write_config(ws, BASE_CONFIG)
+    assert main(["equivalence", "--config", cfg, "--beta", betas, "--out", "out"]) == 2
+    assert calls == []
+    assert "at least two distinct betas" in capsys.readouterr().err
+
+
+def test_sweep_accepts_one_beta(ws):
+    cfg = write_config(ws, BASE_CONFIG)
+    assert main(["sweep", "--config", cfg, "--beta", "1e-3", "--out", "out"]) == 0
+    assert len((ws / "out" / "sweep_summary.csv").read_text().splitlines()) == 2
+
+
 def test_sweep_writes_summary(ws):
     cfg = write_config(ws, BASE_CONFIG)
     assert main(["sweep", "--config", cfg, "--out", "out"]) == 0
@@ -375,6 +392,12 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
+def test_package_runs_as_a_module():
+    proc = _run_cli(["--help"], module="fpgrad")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: fpgrad ")
+
+
 def test_reruns_are_byte_identical(ws):
     cfg = write_config(ws, BASE_CONFIG)
     for out in ("a", "b"):
@@ -434,6 +457,9 @@ def _with(cfg, key, value):
     return cfg
 
 
+_ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit a slope"
+
+
 @pytest.mark.parametrize(
     "argv, message, cfg",
     [
@@ -473,12 +499,17 @@ def _with(cfg, key, value):
         (["gradcheck", "--method", "rbp"], "seed must be a non-negative integer, got -5",
          dict(BASE_CONFIG, seed=-5)),
         (["sweep"], "seed must be a non-negative integer, got -5", dict(BASE_CONFIG, seed=-5)),
+        # a slope needs two distinct betas
+        (["equivalence", "--beta", "1e-3"], _ONE_BETA, BASE_CONFIG),
+        (["equivalence", "--beta", "1e-3,1e-3"], _ONE_BETA, BASE_CONFIG),
+        (["equivalence"], _ONE_BETA, _with(BASE_CONFIG, "method.betas", [5e-4])),
     ],
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
          "step-size-config", "step-size-flag", "tolerance-nan", "delta-inf",
          "gradcheck-beta-inf", "gradcheck-betas-empty", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
          "train-beta-inf", "learning-rate-nan", "relax-seed-flag", "train-seed-flag",
-         "gradcheck-seed-config", "sweep-seed-config"],
+         "gradcheck-seed-config", "sweep-seed-config", "equivalence-one-beta",
+         "equivalence-repeated-beta", "equivalence-one-beta-config"],
 )
 def test_out_of_range_values_exit_2_without_traceback(ws, argv, message, cfg):
     if argv[0] == "train":
@@ -500,10 +531,10 @@ def test_non_finite_dataset_value_exits_2_naming_the_line(ws):
     assert not (ws / "out" / "trainlog.csv").exists()
 
 
-def _run_cli(argv):
+def _run_cli(argv, module="fpgrad.cli"):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "fpgrad.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
     )
 

@@ -332,21 +332,23 @@ def test_certified_block_max_is_the_dense_max_bit_for_bit(data, width, rows, col
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
-    width=st.integers(1, 3),
+    width=st.integers(1, 24),
     sizes=st.lists(st.sampled_from([1, 3, 10, 16, 17, 24, 40]), min_size=2, max_size=4),
     poisons=st.lists(st.sampled_from(["nan", "inf", "inf facing a zero"]), max_size=2),
 )
 def test_blocks_max_is_the_max_of_dense_block_maxima_bit_for_bit(data, width, sizes, poisons):
-    # blocks of at most 16 rows and of more, some scaled down or to zero so
-    # that their bound falls under the others' max; a NaN or an inf goes in
-    # any block, one whose bound alone would skip it included, and an inf
-    # facing a zero makes a NaN entry
+    # a batch of rows whose blocks of at most 16 rows and of more are, row
+    # by row, some scaled down or to zero so that their bound falls under
+    # the others' max: only some rows of a batch need a block multiplied
+    # out; a NaN or an inf goes in any block, one whose bound alone would
+    # skip it included, and an inf facing a zero makes a NaN entry
     bounds = np.cumsum([0] + sizes).tolist()
     left = data.draw(arrays(np.float64, (width, 3, bounds[-2]), elements=_FACTOR))
     right = data.draw(arrays(np.float64, (width, 3, bounds[-1]), elements=_FACTOR))
     spans = [bounds[k : k + 3] for k in range(len(sizes) - 1)]
+    scale = st.lists(st.sampled_from([1.0, 1e-3, 0.0]), min_size=width, max_size=width)
     for a, b, _ in spans:
-        left[:, :, a:b] *= data.draw(st.sampled_from([1.0, 1e-3, 0.0]))
+        left[:, :, a:b] *= np.array(data.draw(scale))[:, None, None]
     for poison in poisons:
         a, b, c = data.draw(st.sampled_from(spans))
         i, r = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, 2))
@@ -375,42 +377,74 @@ def test_blocks_max_never_skips_while_the_running_max_is_infinite(nan_block):
 
 
 def _count_block_max(monkeypatch):
-    """The row count of each block that reaches `_block_max`."""
-    rows = []
+    """(batch rows, block rows) of each call of `_block_max`: how many
+    (grid point, beta) entries reach it, and the row count of their block."""
+    calls = []
     block_max = equivalence._block_max
 
     def counted(left, right):
-        rows.append(left.shape[2])
+        calls.append(left.shape[::2])
         return block_max(left, right)
 
     monkeypatch.setattr(equivalence, "_block_max", counted)
-    return rows
+    return calls
+
+
+def _entries(calls, rows):
+    """The entries of `calls` that reached `_block_max` with a block of `rows` rows."""
+    return sum(batch for batch, block in calls if block == rows)
 
 
 def test_wide_sweep_takes_no_dense_fallback(monkeypatch):
     # on 64 -> [10, 256, 256] the bound of each 256-row block certifies it
     # below the output block's max at every grid point, so only the 10-row
-    # output block is multiplied out, once per step; at step 0 every
-    # factor but rho* is zero, so every block's bound is 0
-    rows = _count_block_max(monkeypatch)
+    # output block is multiplied out, once per grid point and beta; at step
+    # 0 every factor but rho* is zero, so every block's bound is 0
+    calls = _count_block_max(monkeypatch)
     shape = fp.NetworkShape(64, (10, 256, 256))
     theta, x, y = fp.random_instance(shape, 601)
     cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12)
-    K = 100
-    fp.beta_sweep(theta, x, y, [1e-3, 5e-4, 2.5e-4], K, fp.LOGISTIC, cfg)
-    assert rows == [10] * K
+    K, betas = 100, [1e-3, 5e-4, 2.5e-4]
+    fp.beta_sweep(theta, x, y, betas, K, fp.LOGISTIC, cfg)
+    assert {block for _, block in calls} == {10}
+    assert _entries(calls, 10) == K * len(betas)
 
 
 def test_wide_sweep_with_multiplied_out_blocks_is_the_serial_sweep(monkeypatch, tight_cfg):
     # under tanh at seed 602 the block bounds skip most 256-row blocks but
     # not all: both branches give the dense value bit for bit
-    rows = _count_block_max(monkeypatch)
+    calls = _count_block_max(monkeypatch)
     shape = fp.NetworkShape(64, (10, 256, 256))
     theta, x, y = fp.random_instance(shape, 602)
     K = 60
     rep = fp.compare_processes(theta, x, y, 1e-3, K, fp.TANH, tight_cfg)
-    assert 0 < rows.count(256) < 2 * K
+    assert 0 < _entries(calls, 256) < 2 * K
     assert rep == _serial_sweep_reference(theta, x, y, [1e-3], K, fp.TANH, tight_cfg)[0]
+
+
+@pytest.mark.parametrize(
+    "shape, seed, act, betas, K",
+    [
+        (fp.NetworkShape(16, (5, 20, 24)), 3, fp.LOGISTIC, [1e-3, 5e-4, 2.5e-4], K)
+        for K in (0, 1, 2, 5, 6, 7, 30)
+    ] + [
+        (fp.NetworkShape(4, (3, 3, 2)), 5, fp.TANH, [5e-4], 9),
+        (fp.NetworkShape(4, (3, 3, 2)), 5, fp.LOGISTIC, [1e-3, 1e-3, 5e-4, 5e-4], 10),
+        (fp.NetworkShape(64, (10, 256, 256)), 602, fp.TANH, [1e-3, 5e-4, 2.5e-4], 61),
+    ],
+    ids=[f"K={K}" for K in (0, 1, 2, 5, 6, 7, 30)] + ["one-beta", "repeated-betas", "wide-tanh-602"],
+)
+def test_windowed_sweep_is_the_one_point_window_bit_for_bit(monkeypatch, shape, seed, act, betas, K):
+    # reducing several grid points per call changes no bit of any report,
+    # whether or not K + 1 fills the last window
+    theta, x, y = fp.random_instance(shape, seed)
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12)
+    assert equivalence._WINDOW > 1
+    windowed = fp.beta_sweep(theta, x, y, betas, K, act, cfg)
+    monkeypatch.setattr(equivalence, "_WINDOW", 1)
+    one = fp.beta_sweep(theta, x, y, betas, K, act, cfg)
+    assert repr(windowed) == repr(one)
+    assert [len(r.per_step_theta_gap) for r in windowed] == [K + 1] * len(betas)
 
 
 def test_beta_sweep_runs_one_side_process(converged, monkeypatch):
