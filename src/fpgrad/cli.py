@@ -206,8 +206,10 @@ def _shape(cfg) -> NetworkShape:
         raise ConfigError(f"bad shape: {e}") from e
 
 
-def _resolve_network(cfg, args):
-    """(shape, activation, weights) from checkpoint if given, else seeded."""
+def _resolve_network(cfg, args, with_point=False):
+    """(shape, activation, weights) from checkpoint if given, else seeded;
+    with_point, then (x, y) from the first dataset row if given, else
+    seeded, drawn with the seeded weights in one instance."""
     ckpt = cfg["checkpoint"]
     if ckpt is not None:
         theta, shape, act_name = training.load_checkpoint(ckpt)
@@ -218,19 +220,20 @@ def _resolve_network(cfg, args):
             )
         if "activation" in cfg["_explicit"]:
             act_name = cfg["activation"]
-        return shape, model.get_activation(act_name), theta
-    shape = _shape(cfg)
-    act = model.get_activation(cfg["activation"])
-    theta = model.init_params(shape, np.random.default_rng(cfg["seed"]))
-    return shape, act, theta
-
-
-def _resolve_data_point(cfg, shape):
-    """(x, y) from the first dataset row if given, else seeded."""
+        net = (shape, model.get_activation(act_name), theta)
+    else:
+        shape = _shape(cfg)
+        act = model.get_activation(cfg["activation"])
+        seeded = model.random_instance(shape, cfg["seed"])
+        net = (shape, act, seeded[0])
+    if not with_point:
+        return net
     if cfg["dataset"] is not None:
         ds = training.load_dataset(cfg["dataset"], shape)
-        return ds.samples[0].x, ds.samples[0].y
-    return model.random_instance(shape, cfg["seed"])[1:]
+        return net + (ds.samples[0].x, ds.samples[0].y)
+    if ckpt is not None:
+        seeded = model.random_instance(shape, cfg["seed"])
+    return net + seeded[1:]
 
 
 def _out_path(args, name: str) -> str:
@@ -286,8 +289,7 @@ def cmd_relax(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    shape, act, theta = _resolve_network(cfg, args)
-    x, y = _resolve_data_point(cfg, shape)
+    shape, act, theta, x, y = _resolve_network(cfg, args, with_point=True)
     rcfg = _relaxation(cfg)
     try:
         fd = oracle.FDConfig(delta=_number(cfg, "method.delta"))
@@ -373,8 +375,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def _run_sweep(cfg, args, fit_slope=False):
-    shape, act, theta = _resolve_network(cfg, args)
-    x, y = _resolve_data_point(cfg, shape)
+    shape, act, theta, x, y = _resolve_network(cfg, args, with_point=True)
     rcfg = _relaxation(cfg)
     betas = _floats(cfg["method"]["betas"], "method.betas")
     try:

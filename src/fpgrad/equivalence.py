@@ -73,7 +73,10 @@ _WINDOW = 4
 
 def _dense_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """max|left[i].T @ right[i]| for each i, from factors of shapes
-    (B, 3, m) and (B, 3, c); NaN where a product holds one."""
+    (B, 3, m) and (B, 3, c); NaN where a product holds one.  The factors
+    are multiplied as contiguous arrays: matmul takes another inner loop,
+    which may round differently, for a strided view of the same values."""
+    left, right = np.ascontiguousarray(left), np.ascontiguousarray(right)
     d = np.matmul(left.transpose(0, 2, 1), right)
     return np.abs(d, out=d).max(axis=(1, 2))
 
@@ -85,10 +88,12 @@ def _block_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     multiplied out.  If the (T+1)-th largest ub, widened by the margins,
     is at most the largest finite |entry| lb of those rows, or is 0 (every
     term of the other rows then rounds to 0), lb is the block's max.
-    Otherwise (a NaN fails too), or with at most T rows, it is dense.
+    Otherwise (a NaN fails too), or with at most T rows, it is dense.  A
+    one-column block is dense too: matmul takes a matrix-vector loop for
+    it, whose rounding of a row depends on the number of rows.
     """
     m, top = left.shape[2], _CERTIFIED_ROWS
-    if m <= top:
+    if m <= top or right.shape[2] == 1:
         return _dense_max(left, right)
     ub = np.matmul(np.abs(right).max(axis=2)[:, None], np.abs(left))[:, 0]
     order = np.argpartition(ub, m - top - 1, axis=1)

@@ -329,8 +329,10 @@ class Force:
     velocity of the free relaxation (no target) or of the nudged one.
 
     Built once per relaxation: the network is checked against the layout
-    of the state `s`, the buffers are allocated and the weight matrices
-    bound (their entries may change in place).  `activate` evaluates
+    of the state `s`, the buffers are allocated, the weight matrices bound
+    and the clamped input's drive W_{L-1} rho(x) taken.  The entries of
+    the inner blocks may change in place; those of the input block W_{L-1}
+    may not, since its drive is not retaken.  `activate` evaluates
     the activation once over the whole state (`Activation.rate_slope`)
     into `rates`, whose tail holds rho(x), pinned, and `slopes`; a call
     activates, writes the drive into one buffer block by block (no dense
@@ -365,9 +367,14 @@ class Force:
         self.rate_layers = split(self.rates, bounds + [len(self.rates)])
         self.drive = np.empty((n,) + stack)
         r, a = self.rate_layers, split(self.drive, bounds)
-        # (W_k, r_{k+1}, drive_k) and (W_k^T, r_k, drive_{k+1})
-        self._down = list(zip(theta, r[1:], a))
-        self._up = list(zip([w.T for w in theta[:-1]], r, a[1:]))
+        # the clamped input's drive W_{L-1} rho(x) is the same at every call,
+        # so it is taken once; in a one-layer network it is the whole drive
+        self._input_drive = np.dot(theta[-1], r[-1], out=a[-1]).copy()
+        # (W_k, r_{k+1}, drive_k) and (W_k^T, r_k, drive_{k+1}) between
+        # layers, the innermost layer's last: it adds to the input's drive
+        self._down = list(zip(theta[:-1], r[1:-1], a[:-1]))
+        up = list(zip([w.T for w in theta[:-1]], r, a[1:]))
+        self._up, self._up_innermost = up[:-1], up[-1:]
 
     def activate(self, s: np.ndarray) -> "Force":
         """The force, holding the rates and slopes of the flat state s."""
@@ -376,11 +383,14 @@ class Force:
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         self.activate(s)
-        # total synaptic input to each layer, W_k rho(next), then += W_{k-1}^T rho(prev)
+        # total synaptic input to each layer, W_k rho(next), then += W_{k-1}^T rho(prev);
+        # the innermost layer's W_{L-1} rho(x) is the one taken at construction
         for w, r, a in self._down:
             np.dot(w, r, out=a)
         for w, r, a in self._up:
             a += np.dot(w, r)
+        for w, r, a in self._up_innermost:
+            np.add(self._input_drive, np.dot(w, r), out=a)
         g = s - self.slopes * self.drive
         if self.y is not None:
             n = self.bounds[1]

@@ -149,12 +149,14 @@ def fd_objective_gradient(
     time, as one stack (`_relaxed_stack`); each probe is then certified
     by a serial `relax` under its exact perturbed weights, started from
     its column, which settles the last bits that the stacked products
-    round differently.  All the probes share one `model.Force` on one
-    private copy of the weights, whose entry each probe sets and then
-    restores; the caller's theta is never written.  A certified fixed
-    point landing farther than BASIN_JUMP_THRESHOLD from the unperturbed
-    one aborts the probe, since the objective is only differentiable
-    within one basin.
+    round differently.  Each probe sets its entry in one private copy of
+    the weights and then restores it; the caller's theta is never
+    written.  The probes of the inner blocks share one `model.Force` on
+    that copy, and an input-block probe builds its own once its entry is
+    set, since a force takes the input's drive at construction.  A
+    certified fixed point landing farther than BASIN_JUMP_THRESHOLD from
+    the unperturbed one aborts the probe, since the objective is only
+    differentiable within one basin.
     """
     fd = fd or FDConfig()
     tight = replace(
@@ -179,7 +181,9 @@ def fd_objective_gradient(
         ends = _relaxed_stack(theta, x, start, act, chunk, tight)
         for c, (k, i, j, d) in enumerate(chunk):
             probed[k][i, j] = theta[k][i, j] + d
-            sp = _relaxed_fixed_point(force, model.split(ends[:, c], bounds), tight)
+            s_end = model.split(ends[:, c], bounds)
+            probe = force if k < len(theta) - 1 else model.Force(probed, x, s_end, act)
+            sp = _relaxed_fixed_point(probe, s_end, tight)
             probed[k][i, j] = theta[k][i, j]
             drift = model.max_abs(model.flatten(sp) - s0_flat)
             if drift > BASIN_JUMP_THRESHOLD:

@@ -363,6 +363,37 @@ def test_blocks_max_is_the_max_of_dense_block_maxima_bit_for_bit(data, width, si
     assert np.array_equal(got[~np.isnan(got)].view(np.int64), want[~np.isnan(want)].view(np.int64))
 
 
+def test_dense_max_of_a_strided_view_is_that_of_its_copy_bit_for_bit():
+    # `_blocks_max` reduces copied rows; a block sliced from the factors
+    # must give the same bits, as in the 3.0e-301 case of width 2 and
+    # block sizes [1, 1, 16] that once differed by an ulp
+    rng = np.random.default_rng(15)
+    for sizes in ([1, 1, 16], [3, 10, 17], [16, 24, 40]):
+        bounds = np.cumsum([0] + sizes).tolist()
+        for _ in range(50):
+            left = rng.standard_normal((2, 3, bounds[-2]))
+            right = rng.standard_normal((2, 3, bounds[-1]))
+            for a, b, c in (bounds[k : k + 3] for k in range(len(sizes) - 1)):
+                view = equivalence._dense_max(left[:, :, a:b], right[:, :, b:c])
+                copy = equivalence._dense_max(left[:, :, a:b].copy(), right[:, :, b:c].copy())
+                np.testing.assert_array_equal(view.view(np.int64), copy.view(np.int64))
+
+
+def test_certified_block_max_of_a_one_column_block_is_the_dense_max_bit_for_bit():
+    # with one column, matmul takes a matrix-vector loop whose rounding of
+    # a row depends on the number of rows, so the top rows multiplied out
+    # alone could round otherwise than in the dense block (width 1, block
+    # sizes [17, 1] once did)
+    rng = np.random.default_rng(16)
+    for m in (17, 18, 19, 21, 30):
+        for _ in range(40):
+            left = rng.standard_normal((2, 3, m))
+            left[:, :, : m - 16] *= 1e-3  # the last 16 rows certify the block
+            right = rng.standard_normal((2, 3, 1))
+            got, want = equivalence._block_max(left, right), equivalence._dense_max(left, right)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("nan_block", [0, 1])
 def test_blocks_max_never_skips_while_the_running_max_is_infinite(nan_block):
     # both blocks' bounds are inf: one block's max is inf, and the other

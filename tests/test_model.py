@@ -289,6 +289,25 @@ def test_force_equals_the_reference_force_bit_for_bit(act, index):
             np.testing.assert_array_equal(force.rho.view(np.int64), act.f(v).view(np.int64))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("index", [2, 4])  # 2->[2,2,1], 4->[3,3,2]
+def test_force_sees_inner_block_edits_and_keeps_the_input_drive_it_took(index, stacked):
+    # the oracle sets inner-block entries in place under one force, and
+    # builds a new force for an input-block entry
+    shape, theta, x, _ = make_instance(index)
+    s = random_state(shape, np.random.default_rng(650 + index))
+    if stacked:
+        s = [np.stack([sk, 0.5 * sk], axis=1) for sk in s]
+    v, theta = fp.model.flatten(s), fp.model.copy_blocks(theta)
+    force = fp.model.Force(theta, x, s, fp.LOGISTIC)
+    theta[0][1, 0] += 0.25
+    fresh = fp.model.Force(theta, x, s, fp.LOGISTIC)(v)
+    np.testing.assert_array_equal(force(v).view(np.int64), fresh.view(np.int64))
+    theta[-1][0, 1] += 0.25
+    np.testing.assert_array_equal(force(v).view(np.int64), fresh.view(np.int64))
+    assert not np.array_equal(fp.model.Force(theta, x, s, fp.LOGISTIC)(v), fresh)
+
+
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
 @pytest.mark.parametrize("index", [0, 2, 4, 5])  # 2->[1], 2->[2,2,1], 4->[3,3,2], 3->[1,4]
 def test_stacked_force_columns_match_the_one_state_force(act, index):
