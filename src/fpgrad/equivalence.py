@@ -15,10 +15,10 @@ s_bar and the running sum of s_bar (its Neumann-series form, see
 outer products of state-sized vectors per weight block, so their
 difference is formed from state-sized factors and reduced to its norm
 block by block (`_theta_gap`).  A bound on each block, then one on each
-row, certifies which products need multiplying out (`_blocks_max`).  The
-side process does not depend on beta: after the shared setup
-(`eqprop.second_phase`), every comparison zips one `rbp.SideProcess`
-behind one nudged flow whose state stacks its betas as columns, and
+row, certifies which products need multiplying out (`_blocks_max`).  No
+side network runs beside the nudged one: after the shared setup
+(`eqprop.second_phase`), every comparison is one Euler flow whose state
+stacks its betas' nudged states as columns and s_bar as one more, and
 reduces the gaps of a window of `_WINDOW` grid points in one batch.
 """
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import dynamics, eqprop, model, rbp
 from .dynamics import RelaxationConfig
+from .exceptions import DivergenceError
 from .model import Activation, Params, State
 
 
@@ -175,6 +176,30 @@ def compare_processes(
     return beta_sweep(theta, x, y, [beta], num_steps, act, cfg, s_free=s_free)[0]
 
 
+class _SideColumnForce(model.Force):
+    """The betas' stacked nudged force with a last column for s_bar: its
+    rates are d1* . s_bar, not activated, with d1* the slopes of `ops` at
+    the free point; it has no input and beta 0; its result is h =
+    s_bar - d2_drive . s_bar - d1* . drive, `ops.apply_ss(s_bar)` to
+    rounding, so that the flow's Euler step of it is the side process's."""
+
+    def __init__(self, theta: Params, x, stack: State, act: Activation, y, betas, ops: model.CurvatureOps):
+        super().__init__(theta, x, stack, act, y, list(betas) + [0.0])
+        # no input: in a one-layer network its drive, taken once here, is the whole drive
+        self.rates[len(self.rho):, -1] = self._input_drive[:, -1] = self.drive[:, -1] = 0.0
+        self.ops = ops
+
+    def activate(self, s: np.ndarray) -> "_SideColumnForce":
+        super().activate(s)
+        self.slopes[:, -1], self.rho[:, -1] = self.ops.slopes, self.ops.slopes * s[:, -1]
+        return self
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        g = super().__call__(s)
+        g[:, -1] -= self.ops.d2_drive * s[:, -1]
+        return g
+
+
 def beta_sweep(
     theta: Params, x, y, betas, num_steps: int, act: Activation, cfg: RelaxationConfig, s_free=None
 ) -> List[EquivalenceReport]:
@@ -182,45 +207,51 @@ def beta_sweep(
 
     The free fixed point is located once (unless `s_free` is given), at a
     tolerance tight enough for the smallest beta, and shared by every
-    comparison.  The side process does not depend on beta, so one runs
-    for the whole sweep, in lockstep with one Euler loop on the (n, B)
-    stack of the betas' nudged states, one beta per column.  Its force
-    g_k gives the next states, the readouts s_tilde_k = g_k / beta and,
-    through its firing rates, every theta gap (`_theta_gap`).  Each grid
-    point leaves g_k, its rates, s_bar_k and S_k in a window of
-    `_WINDOW` points; a full window, or the last point, reduces them all
-    to their gaps in one batch, bit for bit as one point at a time.  No
-    weight-shaped quantity is built or carried, and memory grows with
-    num_steps only by the four per-step gaps of each beta.  A column
-    agrees with the one-beta flow to rounding; a repeated beta gives
-    bitwise-equal reports, and a one-beta sweep is the serial one.
+    comparison.  The side process does not depend on beta and is a linear
+    Euler flow, so it is one more column of the betas' stack: one Euler
+    loop on the (n, B + 1) stack of the betas' nudged states and s_bar,
+    started at the free point (`rbp.SideProcess.at`), takes both
+    processes' products under one force (`_SideColumnForce`), and S_k is
+    summed beside it.  The force g_k gives the next states, the readouts
+    s_tilde_k = g_k / beta and, through its firing rates, every theta gap
+    (`_theta_gap`).  Each grid point leaves g_k, its rates, s_bar_k and
+    S_k in a window of `_WINDOW` points; a full window, or the last point,
+    reduces them all to their gaps in one batch, bit for bit as one point
+    at a time.  No weight-shaped quantity is built or carried, and memory
+    grows with num_steps only by the four per-step gaps of each beta.
+    Every report agrees with the serial sweep (a one-state flow per beta
+    beside an `rbp.SideProcess`) to rounding; a repeated beta's are
+    bitwise equal.
     """
     eqprop.check_num_steps(num_steps)
     betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
     eps = cfg.step_size
     side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
-    theta_gap = _theta_gap(side.curvature, eps, betas)
-    stack = [np.repeat(sk[:, None], len(betas), axis=1) for sk in s_free]
-    force = model.Force(theta, x, stack, act, y, betas)
+    ops = side.curvature
+    theta_gap = _theta_gap(ops, eps, betas)
+    stack = model.split(np.column_stack([model.flatten(s_free)] * len(betas) + [side.s_bar]), ops.bounds)
+    force = _SideColumnForce(theta, x, stack, act, y, betas, ops)
     # per grid point and beta: s gap, theta gap, ||s_bar||, ||s_tilde||
     per_step = np.empty((num_steps + 1, 4, len(betas)))
     # the window's force g_k and rates rho_k, one row per beta (a max along
     # a row is several times faster than one down a column), s_bar and S_k
     g_w, rho_w = np.empty((2, _WINDOW, len(betas), len(force.rho)))
     sbar_w, ssum_w = np.empty((2, _WINDOW, len(force.rho)))
-    # the flow comes first: zip stops at its end before advancing the side
-    for k, ((_, g, _), p) in enumerate(zip(dynamics._flow(force, stack, eps, num_steps), side)):
+    s_sum = np.zeros(len(force.rho))
+    for k, (s, g, _) in enumerate(dynamics._flow(force, stack, eps, num_steps)):
         j = k % _WINDOW
-        g_w[j], rho_w[j], sbar_w[j], ssum_w[j] = g.T, force.rho.T, p.s_bar, p.s_sum
+        g_w[j], rho_w[j], sbar_w[j], ssum_w[j] = g[:, :-1].T, force.rho[:, :-1].T, s[:, -1], s_sum
+        s_sum += s[:, -1]
         if j + 1 < _WINDOW and k < num_steps:
             continue
         out, w = per_step[k - j : k + 1], slice(j + 1)
-        s_tilde = np.divide(g_w[w], force.beta[:, None], out=g_w[w])
+        s_tilde = np.divide(g_w[w], force.beta[:-1, None], out=g_w[w])
         np.abs(s_tilde).max(axis=2, out=out[:, 3])
         np.abs(np.subtract(s_tilde, sbar_w[w, None], out=s_tilde), out=s_tilde).max(axis=2, out=out[:, 0])
         out[:, 1] = theta_gap(rho_w[w], ssum_w[w])
         out[:, 2] = np.abs(sbar_w[w]).max(axis=1)[:, None]
-    side.check_finite()
+    if not np.isfinite(s_sum).all():
+        raise DivergenceError(f"non-finite side process at t={num_steps * eps!r}")
     return [
         EquivalenceReport(b, eps, num_steps, s, t, sbar, stilde, max(s), max(t), max(sbar))
         for b, (s, t, sbar, stilde) in zip(betas, per_step.T.tolist())

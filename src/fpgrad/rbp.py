@@ -12,8 +12,8 @@ s_bar decays to zero and theta_bar converges to the objective gradient;
 the decay of ||s_bar|| is the natural stopping certificate.  Being linear,
 theta_bar_k is theta_bar_0 minus eps times the mixed product of the sum
 of s_bar_0 .. s_bar_{k-1}, so the integration carries only s_bar and
-that sum (`SideProcess`, built from a pair).  Every side-process path, from
-`rbp_step` to the matched-grid comparison, advances a `SideProcess`.
+that sum (`SideProcess`, built from a pair).  Every side-process path but
+the matched-grid sweep, which runs it as a stacked column, advances one.
 """
 
 from __future__ import annotations

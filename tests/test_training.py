@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fpgrad as fp
 from fpgrad import training
@@ -315,6 +317,32 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     # byte-stable save of the reloaded weights
     p2 = tmp_path / "m2.ckpt"
     fp.save_checkpoint(theta2, shape2, act_name, p2)
+    assert p.read_bytes() == p2.read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    input_dim=st.integers(1, 5),
+    layer_dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    act_name=st.sampled_from(sorted(fp.ACTIVATIONS)),
+)
+def test_checkpoint_round_trip_is_bitwise_for_any_network(tmp_path_factory, data, input_dim, layer_dims, act_name):
+    # any finite float64 comes back with its bits (signed zeros, subnormals
+    # and the extremes included), with the shape and the activation, and
+    # saving what was loaded writes the same bytes
+    shape = fp.NetworkShape(input_dim, tuple(layer_dims))
+    weights = st.floats(allow_nan=False, allow_infinity=False)
+    theta = [data.draw(arrays(np.float64, s, elements=weights)) for s in shape.weight_shapes()]
+    folder = tmp_path_factory.mktemp("ckpt")
+    p, p2 = folder / "m.ckpt", folder / "m2.ckpt"
+    fp.save_checkpoint(theta, shape, act_name, p)
+    theta2, shape2, act2 = fp.load_checkpoint(p)
+    assert (shape2, act2) == (shape, act_name)
+    assert [w.shape for w in theta2] == [w.shape for w in theta]
+    for a, b in zip(theta, theta2):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    fp.save_checkpoint(theta2, shape2, act2, p2)
     assert p.read_bytes() == p2.read_bytes()
 
 
