@@ -65,7 +65,6 @@ _DEFAULTS = {
     "train": {
         "epochs": 100,
         "learning_rates": 0.5,
-        "persistent_state": False,
     },
 }
 
@@ -457,16 +456,37 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _train_config(cfg) -> training.TrainConfig:
+    method = cfg["method"]["name"]
+    try:
+        return training.TrainConfig(
+            method=method,
+            beta=_number(cfg, "method.beta"),
+            truncation_steps=_number(cfg, "method.truncation_steps", int)
+            if method == "eqprop-truncated"
+            else None,
+            learning_rates=cfg["train"]["learning_rates"],
+            epochs=_number(cfg, "train.epochs", int),
+            relaxation=_relaxation(cfg),
+            seed=cfg["seed"],
+        )
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad training settings: {e}") from e
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     if cfg["dataset"] is None:
         raise ConfigError("train needs a dataset path in the config or --dataset")
+    start_epoch = args.start_epoch
+    if start_epoch < 0:
+        raise ConfigError(f"--start-epoch must be >= 0, got {start_epoch}")
+    if start_epoch and args.resume is None:
+        raise ConfigError(f"--start-epoch {start_epoch} needs --resume CKPT")
     initial = None
-    start_epoch = 0
     if args.resume is not None:
         initial, ck_shape, ck_act = training.load_checkpoint(args.resume)
-        start_epoch = args.start_epoch
         if cfg["shape"] is None:
             cfg["shape"] = {
                 "input_dim": ck_shape.input_dim,
@@ -477,22 +497,11 @@ def cmd_train(args) -> int:
     shape = _shape(cfg)
     act = model.get_activation(cfg["activation"])
     ds = training.load_dataset(cfg["dataset"], shape)
-    method = cfg["method"]["name"]
-    try:
-        tcfg = training.TrainConfig(
-            method=method,
-            beta=_number(cfg, "method.beta"),
-            truncation_steps=_number(cfg, "method.truncation_steps", int)
-            if method == "eqprop-truncated"
-            else None,
-            learning_rates=cfg["train"]["learning_rates"],
-            epochs=_number(cfg, "train.epochs", int),
-            relaxation=_relaxation(cfg),
-            seed=cfg["seed"],
-            persistent_state=bool(cfg["train"]["persistent_state"]),
+    tcfg = _train_config(cfg)
+    if start_epoch >= tcfg.epochs:
+        raise ConfigError(
+            f"no epochs to run: start epoch {start_epoch} is not below epochs {tcfg.epochs}"
         )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad training settings: {e}") from e
     theta, log = training.sgd_train(
         ds, shape, act, tcfg, initial_params=initial, start_epoch=start_epoch
     )

@@ -86,11 +86,10 @@ def _two_point_gradient(g_nudged: Params, g_free: Params, beta: float) -> Params
     return g_nudged
 
 
-def _free_fixed_point(theta, x, act, cfg, s_init: Optional[State] = None) -> State:
-    """The free fixed point from s_init (default: zero), recording no snapshots."""
-    s_init = model.zero_state_like(theta) if s_init is None else s_init
+def _free_fixed_point(theta, x, act, cfg) -> State:
+    """The free fixed point from the zero state, recording no snapshots."""
     cfg = replace(cfg, record_every=0)
-    result = dynamics.relax_free(theta, x, s_init, act, cfg)
+    result = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
     return dynamics.converged_state(result, cfg, "free phase")
 
 

@@ -2,9 +2,10 @@
 
 The loop is deliberately plain: one gradient estimate per presented
 sample (no mini-batching, no momentum), weights updated with per-matrix
-learning rates.  Everything is seeded; the per-epoch shuffle is derived
-from (seed, epoch) so a run resumed from a checkpoint at epoch N
-replays exactly the same presentations as an uninterrupted run.
+learning rates.  Training and `predict` relax every free phase from the
+zero state, so the log describes the model that `predict` runs.  The
+per-epoch shuffle is seeded with (seed, epoch), so a run resumed from a
+checkpoint at epoch N reproduces an uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class TrainConfig:
     epochs: int = 100
     relaxation: RelaxationConfig = field(default_factory=RelaxationConfig)
     seed: int = 0
-    persistent_state: bool = False
 
     def __post_init__(self):
         if self.method not in TRAIN_METHODS:
@@ -235,7 +235,6 @@ def sgd_train(
     free_cfg = cfg.relaxation if cfg.method == "rbp" else tightened(cfg.relaxation, cfg.beta)
     log = TrainLog()
     classification = _is_classification(ds)
-    stored_states = {}
     n = len(ds.samples)
     for epoch in range(start_epoch, cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
@@ -244,9 +243,8 @@ def sgd_train(
         norms = []
         for i in order:
             sample = ds.samples[int(i)]
-            s_init = stored_states.get(int(i)) if cfg.persistent_state else None
             try:
-                s_free = _free_fixed_point(theta, sample.x, act, free_cfg, s_init)
+                s_free = _free_fixed_point(theta, sample.x, act, free_cfg)
                 grad = _sample_gradient(theta, sample, act, cfg, s_free)
             except DivergenceError as e:
                 raise DivergenceError(
@@ -263,8 +261,6 @@ def sgd_train(
                 raise DivergenceError(
                     f"non-finite weights after update at epoch {epoch}, sample {i}"
                 )
-            if cfg.persistent_state:
-                stored_states[int(i)] = s_free
         log.mean_costs.append(float(np.mean(costs)))
         log.accuracies.append(hits / n if classification else float("nan"))
         log.grad_norms.append(float(np.mean(norms)))

@@ -228,7 +228,6 @@ def test_criterion_8_xor_training(method):
         epochs=2000,
         relaxation=fp.RelaxationConfig(step_size=0.25, tolerance=1e-6),
         seed=42,
-        persistent_state=True,
     )
     ds = _xor_dataset()
     start = time.time()

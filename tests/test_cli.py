@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, files, determinism."""
 
+import argparse
 import copy
 import json
 import os
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 import fpgrad as fp
+from fpgrad import cli
 from fpgrad.cli import main
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE_CONFIG = {
     "shape": {"input_dim": 2, "layer_dims": [2, 2, 1]},
@@ -26,7 +30,7 @@ XOR_CONFIG = {
     "relaxation": {"step_size": 0.25, "max_steps": 100000, "tolerance": 1e-6, "record_every": 0},
     "method": {"name": "eqprop", "beta": 1e-3},
     "seed": 42,
-    "train": {"epochs": 120, "learning_rates": 0.5, "persistent_state": True},
+    "train": {"epochs": 120, "learning_rates": 0.5},
 }
 
 
@@ -336,7 +340,7 @@ def test_train_then_predict_xor(ws):
 def test_train_resume_matches_uninterrupted(ws):
     cfg = dict(XOR_CONFIG)
     cfg["dataset"] = write_xor(ws)
-    cfg["train"] = dict(cfg["train"], epochs=8, persistent_state=False)
+    cfg["train"] = dict(cfg["train"], epochs=8)
     cfg_path = write_config(ws, cfg)
     assert main(["train", "--config", cfg_path, "--out", "full"]) == 0
     assert main(["train", "--config", cfg_path, "--epochs", "4", "--out", "half"]) == 0
@@ -360,6 +364,27 @@ def test_train_divergence_reports_epoch(ws, capsys):
     assert "epoch" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--start-epoch", "5", "--epochs", "2"],
+         "no epochs to run: start epoch 5 is not below epochs 2"),
+        (["--start-epoch=-1"], "--start-epoch must be >= 0, got -1"),
+    ],
+    ids=["past-the-end", "negative-start"],
+)
+def test_train_resume_outside_the_epoch_range_exits_2_without_traceback(ws, flags, message):
+    shape = fp.NetworkShape(2, (1, 4))
+    fp.save_checkpoint(fp.init_params(shape, 0), shape, "tanh", ws / "start.ckpt")
+    cfg = dict(XOR_CONFIG, dataset=write_xor(ws))
+    argv = ["train", "--config", write_config(ws, cfg), "--resume", str(ws / "start.ckpt")]
+    proc = _run_cli(argv + flags + ["--out", "out"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert not (ws / "out" / "trainlog.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # config validation and determinism
 # ---------------------------------------------------------------------------
@@ -374,6 +399,25 @@ def test_unknown_nested_key_rejected(ws):
     cfg = dict(BASE_CONFIG)
     cfg["relaxation"] = dict(cfg["relaxation"], stepsize=0.1)
     assert main(["relax", "--config", write_config(ws, cfg), "--x", "0,0"]) == 2
+
+
+def test_persistent_state_key_is_rejected(ws, capsys):
+    cfg = dict(XOR_CONFIG, dataset=write_xor(ws))
+    cfg["train"] = dict(cfg["train"], persistent_state=False)
+    assert main(["train", "--config", write_config(ws, cfg), "--out", "run"]) == 2
+    assert "persistent_state" in capsys.readouterr().err
+    assert not (ws / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f for f in os.listdir(os.path.join(_REPO, "configs")) if f.endswith(".json"))
+)
+def test_shipped_config_loads(monkeypatch, name):
+    monkeypatch.chdir(_REPO)  # configs name their dataset relative to the repo root
+    cfg = cli.load_config(os.path.join("configs", name))
+    cli._apply_overrides(cfg, argparse.Namespace())
+    if cfg["dataset"] is not None:
+        assert cli._train_config(cfg).epochs == cfg["train"]["epochs"]
 
 
 def test_missing_dataset_path_rejected(ws):
@@ -492,6 +536,10 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
         (["train", "--beta", "inf"], "requires a finite beta > 0", XOR_CONFIG),
         (["train"], "learning rates must be finite and non-negative",
          _with(XOR_CONFIG, "train.learning_rates", float("nan"))),
+        # an empty epoch range, or a start epoch with nothing to resume
+        (["train", "--epochs", "0"], "no epochs to run: start epoch 0 is not below epochs 0",
+         XOR_CONFIG),
+        (["train", "--start-epoch", "1"], "--start-epoch 1 needs --resume CKPT", XOR_CONFIG),
         # a negative seed, from the flag or from the config
         (["relax", "--x", "0,0", "--seed", "-1"], "seed must be a non-negative integer, got -1",
          BASE_CONFIG),
@@ -507,7 +555,8 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
          "step-size-config", "step-size-flag", "tolerance-nan", "delta-inf",
          "gradcheck-beta-inf", "gradcheck-betas-empty", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
-         "train-beta-inf", "learning-rate-nan", "relax-seed-flag", "train-seed-flag",
+         "train-beta-inf", "learning-rate-nan", "train-no-epochs",
+         "train-start-without-resume", "relax-seed-flag", "train-seed-flag",
          "gradcheck-seed-config", "sweep-seed-config", "equivalence-one-beta",
          "equivalence-repeated-beta", "equivalence-one-beta-config"],
 )
@@ -532,8 +581,7 @@ def test_non_finite_dataset_value_exits_2_naming_the_line(ws):
 
 
 def _run_cli(argv, module="fpgrad.cli"):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"))
     return subprocess.run(
         [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
     )

@@ -35,7 +35,7 @@ def xor_ds():
 
 @pytest.fixture
 def xor_recipe():
-    """The tuned demo recipe: tanh, warm-started free phases."""
+    """The tuned demo recipe: tanh, every free phase from the zero state."""
     shape = fp.NetworkShape(2, (1, 4))
     cfg = TrainConfig(
         method="eqprop",
@@ -44,7 +44,6 @@ def xor_recipe():
         epochs=120,
         relaxation=fp.RelaxationConfig(step_size=0.25, tolerance=1e-6),
         seed=42,
-        persistent_state=True,
     )
     return shape, fp.TANH, cfg
 
@@ -250,9 +249,9 @@ def test_resume_matches_uninterrupted_run(xor_ds, xor_recipe):
     shape, act, cfg = xor_recipe
     import dataclasses
 
-    # stateless restarts per presentation: resuming at an epoch boundary
+    # the weights are a run's whole state: resuming at an epoch boundary
     # must reproduce the uninterrupted run exactly
-    base = dataclasses.replace(cfg, persistent_state=False, epochs=8)
+    base = dataclasses.replace(cfg, epochs=8)
     full, log_full = fp.sgd_train(xor_ds, shape, act, base)
     half = dataclasses.replace(base, epochs=4)
     theta_half, _ = fp.sgd_train(xor_ds, shape, act, half)
