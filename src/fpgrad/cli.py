@@ -255,12 +255,13 @@ def cmd_relax(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     shape, act, theta = _resolve_network(cfg, args)
-    if args.x is not None:
-        x = np.array(_floats(args.x.split(","), "--x"))
-    elif cfg["input_x"] is not None:
-        x = np.array(_floats(cfg["input_x"], "input_x"))
-    else:
+    what, x = ("--x", args.x.split(",")) if args.x is not None else ("input_x", cfg["input_x"])
+    if x is None:
         raise ConfigError("relax needs an input vector: --x or config 'input_x'")
+    x = np.array(_floats(x, what))
+    for i, v in enumerate(x.tolist()):
+        if not math.isfinite(v):
+            raise ConfigError(f"{what}: component {i} is not finite: {v!r}")
     if x.shape != (shape.input_dim,):
         raise ConfigError(
             f"input vector has {x.shape[0]} components, network expects {shape.input_dim}"

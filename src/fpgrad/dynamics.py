@@ -162,11 +162,12 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int, norm=
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    eps = np.array(step_size, dtype=float)  # a faster operand than the float, same bits
 
     def euler(s: np.ndarray):
         for k in range(n_steps + 1):
             if k:
-                s -= step_size * g
+                s -= eps * g
             g = force(s)
             residual = float(norm(g))
             # a non-finite component anywhere surfaces in the residual
@@ -192,8 +193,9 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
     def moving(g):
         col = np.maximum.reduce(np.abs(g), axis=0)
         done = col <= tol  # never for a NaN, which then diverges
-        g[:, done] = col[done] = 0.0
-        np.add(steps, col > 0.0, out=steps)
+        if np.count_nonzero(done):
+            g[:, done] = col[done] = 0.0
+        np.add(steps, col > model.ZERO, out=steps)
         return np.maximum.reduce(col)
 
     for s, g, residual in _flow(force, stack, cfg.step_size, cfg.max_steps, moving):

@@ -53,6 +53,12 @@ Params = List[np.ndarray]
 # activations
 # ---------------------------------------------------------------------------
 
+# read-only 0-d operands of the per-step calls: numpy dispatches a 0-d
+# array faster than a Python number, with the same result
+ZERO, ONE = np.zeros(()), np.ones(())
+ZERO.flags.writeable = ONE.flags.writeable = False
+
+
 def _logistic(v):
     # e = exp(-|v|) never overflows, and 1/(1+e) for v >= 0, e/(1+e) below,
     # are bit for bit the two branches of the piecewise form; min(v, -v)
@@ -60,12 +66,12 @@ def _logistic(v):
     # e <= 1, so max(e, v >= 0) is 1 for v >= 0 and e (a NaN too) below
     v = np.asarray(v, dtype=float)
     e = np.exp(np.minimum(v, -v))
-    return np.maximum(e, v >= 0) / (1.0 + e)
+    return np.maximum(e, v >= ZERO) / (ONE + e)
 
 
 def _logistic_rate_slope(v):
     f = _logistic(v)
-    return f, f * (1.0 - f)
+    return f, f * (ONE - f)
 
 
 def _logistic_d1(v):
@@ -79,7 +85,7 @@ def _logistic_d2(v):
 
 def _tanh_rate_slope(v):
     t = np.tanh(v)
-    return t, 1.0 - t * t
+    return t, ONE - t * t
 
 
 def _tanh_d1(v):
@@ -504,15 +510,16 @@ class CurvatureOps(Force):
         super().__init__(theta, x, s, act)
         v = flatten(s)
         self(v)
-        d1 = split(self.slopes, self.bounds)
         # curvature of the leak-plus-drive term, diagonal per layer
         self.d2_drive = act.d2f(v) * self.drive
-        # (rows of layer k, d1_k, W, the layer of d1 * v W couples to k)
-        rows = [slice(a, b) for a, b in zip(self.bounds, self.bounds[1:])]
-        self._dv = np.empty_like(v)
+        # W_k (d1 v)_{k+1} into layers 0..L-2 and W_k^T (d1 v)_k into layers
+        # 1..L-1: one product per block, one buffer per side, flat rows [0, m) and [n0, n)
+        n0, m = self.bounds[1], self.bounds[-2]
+        self._dv, down, up = np.empty_like(v), np.empty(m), np.empty(len(v) - n0)
+        self._sides = [(slice(0, m), self.slopes[:m], down), (slice(n0, None), self.slopes[n0:], up)]
         dv, inner = split(self._dv, self.bounds), list(enumerate(theta[:-1]))
-        self._coupling = [(rows[k], d1[k], w, dv[k + 1]) for k, w in inner] + [
-            (rows[k + 1], d1[k + 1], w.T, dv[k]) for k, w in inner]
+        down, up = split(down, self.bounds[:-1]), split(up, [b - n0 for b in self.bounds[1:]])
+        self._products = [(w, dv[k + 1], down[k]) for k, w in inner] + [(w.T, dv[k], up[k]) for k, w in inner]
 
     def apply_ss(self, v: np.ndarray) -> np.ndarray:
         """(d2E/ds2) . v for a flat direction v: diagonal curvature of each
@@ -520,9 +527,10 @@ class CurvatureOps(Force):
         clamped input carries no direction component)."""
         h = v - self.d2_drive * v
         np.multiply(self.slopes, v, out=self._dv)
-        for rows, d1k, w, dv in self._coupling:
-            hk = h[rows]
-            hk -= d1k * (w @ dv)
+        for w, dv, out in self._products:
+            np.matmul(w, dv, out=out)
+        for rows, d1, coupling in self._sides:
+            h[rows] -= d1 * coupling
         return h
 
 

@@ -85,7 +85,7 @@ class SideProcess:
         self, p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation, step_size: float
     ):
         self.curvature = model.CurvatureOps(theta, x, s_star, act)
-        self.step_size = step_size
+        self.step_size, self._eps = step_size, np.array(step_size, dtype=float)
         self.theta_bar_0 = p.theta_bar
         self.s_bar = model.flatten(p.s_bar)
         self.s_sum = np.zeros_like(self.s_bar)
@@ -101,7 +101,7 @@ class SideProcess:
         is updated in place."""
         h = self.curvature.apply_ss(self.s_bar)
         self.s_sum += self.s_bar
-        self.s_bar = self.s_bar - self.step_size * h
+        self.s_bar = self.s_bar - self._eps * h
         self.t += self.step_size
 
     def mixed(self, v: np.ndarray) -> Params:

@@ -220,6 +220,8 @@ def sgd_train(
     generator seeded with (seed, epoch).  Pass `initial_params` plus
     `start_epoch` to resume; epochs [start_epoch, cfg.epochs) are run.
     """
+    if not 0 <= start_epoch <= cfg.epochs:
+        raise ValueError(f"start_epoch {start_epoch} is outside [0, epochs {cfg.epochs}]")
     if ds.input_dim != shape.input_dim or ds.target_dim != shape.layer_dims[0]:
         raise ShapeError(
             f"dataset dims ({ds.input_dim} -> {ds.target_dim}) do not match "

@@ -519,6 +519,10 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
          _with(BASE_CONFIG, "relaxation.step_size", float("nan"))),
         (["relax", "--x", "0,0", "--step-size", "nan"],
          "step_size must be positive and finite, got nan", BASE_CONFIG),
+        (["relax", "--x", "nan,0.1"], "--x: component 0 is not finite: nan", BASE_CONFIG),
+        (["relax", "--x", "0.1,inf"], "--x: component 1 is not finite: inf", BASE_CONFIG),
+        (["relax"], "input_x: component 0 is not finite: -inf",
+         dict(BASE_CONFIG, input_x=[float("-inf"), 0.1])),
         (["gradcheck", "--method", "rbp"], "tolerance must be positive and finite, got nan",
          _with(BASE_CONFIG, "relaxation.tolerance", float("nan"))),
         (["gradcheck", "--method", "rbp"], "delta must be positive and finite, got inf",
@@ -553,7 +557,7 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
         (["equivalence"], _ONE_BETA, _with(BASE_CONFIG, "method.betas", [5e-4])),
     ],
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
-         "step-size-config", "step-size-flag", "tolerance-nan", "delta-inf",
+         "step-size-config", "step-size-flag", "x-nan", "x-inf", "input-x-inf", "tolerance-nan", "delta-inf",
          "gradcheck-beta-inf", "gradcheck-betas-empty", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
          "train-beta-inf", "learning-rate-nan", "train-no-epochs",
          "train-start-without-resume", "relax-seed-flag", "train-seed-flag",

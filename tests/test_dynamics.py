@@ -508,3 +508,37 @@ def test_a_nan_force_diverges_at_its_step(seeded_net, tight_cfg, step):
     with pytest.raises(DivergenceError, match=f"at step {step}") as err:
         fp.dynamics.relax_columns(many, stack, tight_cfg, "stack")
     assert err.value.step == step
+
+
+def _reference_relax_columns(force, stack, cfg, tolerance):
+    """`relax_columns` as a plain loop that writes the freeze masks at
+    every step: the flat endpoint and each column's step count."""
+    s = fp.model.flatten(stack)
+    steps = np.zeros(s.shape[1], dtype=int)
+    for _ in range(cfg.max_steps + 1):
+        g = force(s)
+        col = np.max(np.abs(g), axis=0)
+        done = col <= tolerance
+        g[:, done] = col[done] = 0.0
+        steps += col > 0.0
+        if not col.max():
+            return s, steps
+        s -= cfg.step_size * g
+    raise AssertionError("the reference stack did not settle")
+
+
+def test_stacked_columns_match_a_loop_that_writes_the_masks_every_step(seeded_net, tight_cfg):
+    # four columns frozen at four different steps, the last at step 0
+    shape, theta, x, y, act = seeded_net
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, tight_cfg)
+    betas, tolerances = [1e-3, 1e-4, 1e-2, 1e-2], np.array([1e-12, 1e-9, 1e-6, 1.0])
+    stack = _stack_of(s0, 4)
+    ends, steps = fp.dynamics.relax_columns(
+        fp.model.Force(theta, x, stack, act, y, betas), stack, tight_cfg, "nudged phase", tolerances
+    )
+    ref, ref_steps = _reference_relax_columns(
+        fp.model.Force(theta, x, stack, act, y, betas), stack, tight_cfg, tolerances
+    )
+    assert steps[3] == 0 and len(set(steps.tolist())) == 4
+    np.testing.assert_array_equal(steps, ref_steps)
+    np.testing.assert_array_equal(ends.view(np.int64), ref.view(np.int64))

@@ -785,3 +785,15 @@ def test_init_params_bounds_and_determinism():
     for wa, wb, (r, c) in zip(a, b, shape.weight_shapes()):
         np.testing.assert_array_equal(wa, wb)
         assert np.all(np.abs(wa) <= np.sqrt(6.0 / (r + c)))
+
+
+@pytest.mark.parametrize("name", ["ZERO", "ONE"])
+def test_the_scalar_operands_are_read_only(name):
+    c = getattr(fp.model, name)
+    before = float(c)
+    assert c.shape == () and c.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        c[...] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(c, 1.0, out=c)
+    assert float(c) == before

@@ -11,7 +11,7 @@ from fpgrad.exceptions import (
     NotAtFixedPointError,
 )
 
-from conftest import make_instance, random_state
+from conftest import SHAPE_POOL, make_instance, random_state
 
 
 @pytest.fixture
@@ -257,3 +257,34 @@ def test_step_leaves_its_input_unchanged(converged):
         np.testing.assert_array_equal(a, b)
     assert p.t == 0.0 and q.t == cfg.step_size
     assert not np.array_equal(q.s_bar[0], p.s_bar[0])
+
+
+def _per_block_apply_ss(ops, v):
+    """(d2E/ds2) . v as a loop over the weight blocks: each coupling term
+    is subtracted from its layer's slice in turn, every W_k (d1 v)_{k+1}
+    first, then every W_k^T (d1 v)_k."""
+    rows = [slice(a, b) for a, b in zip(ops.bounds, ops.bounds[1:])]
+    h = v - ops.d2_drive * v
+    dv = np.multiply(ops.slopes, v, out=np.empty_like(v))
+    inner = list(enumerate(ops.theta[:-1]))
+    for k, w in inner:
+        hk = h[rows[k]]
+        hk -= ops.slopes[rows[k]] * (w @ dv[rows[k + 1]])
+    for k, w in inner:
+        hk = h[rows[k + 1]]
+        hk -= ops.slopes[rows[k + 1]] * (w.T @ dv[rows[k]])
+    return h
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_rbp_gradient_equals_the_per_block_curvature_product_bit_for_bit(
+    act, index, tight_cfg, monkeypatch
+):
+    shape, theta, x, y = make_instance(index)
+    est = fp.rbp_gradient(theta, x, y, act, tight_cfg)
+    monkeypatch.setattr(fp.model.CurvatureOps, "apply_ss", _per_block_apply_ss)
+    ref = fp.rbp_gradient(theta, x, y, act, tight_cfg)
+    assert est.horizon_t == ref.horizon_t > 0
+    for a, b in zip(est.grad, ref.grad):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))

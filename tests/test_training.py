@@ -263,6 +263,16 @@ def test_resume_matches_uninterrupted_run(xor_ds, xor_recipe):
     assert log_full.mean_costs[4:] == log_tail.mean_costs
 
 
+@pytest.mark.parametrize("start_epoch", [5, 3, -1])
+def test_start_epoch_outside_the_epoch_range_raises(xor_ds, xor_recipe, start_epoch):
+    shape, act, cfg = xor_recipe
+    import dataclasses
+
+    short = dataclasses.replace(cfg, epochs=2)
+    with pytest.raises(ValueError, match=rf"start_epoch {start_epoch} is outside \[0, epochs 2\]"):
+        fp.sgd_train(xor_ds, shape, act, short, start_epoch=start_epoch)
+
+
 def test_xor_smoke_training_descends(xor_ds, xor_recipe):
     shape, act, cfg = xor_recipe
     theta, log = fp.sgd_train(xor_ds, shape, act, cfg)
