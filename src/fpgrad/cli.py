@@ -127,11 +127,21 @@ def _check_matched_grid(cfg) -> None:
         )
 
 
+def _read(value, kind, what: str):
+    """`value` as `kind`, or a ConfigError naming `what`: a bool is no number, a fraction no int."""
+    try:
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}: cannot read {value!r} as {kind.__name__}") from None
+
+
 def _floats(values, what: str) -> list:
     """`values` as floats, or a ConfigError that names the bad entry."""
     try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as e:
+        return [_read(v, float, what) for v in values]
+    except TypeError as e:
         raise ConfigError(f"{what}: {e}") from None
 
 
@@ -139,11 +149,7 @@ def _number(cfg, key: str, kind=float):
     """The config value at dotted `key` as `kind`, or a ConfigError that
     names the key and the value."""
     section, _, name = key.rpartition(".")
-    value = cfg[section][name] if section else cfg[name]
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: cannot read {value!r} as {kind.__name__}") from None
+    return _read(cfg[section][name] if section else cfg[name], kind, key)
 
 
 def _apply_overrides(cfg, args) -> None:
@@ -199,7 +205,8 @@ def _shape(cfg) -> NetworkShape:
         raise ConfigError("this command needs 'shape' in the config (or a checkpoint)")
     try:
         return NetworkShape(
-            int(cfg["shape"]["input_dim"]), tuple(cfg["shape"]["layer_dims"])
+            _number(cfg, "shape.input_dim", int),
+            tuple(_read(d, int, "shape.layer_dims") for d in cfg["shape"]["layer_dims"]),
         )
     except (ShapeError, TypeError, ValueError) as e:
         raise ConfigError(f"bad shape: {e}") from e

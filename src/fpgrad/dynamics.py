@@ -75,13 +75,17 @@ def relax(force: FlatForce, s_init: State, cfg: RelaxationConfig):
     max|force(s)| drops below tolerance or max_steps is reached.
 
     Returns (final state, Trajectory), both in per-layer form.
-    Convergence is checked before stepping, so a state that already
-    satisfies the tolerance comes back unchanged with a single-snapshot
-    trajectory.
+    Convergence is checked before stepping: a start within tolerance is
+    certified by that one evaluation and comes back unchanged with a
+    single-snapshot trajectory, without starting the flow.
     """
-    eps, every = cfg.step_size, cfg.record_every
+    s = model.flatten(s_init)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in `_flow`
+        g = force(s)
+    eps, every, residual = cfg.step_size, cfg.record_every, float(model.max_abs(g))
+    flow = [(s, g, residual)] if residual <= cfg.tolerance else _flow(force, [s], eps, cfg.max_steps, g=g)
     times, snapshots = [], []
-    for k, (s, _, residual) in enumerate(_flow(force, s_init, eps, cfg.max_steps)):
+    for k, (s, _, residual) in enumerate(flow):
         done = residual <= cfg.tolerance or k == cfg.max_steps
         if k == 0 or done or (every > 0 and k % every == 0):
             times.append(k * eps)
@@ -149,26 +153,28 @@ def relax_nudged(
     return relax(model.Force(theta, x, s_init, act, y, beta), s_init, cfg)
 
 
-def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int, norm=model.max_abs):
+def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int, norm=model.max_abs, g=None):
     """The one Euler loop: yields (s_k, g_k, norm(g_k)) for k = 0..n_steps,
     g_k the force at s_k and s_{k+1} = s_k - eps * g_k; `norm` may edit g_k.
     s_k is a copy of s_init updated in place (copy what you keep); g_k is
-    fresh.  A non-finite residual, the initial one included, raises
-    DivergenceError at its step.  numpy keeps its error state in a context
-    variable: the loop runs in a copy of the caller's context that ignores
-    overflow (it surfaces in the residual), so the setting never reaches
-    the consumer."""
+    fresh, g_0 the caller's `g` if given.  A non-finite residual, the
+    initial one included, raises DivergenceError at its step.  numpy keeps
+    its error state in a context variable: the loop runs in a copy of the
+    caller's context that ignores overflow (it surfaces in the residual),
+    so the setting never reaches the consumer."""
     if not 0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     eps = np.array(step_size, dtype=float)  # a faster operand than the float, same bits
 
-    def euler(s: np.ndarray):
+    def euler(s: np.ndarray, g):
+        if g is None:
+            g = force(s)
         for k in range(n_steps + 1):
             if k:
                 s -= eps * g
-            g = force(s)
+                g = force(s)
             residual = float(norm(g))
             # a non-finite component anywhere surfaces in the residual
             if not math.isfinite(residual):
@@ -177,25 +183,31 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int, norm=
 
     ctx = contextvars.copy_context()
     ctx.run(np.seterr, over="ignore", invalid="ignore")
-    return iter(partial(ctx.run, next, euler(model.flatten(s_init))), None)
+    return iter(partial(ctx.run, next, euler(model.flatten(s_init), g)), None)
 
 
 def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: str, tolerance=None):
     """The column-freezing relaxation: the flat (n, B) endpoint of a stack
     of B states and each column's step count.  A column stops, as a serial
     `relax` of it would, once max|g[:, j]| is within its tolerance (one per
-    column, default cfg.tolerance).  The column maxima, taken once a step,
-    give the flow's residual, 0 once no column moves; one still moving
-    after cfg.max_steps raises a ConvergenceError."""
-    steps = np.zeros(np.shape(stack[0])[1], dtype=int)
+    column, default cfg.tolerance), and its count is the step it stopped
+    at, written then.  The column maxima, taken once a step, give the
+    flow's residual, 0 once no column moves; one still moving after
+    cfg.max_steps raises a ConvergenceError."""
+    steps = np.full(np.shape(stack[0])[1], -1)
     tol = np.broadcast_to(cfg.tolerance if tolerance is None else tolerance, steps.shape)
+    k = frozen = 0
 
     def moving(g):
+        nonlocal k, frozen
         col = np.maximum.reduce(np.abs(g), axis=0)
         done = col <= tol  # never for a NaN, which then diverges
-        if np.count_nonzero(done):
+        n = np.count_nonzero(done)
+        if n:
             g[:, done] = col[done] = 0.0
-        np.add(steps, col > model.ZERO, out=steps)
+            if n > frozen:  # a frozen column stays frozen: its force is unchanged
+                steps[done & (steps < 0)], frozen = k, n
+        k += 1
         return np.maximum.reduce(col)
 
     for s, g, residual in _flow(force, stack, cfg.step_size, cfg.max_steps, moving):

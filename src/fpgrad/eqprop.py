@@ -165,10 +165,11 @@ def eqprop_gradients(theta: Params, x, y, betas, act: Activation, cfg: Relaxatio
 
 
 def _nudged_estimate(theta, x, y, beta, start: State, act, cfg, g_free: Params, steps=0):
-    """The two-point estimate from a nudged phase `steps` in at `start`."""
-    result = dynamics.relax_nudged(theta, x, y, beta, start, act, cfg)
-    s_nudged = dynamics.converged_state(result, cfg, "nudged phase")
-    grad = _two_point_gradient(model.grad_theta_energy(theta, x, s_nudged, act), g_free, beta)
+    """The two-point estimate from a nudged phase `steps` in at `start`, read from its force."""
+    force = model.Force(theta, x, start, act, y, beta)
+    result = dynamics.relax(force, start, cfg)
+    dynamics.converged_state(result, cfg, "nudged phase")
+    grad = _two_point_gradient(force.grad_theta(), g_free, beta)
     horizon = (steps + result[1].steps_taken) * cfg.step_size
     return GradientEstimate(grad, "eqprop", cfg.step_size, beta, horizon_t=horizon)
 

@@ -29,9 +29,9 @@ of L vectors (entry k of dimension d_k), Params a list of L matrices
 (matrix k of shape d_k x d_{k+1}, with d_L meaning the input dimension).
 The relaxations run on the flat state instead, the L vectors laid end to
 end in one float64 vector (`flatten`, `split`), under the one force
-kernel `Force`.  It is the only code that evaluates the activation on a
-state: the energy, both weight derivatives and both curvature products
-read the rates, slopes and drive of a `Force` evaluation.
+kernel `Force`.  dE/ds and both curvature products read the rates,
+slopes and drive of a `Force` evaluation; the energy and dE/dW read the
+rates alone, from the same activation calls with no force built.
 """
 
 from __future__ import annotations
@@ -319,9 +319,20 @@ def text_output(path_or_file):
 # energy and cost
 # ---------------------------------------------------------------------------
 
+def _rate_layers(theta: Params, x, s: State, act: Activation) -> list:
+    """rho(s_0), ..., rho(s_{L-1}), rho(x), as a `Force` evaluation at s holds them."""
+    _check_network(theta, x, s)
+    return split(act.f(flatten(s)), layer_bounds(s)) + [act.f(np.asarray(x, dtype=float))]
+
+
+def _grad_theta(theta: Params, r: list) -> Params:
+    """dE/dW = -r_k r_{k+1}^T from the rates r of `_rate_layers`."""
+    return [_outer(-r[k], r[k + 1], np.empty(w.shape)) for k, w in enumerate(theta)]
+
+
 def energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> float:
     """Scalar energy of a state given clamped input x."""
-    r = Force(theta, x, s, act).activate(flatten(s)).rate_layers
+    r = _rate_layers(theta, x, s, act)
     total = 0.0
     for sk in s:
         total += 0.5 * float(np.dot(sk, sk))
@@ -337,8 +348,8 @@ class Force:
     Built once per relaxation: the network is checked against the layout
     of the state `s`, the buffers are allocated, the weight matrices bound
     and the clamped input's drive W_{L-1} rho(x) taken.  The entries of
-    the inner blocks may change in place; those of the input block W_{L-1}
-    may not, since its drive is not retaken.  `activate` evaluates
+    the weight blocks may change in place; after a change to the input
+    block W_{L-1}, `take_input_drive` retakes its drive.  `activate` evaluates
     the activation once over the whole state (`Activation.rate_slope`)
     into `rates`, whose tail holds rho(x), pinned, and `slopes`; a call
     activates, writes the drive into one buffer block by block (no dense
@@ -373,14 +384,18 @@ class Force:
         self.rate_layers = split(self.rates, bounds + [len(self.rates)])
         self.drive = np.empty((n,) + stack)
         r, a = self.rate_layers, split(self.drive, bounds)
-        # the clamped input's drive W_{L-1} rho(x) is the same at every call,
-        # so it is taken once; in a one-layer network it is the whole drive
-        self._input_drive = np.dot(theta[-1], r[-1], out=a[-1]).copy()
+        self.take_input_drive()
         # (W_k, r_{k+1}, drive_k) and (W_k^T, r_k, drive_{k+1}) between
         # layers, the innermost layer's last: it adds to the input's drive
         self._down = list(zip(theta[:-1], r[1:-1], a[:-1]))
         up = list(zip([w.T for w in theta[:-1]], r, a[1:]))
         self._up, self._up_innermost = up[:-1], up[-1:]
+
+    def take_input_drive(self) -> None:
+        """Take the clamped input's drive W_{L-1} rho(x), at construction and
+        after W_{L-1} changes; in a one-layer network it is the whole drive."""
+        a = self.drive[self.bounds[-2]:]
+        self._input_drive = np.dot(self.theta[-1], self.rate_layers[-1], out=a).copy()
 
     def activate(self, s: np.ndarray) -> "Force":
         """The force, holding the rates and slopes of the flat state s."""
@@ -404,10 +419,8 @@ class Force:
         return g
 
     def grad_theta(self) -> Params:
-        """dE/dW at the state evaluated last: -r_k r_{k+1}^T, one outer
-        product of firing rates per weight matrix, rho(x) the last r."""
-        r = self.rate_layers
-        return [_outer(-r[k], r[k + 1], np.empty(w.shape)) for k, w in enumerate(self.theta)]
+        """dE/dW at the state evaluated last (`_grad_theta`)."""
+        return _grad_theta(self.theta, self.rate_layers)
 
     def _check_direction(self, v: State) -> None:
         got = [np.shape(vk) for vk in v]
@@ -438,7 +451,7 @@ def grad_s_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> St
 
 def grad_theta_energy(theta: Params, x: np.ndarray, s: State, act: Activation) -> Params:
     """dE/dW as one outer product of firing rates per weight matrix."""
-    return Force(theta, x, s, act).activate(flatten(s)).grad_theta()
+    return _grad_theta(theta, _rate_layers(theta, x, s, act))
 
 
 def _target(y, s: State) -> np.ndarray:
@@ -509,7 +522,7 @@ class CurvatureOps(Force):
         act.require_curvature()
         super().__init__(theta, x, s, act)
         v = flatten(s)
-        self(v)
+        self.residual = float(max_abs(self(v)))  # max|dE/ds| at s
         # curvature of the leak-plus-drive term, diagonal per layer
         self.d2_drive = act.d2f(v) * self.drive
         # W_k (d1 v)_{k+1} into layers 0..L-2 and W_k^T (d1 v)_k into layers

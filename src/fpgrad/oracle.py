@@ -3,7 +3,7 @@
 These functions never call the analytic derivative being checked: the
 objective gradient is probed by re-relaxing the network under perturbed
 weights (all probes as one column-freezing stack, `dynamics.relax_columns`,
-each then certified by a serial relaxation), Hessian-vector products by
+each then certified under the one force all probes share), Hessian-vector products by
 differencing first derivatives, and the two structural identities (the
 backward equation of the projected cost, and the envelope derivative of
 the relaxed augmented energy) by direct evaluation.  Keeping this module self-contained is the point; do
@@ -149,14 +149,15 @@ def fd_objective_gradient(
     time, as one stack (`_relaxed_stack`); each probe is then certified
     by a serial `relax` under its exact perturbed weights, started from
     its column, which settles the last bits that the stacked products
-    round differently.  Each probe sets its entry in one private copy of
-    the weights and then restores it; the caller's theta is never
-    written.  The probes of the inner blocks share one `model.Force` on
-    that copy, and an input-block probe builds its own once its entry is
-    set, since a force takes the input's drive at construction.  A
-    certified fixed point landing farther than BASIN_JUMP_THRESHOLD from
-    the unperturbed one aborts the probe, since the objective is only
-    differentiable within one basin.
+    round differently; `relax` certifies a column within tolerance by one
+    evaluation and runs the flow only where it is not.  Each probe sets its
+    entry in one private copy of the weights and then restores it; the
+    caller's theta is never written.  One `model.Force` on that copy
+    serves the reference and every probe: an input-block probe retakes
+    the input's drive (`Force.take_input_drive`) when it sets its entry
+    and again when it restores it.  A certified fixed point landing
+    farther than BASIN_JUMP_THRESHOLD from the unperturbed one aborts the
+    probe, since the objective is only differentiable within one basin.
     """
     fd = fd or FDConfig()
     tight = replace(
@@ -175,16 +176,20 @@ def fd_objective_gradient(
         for i, j in np.ndindex(*w.shape)
         for sign in (1.0, -1.0)
     ]
+
+    def set_entry(k, i, j, value):
+        probed[k][i, j] = value
+        if k == len(theta) - 1:
+            force.take_input_drive()
+
     costs = []
     for first in range(0, len(probes), _STACK_COLUMNS):
         chunk = probes[first:first + _STACK_COLUMNS]
         ends = _relaxed_stack(theta, x, start, act, chunk, tight)
         for c, (k, i, j, d) in enumerate(chunk):
-            probed[k][i, j] = theta[k][i, j] + d
-            s_end = model.split(ends[:, c], bounds)
-            probe = force if k < len(theta) - 1 else model.Force(probed, x, s_end, act)
-            sp = _relaxed_fixed_point(probe, s_end, tight)
-            probed[k][i, j] = theta[k][i, j]
+            set_entry(k, i, j, theta[k][i, j] + d)
+            sp = _relaxed_fixed_point(force, model.split(ends[:, c], bounds), tight)
+            set_entry(k, i, j, theta[k][i, j])
             drift = model.max_abs(model.flatten(sp) - s0_flat)
             if drift > BASIN_JUMP_THRESHOLD:
                 raise BasinJumpError(

@@ -53,15 +53,18 @@ class ErrorProcessState:
     t: float
 
 
-def rbp_init(theta: Params, x, y, s_star: State, act: Activation, tolerance: float) -> ErrorProcessState:
-    """Start the side process at a converged free fixed point."""
-    residual = model.inf_norm(model.grad_s_energy(theta, x, s_star, act))
+def _check_fixed_point(residual: float, tolerance: float) -> None:
     # written so that a NaN residual fails too
     if not residual <= tolerance:
         raise NotAtFixedPointError(
             f"state is not a converged fixed point: residual {residual:.3e} "
             f"> tolerance {tolerance:g}"
         )
+
+
+def rbp_init(theta: Params, x, y, s_star: State, act: Activation, tolerance: float) -> ErrorProcessState:
+    """Start the side process at a converged free fixed point."""
+    _check_fixed_point(model.inf_norm(model.grad_s_energy(theta, x, s_star, act)), tolerance)
     return ErrorProcessState(
         s_bar=model.grad_s_cost(y, s_star),
         theta_bar=model.grad_theta_cost(theta, y, s_star),
@@ -93,8 +96,11 @@ class SideProcess:
 
     @classmethod
     def at(cls, theta: Params, x, y, s_star: State, act: Activation, step_size, tolerance):
-        """The process started at a converged free fixed point (`rbp_init`)."""
-        return cls(rbp_init(theta, x, y, s_star, act, tolerance), theta, x, s_star, act, step_size)
+        """`rbp_init`'s process, checked by its own curvature's residual."""
+        p = ErrorProcessState(model.grad_s_cost(y, s_star), model.grad_theta_cost(theta, y, s_star), 0.0)
+        side = cls(p, theta, x, s_star, act, step_size)
+        _check_fixed_point(side.curvature.residual, tolerance)
+        return side
 
     def advance(self) -> None:
         """One forward-Euler step; s_bar becomes a fresh vector, S_k

@@ -555,6 +555,17 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
         (["equivalence", "--beta", "1e-3"], _ONE_BETA, BASE_CONFIG),
         (["equivalence", "--beta", "1e-3,1e-3"], _ONE_BETA, BASE_CONFIG),
         (["equivalence"], _ONE_BETA, _with(BASE_CONFIG, "method.betas", [5e-4])),
+        # numbers read strictly: an int setting takes no fraction, and a bool is no number
+        (["gradcheck", "--method", "rbp"], "relaxation.max_steps: cannot read 2.7 as int",
+         _with(BASE_CONFIG, "relaxation.max_steps", 2.7)),
+        (["gradcheck", "--method", "rbp"], "shape.layer_dims: cannot read 2.6 as int",
+         _with(BASE_CONFIG, "shape.layer_dims", [2, 2.6, 1])),
+        (["gradcheck", "--method", "rbp"], "seed: cannot read True as int",
+         dict(BASE_CONFIG, seed=True)),
+        (["gradcheck", "--method", "rbp"], "relaxation.tolerance: cannot read True as float",
+         _with(BASE_CONFIG, "relaxation.tolerance", True)),
+        (["gradcheck", "--method", "eqprop"], "method.betas: cannot read True as float",
+         _with(BASE_CONFIG, "method.betas", [True, 1e-4])),
     ],
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
          "step-size-config", "step-size-flag", "x-nan", "x-inf", "input-x-inf", "tolerance-nan", "delta-inf",
@@ -562,7 +573,8 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
          "train-beta-inf", "learning-rate-nan", "train-no-epochs",
          "train-start-without-resume", "relax-seed-flag", "train-seed-flag",
          "gradcheck-seed-config", "sweep-seed-config", "equivalence-one-beta",
-         "equivalence-repeated-beta", "equivalence-one-beta-config"],
+         "equivalence-repeated-beta", "equivalence-one-beta-config", "max-steps-fraction",
+         "layer-width-fraction", "seed-bool", "tolerance-bool", "betas-bool"],
 )
 def test_out_of_range_values_exit_2_without_traceback(ws, argv, message, cfg):
     if argv[0] == "train":
@@ -571,6 +583,45 @@ def test_out_of_range_values_exit_2_without_traceback(ws, argv, message, cfg):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_integral_floats_still_read_as_ints(ws):
+    cfg = _with(_with(BASE_CONFIG, "relaxation.max_steps", 100000.0), "shape.layer_dims", [2.0, 2, 1])
+    assert main(["gradcheck", "--config", write_config(ws, dict(cfg, seed=42.0)), "--out", "float"]) == 0
+    assert main(["gradcheck", "--config", write_config(ws, BASE_CONFIG), "--out", "int"]) == 0
+    report = "gradcheck_report.json"
+    assert (ws / "float" / report).read_bytes() == (ws / "int" / report).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["rbp", "eqprop"])
+@pytest.mark.parametrize("shape", [(2, [1]), (2, [2, 2, 1]), (4, [3, 3, 2])], ids=["2-1", "2-221", "4-332"])
+def test_gradcheck_builds_one_force_per_network(ws, monkeypatch, method, shape):
+    # per command: the free phase's force, the oracle's probed force and
+    # its stack's, then rbp's curvature, or eqprop's betas' stack and one
+    # force per beta.  The oracle's reference and each probe, and each
+    # beta, make one `relax` call; a start within tolerance is certified
+    # by one evaluation, so at most the free phase, the stacks and the
+    # betas run a flow
+    counts = {"forces": 0, "relax": 0, "flows": 0}
+    init, relax, flow = fp.model.Force.__init__, fp.dynamics.relax, fp.dynamics._flow
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fp.model.Force, "__init__", counted("forces", init))
+    monkeypatch.setattr(fp.dynamics, "relax", counted("relax", relax))
+    monkeypatch.setattr(fp.dynamics, "_flow", counted("flows", flow))
+    with open(os.path.join(_REPO, "configs", "gradcheck.json")) as f:
+        cfg = dict(json.load(f), shape={"input_dim": shape[0], "layer_dims": shape[1]})
+    argv = ["gradcheck", "--config", write_config(ws, cfg), "--method", method, "--out", "out"]
+    assert main(argv + (["--beta", "2e-4,1e-4"] if method == "eqprop" else [])) == 0
+    probes = 2 * fp.NetworkShape(shape[0], tuple(shape[1])).num_params
+    forces, relax_calls, flows = (4, 2 + probes, 2) if method == "rbp" else (6, 4 + probes, 4)
+    assert counts["forces"] == forces and counts["relax"] == relax_calls
+    assert counts["flows"] <= flows
 
 
 def test_non_finite_dataset_value_exits_2_naming_the_line(ws):

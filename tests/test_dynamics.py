@@ -429,6 +429,42 @@ def test_flows_leave_the_numpy_error_state_alone(seeded_net, tight_cfg):
     assert np.geterr() == outside
 
 
+@pytest.mark.parametrize("record_every", [0, 1, 3])
+def test_a_start_within_tolerance_is_certified_by_one_evaluation(seeded_net, tight_cfg, record_every, monkeypatch):
+    # relax evaluates its start once.  Within tolerance, it returns what the
+    # flow would without starting it; otherwise the flow takes that
+    # evaluation as its first, so each state is evaluated once
+    shape, theta, x, y, act = seeded_net
+    cfg = fp.RelaxationConfig(tolerance=tight_cfg.tolerance, record_every=record_every)
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, cfg)
+    force = fp.model.Force(theta, x, s0, act)
+    evaluations = []
+
+    def counted(s):
+        evaluations.append(1)
+        return force(s)
+
+    for start, flow in ((s0, None), (shape.zero_state(), fp.dynamics._flow)):
+        evaluations.clear()
+        monkeypatch.setattr(fp.dynamics, "_flow", flow)
+        got = fp.relax(counted, start, cfg)
+        assert len(evaluations) == got[1].steps_taken + 1
+        _assert_same_relaxation(got, _reference_relax(_reference_force(theta, x, act), start, cfg))
+    assert got[1].steps_taken > 0
+
+
+def test_a_start_that_overflows_diverges_at_step_zero_without_warnings(seeded_net):
+    shape, *_ = seeded_net
+
+    def overflowing(s):
+        return np.full_like(s, 1e308) * 10.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite state at step 0"):
+            fp.relax(overflowing, shape.zero_state(), fp.RelaxationConfig())
+
+
 def test_kept_states_are_distinct_arrays(seeded_net):
     # the flow updates one vector in place: the snapshots of a relaxation,
     # its final state and the states of a path are copies

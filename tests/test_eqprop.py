@@ -348,3 +348,27 @@ def test_one_stacked_beta_is_the_serial_estimate_bit_for_bit(index, act):
     assert est.horizon_t == serial.horizon_t
     for a, b in zip(est.grad, serial.grad):
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
+def test_the_readout_of_the_settling_force_is_grad_theta_energy_bit_for_bit(index, act):
+    # dE/dW at the nudged point is read from the force that evaluated it
+    # last: after a serial phase from the free point, and after the serial
+    # certification of each stacked beta's column
+    theta, x, y = fp.random_instance(GRADCHECK_SHAPES[index], 1201 + index)
+    cfg = fp.RelaxationConfig(tolerance=1e-12)
+    betas = [2e-4, 1e-4]
+    _, _, s_free = fp.eqprop.second_phase(theta, x, act, cfg, betas)
+    g_free = fp.grad_theta_energy(theta, x, s_free, act)
+    stack = [np.repeat(sk[:, None], 2, axis=1) for sk in s_free]
+    force = fp.model.Force(theta, x, stack, act, y, betas)
+    cfgs = [fp.eqprop.tightened(cfg, beta) for beta in betas]
+    ends, _ = fp.dynamics.relax_columns(force, stack, cfg, "nudged phase", [c.tolerance for c in cfgs])
+    starts = [fp.model.split(end, force.bounds) for end in ends.T] + [s_free]
+    estimates = fp.eqprop.eqprop_gradients(theta, x, y, betas, act, cfg, s_free)
+    estimates.append(fp.eqprop_gradient(theta, x, y, betas[1], act, cfg, s_free))
+    for beta, c, start, est in zip(betas + betas[1:], cfgs + cfgs[1:], starts, estimates):
+        s_nudged, _ = fp.relax_nudged(theta, x, y, beta, start, act, c)
+        want = [(gn - gf) / beta for gn, gf in zip(fp.grad_theta_energy(theta, x, s_nudged, act), g_free)]
+        assert [b.tobytes() for b in est.grad] == [b.tobytes() for b in want]

@@ -292,8 +292,8 @@ def test_force_equals_the_reference_force_bit_for_bit(act, index):
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("index", [2, 4])  # 2->[2,2,1], 4->[3,3,2]
 def test_force_sees_inner_block_edits_and_keeps_the_input_drive_it_took(index, stacked):
-    # the oracle sets inner-block entries in place under one force, and
-    # builds a new force for an input-block entry
+    # inner-block entries may be set in place under one force; the input
+    # block's drive is taken once, until `take_input_drive` retakes it
     shape, theta, x, _ = make_instance(index)
     s = random_state(shape, np.random.default_rng(650 + index))
     if stacked:
@@ -306,6 +306,29 @@ def test_force_sees_inner_block_edits_and_keeps_the_input_drive_it_took(index, s
     theta[-1][0, 1] += 0.25
     np.testing.assert_array_equal(force(v).view(np.int64), fresh.view(np.int64))
     assert not np.array_equal(fp.model.Force(theta, x, s, fp.LOGISTIC)(v), fresh)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("index", [0, 2, 4])  # 2->[1], 2->[2,2,1], 4->[3,3,2]
+def test_a_retaken_input_drive_is_a_fresh_forces_bit_for_bit(index, stacked):
+    # the oracle's one force serves the input-block probes: it retakes the
+    # drive when an entry is set and when it is restored.  In a one-layer
+    # network that drive is the whole drive
+    shape, theta, x, _ = make_instance(index)
+    s = random_state(shape, np.random.default_rng(660 + index))
+    if stacked:
+        s = [np.stack([sk, 0.5 * sk], axis=1) for sk in s]
+    v, theta = fp.model.flatten(s), fp.model.copy_blocks(theta)
+    force = fp.model.Force(theta, x, s, fp.LOGISTIC)
+    before = force(v)
+    theta[-1][0, 1] += 0.25
+    force.take_input_drive()
+    fresh = fp.model.Force(theta, x, s, fp.LOGISTIC)(v)
+    np.testing.assert_array_equal(force(v).view(np.int64), fresh.view(np.int64))
+    assert not np.array_equal(fresh, before)
+    theta[-1][0, 1] -= 0.25
+    force.take_input_drive()
+    np.testing.assert_array_equal(force(v).view(np.int64), before.view(np.int64))
 
 
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
@@ -731,6 +754,26 @@ def test_energy_and_grad_theta_equal_the_per_layer_rates_bit_for_bit(act):
     want = [-np.outer(rho[k], rho[k + 1]) for k in range(len(theta))]
     got = fp.grad_theta_energy(theta, x, s, act)
     assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+@pytest.mark.parametrize("i", range(len(SHAPE_POOL)))
+def test_energy_and_grad_theta_without_a_force_equal_a_forces_readout_bit_for_bit(i, act):
+    # both activate the flat state and rho(x) with no force built: the
+    # same activation calls on the same arrays as a `Force` evaluation
+    shape, theta, x, y = make_instance(i)
+    s = random_state(shape, np.random.default_rng(730 + i))
+    force = fp.model.Force(theta, x, s, act).activate(fp.model.flatten(s))
+    want = force.grad_theta()
+    got = fp.grad_theta_energy(theta, x, s, act)
+    assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+    r = force.rate_layers
+    total = 0.0
+    for sk in s:
+        total += 0.5 * float(np.dot(sk, sk))
+    for k, w in enumerate(theta):
+        total -= float(r[k] @ w @ r[k + 1])
+    assert np.float64(fp.energy(theta, x, s, act)).tobytes() == np.float64(total).tobytes()
 
 
 def test_hvp_theta_s_needs_no_curvature_but_curvature_ops_does():

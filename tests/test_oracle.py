@@ -115,14 +115,27 @@ def test_fd_gradient_relaxes_once_per_probe(converged, monkeypatch):
     relax = fp.dynamics.relax
 
     def counted(force, s_init, rcfg):
-        calls.append(rcfg.tolerance)
-        return relax(force, s_init, rcfg)
+        evaluations = []
+
+        def evaluated(s):
+            evaluations.append(1)
+            return force(s)
+
+        result = relax(evaluated, s_init, rcfg)
+        calls.append((rcfg.tolerance, len(evaluations), result[1].steps_taken))
+        return result
 
     monkeypatch.setattr(fp.dynamics, "relax", counted)
     fp.fd_objective_gradient(theta, x, y, act, cfg)
     # the reference fixed point, then two central-difference probes per weight
     assert len(calls) == 1 + 2 * shape.num_params
-    assert set(calls) == {oracle._ORACLE_TOLERANCE}
+    assert {tol for tol, _, _ in calls} == {oracle._ORACLE_TOLERANCE}
+    # one evaluation per state, the start's not repeated: the reference
+    # flows from the zero state, and each probe's stacked endpoint is
+    # certified by one evaluation of the force, with no step
+    assert all(n == steps + 1 for _, n, steps in calls)
+    assert calls[0][2] > 0
+    assert [n for _, n, _ in calls[1:]] == [1] * (2 * shape.num_params)
 
 
 def test_basin_jump_detection(converged, monkeypatch):
@@ -155,8 +168,87 @@ def _serial_fd_reference(theta, x, y, act, cfg, fd):
     return grad
 
 
+def _bits(blocks):
+    return [b.tobytes() for b in blocks]
+
+
 # the gradcheck shapes of the benchmark, 2 to 23 weights
 GRADCHECK_SHAPES = [fp.NetworkShape(2, (1,)), fp.NetworkShape(2, (2, 2, 1)), fp.NetworkShape(4, (3, 3, 2))]
+
+
+def _per_probe_force_oracle(theta, x, y, act, cfg, fd=fp.FDConfig()):
+    """`fd_objective_gradient` as it was before one force served every
+    probe: the inner-block probes share one `Force`, and an input-block
+    probe builds its own once its entry is set."""
+    tight = dataclasses.replace(cfg, tolerance=min(cfg.tolerance, 1e-12), record_every=0)
+    zero = fp.model.zero_state_like(theta)
+    probed = fp.model.copy_blocks(theta)
+    force = fp.model.Force(probed, x, zero, act)
+    s0 = oracle._relaxed_fixed_point(force, zero, tight)
+    start, bounds = (s0 if fd.warm_start else zero), fp.model.layer_bounds(s0)
+    probes = [
+        (k, i, j, sign * fd.delta)
+        for k, w in enumerate(theta)
+        for i, j in np.ndindex(*w.shape)
+        for sign in (1.0, -1.0)
+    ]
+    costs = []
+    for first in range(0, len(probes), oracle._STACK_COLUMNS):
+        chunk = probes[first:first + oracle._STACK_COLUMNS]
+        ends = oracle._relaxed_stack(theta, x, start, act, chunk, tight)
+        for c, (k, i, j, d) in enumerate(chunk):
+            probed[k][i, j] = theta[k][i, j] + d
+            s_end = fp.model.split(ends[:, c], bounds)
+            probe = force if k < len(theta) - 1 else fp.model.Force(probed, x, s_end, act)
+            costs.append(fp.cost(y, oracle._relaxed_fixed_point(probe, s_end, tight)))
+            probed[k][i, j] = theta[k][i, j]
+    grad = fp.model.zero_params_like(theta)
+    for (k, i, j, _), j_plus, j_minus in zip(probes[0::2], costs[0::2], costs[1::2]):
+        grad[k][i, j] = (j_plus - j_minus) / (2.0 * fd.delta)
+    return grad
+
+
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH, fp.HARD_SIGMOID], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
+def test_one_force_for_every_probe_gives_the_per_probe_forces_bits(index, act, warm_start):
+    # 2->[1] has only input-block probes, whose drive is the whole drive
+    theta, x, y = fp.random_instance(GRADCHECK_SHAPES[index], 1201 + index)
+    cfg = fp.RelaxationConfig(tolerance=1e-12)
+    fd = fp.FDConfig(warm_start=warm_start)
+    shared = fp.fd_objective_gradient(theta, x, y, act, cfg, fd).grad
+    assert _bits(shared) == _bits(_per_probe_force_oracle(theta, x, y, act, cfg, fd))
+
+
+@pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
+def test_a_probe_pushed_off_tolerance_relaxes_serially_to_the_reference_bits(index, monkeypatch):
+    # the first probe and the last, an input-block one, start off their
+    # fixed points: their certification runs the flow, under the shared
+    # force with the probed entry set, and lands where a fresh force does
+    theta, x, y = fp.random_instance(GRADCHECK_SHAPES[index], 1201 + index)
+    cfg = fp.RelaxationConfig(tolerance=1e-12)
+    stacked = oracle._relaxed_stack
+
+    def pushed(*args):
+        ends = stacked(*args)
+        ends[:, [0, -1]] += 1e-6
+        return ends
+
+    monkeypatch.setattr(oracle, "_relaxed_stack", pushed)
+    reference = _per_probe_force_oracle(theta, x, y, fp.LOGISTIC, cfg)
+    steps = []
+    relax = fp.dynamics.relax
+
+    def counted(force, s_init, rcfg):
+        result = relax(force, s_init, rcfg)
+        steps.append(result[1].steps_taken)
+        return result
+
+    monkeypatch.setattr(fp.dynamics, "relax", counted)
+    shared = fp.fd_objective_gradient(theta, x, y, fp.LOGISTIC, cfg).grad
+    assert steps[1] > 0 and steps[-1] > 0
+    assert steps[2:-1] == [0] * (len(steps) - 3)
+    assert _bits(shared) == _bits(reference)
 
 
 @pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
@@ -240,10 +332,6 @@ def test_a_stack_at_max_steps_raises_before_any_certification(converged, monkeyp
     with pytest.raises(ConvergenceError, match=f"oracle relaxation did not converge within {steps} steps"):
         fp.fd_objective_gradient(theta, x, y, act, capped, fp.FDConfig(delta=0.3, warm_start=False))
     assert calls == [True]
-
-
-def _bits(blocks):
-    return [b.tobytes() for b in blocks]
 
 
 @pytest.mark.parametrize("loose", [1e-6, 1e-8])

@@ -49,6 +49,33 @@ def test_init_rejects_non_fixed_point(converged):
         fp.rbp_init(theta, x, y, random_state(shape, rng), act, cfg.tolerance)
 
 
+def test_side_process_checks_its_start_with_its_curvatures_residual(converged, monkeypatch):
+    # `SideProcess.at` reads the residual of its `CurvatureOps` evaluation:
+    # one force per start, and `rbp_init`'s verdict and message
+    shape, theta, x, y, act, s0, cfg = converged
+    builds = []
+    init = fp.model.Force.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fp.model.Force, "__init__", counted)
+    side = fp.rbp.SideProcess.at(theta, x, y, s0, act, cfg.step_size, cfg.tolerance)
+    assert builds == ["CurvatureOps"]
+    p = fp.rbp_init(theta, x, y, s0, act, cfg.tolerance)
+    np.testing.assert_array_equal(side.s_bar, fp.model.flatten(p.s_bar))
+    off = random_state(shape, np.random.default_rng(3))
+    nan = [sk.copy() for sk in s0]
+    nan[1][0] = np.nan
+    for s in (off, nan):
+        with pytest.raises(NotAtFixedPointError) as want:
+            fp.rbp_init(theta, x, y, s, act, cfg.tolerance)
+        with pytest.raises(NotAtFixedPointError) as got:
+            fp.rbp.SideProcess.at(theta, x, y, s, act, cfg.step_size, cfg.tolerance)
+        assert str(got.value) == str(want.value)
+
+
 def test_init_rejects_a_state_with_a_nan_component(converged):
     # a NaN residual must fail the fixed-point check, not slip past it
     shape, theta, x, y, act, s0, cfg = converged
