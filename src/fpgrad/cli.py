@@ -109,6 +109,8 @@ def load_config(path):
         if missing:
             raise ConfigError(f"'shape' is missing {sorted(missing)}")
     for key in ("dataset", "checkpoint"):
+        if cfg[key] is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key}: cannot read {cfg[key]!r} as a file path")
         if cfg[key] is not None and not os.path.exists(cfg[key]):
             raise ConfigError(f"config references missing {key} file: {cfg[key]}")
     _check_matched_grid(cfg)
@@ -465,19 +467,23 @@ def cmd_sweep(args) -> int:
 
 
 def _train_config(cfg) -> training.TrainConfig:
-    method = cfg["method"]["name"]
+    method, rates = cfg["method"]["name"], cfg["train"]["learning_rates"]
     try:
-        return training.TrainConfig(
+        tcfg = training.TrainConfig(
             method=method,
             beta=_number(cfg, "method.beta"),
             truncation_steps=_number(cfg, "method.truncation_steps", int)
             if method == "eqprop-truncated"
             else None,
-            learning_rates=cfg["train"]["learning_rates"],
+            learning_rates=_floats(rates, "train.learning_rates")
+            if isinstance(rates, list)
+            else _number(cfg, "train.learning_rates"),
             epochs=_number(cfg, "train.epochs", int),
             relaxation=_relaxation(cfg),
             seed=cfg["seed"],
         )
+        tcfg.rates_for(_shape(cfg).num_layers)  # one rate per weight matrix, or one for all
+        return tcfg
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad training settings: {e}") from e
 

@@ -9,7 +9,8 @@ integrator would break that step-by-step alignment.
 
 Every integrator is one Euler loop (`_flow`) on the flat state, one
 float64 vector with the layers end to end (see `model.flatten`), under a
-force that maps such a vector to its flat drift, such as `model.Force`.
+force that maps such a vector to its flat drift, such as `model.Force`,
+or `model.CurvatureOps.apply_ss` for the linear rbp side process.
 Lists of per-layer arrays appear only at the boundary: the initial state
 in, the final state and the recorded snapshots out.  A stack of states,
 one per column, relaxes as one flow that freezes each column once it
@@ -153,13 +154,15 @@ def relax_nudged(
     return relax(model.Force(theta, x, s_init, act, y, beta), s_init, cfg)
 
 
-def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int, norm=model.max_abs, g=None):
-    """The one Euler loop: yields (s_k, g_k, norm(g_k)) for k = 0..n_steps,
-    g_k the force at s_k and s_{k+1} = s_k - eps * g_k; `norm` may edit g_k.
-    s_k is a copy of s_init updated in place (copy what you keep); g_k is
-    fresh, g_0 the caller's `g` if given.  A non-finite residual, the
-    initial one included, raises DivergenceError at its step.  numpy keeps
-    its error state in a context variable: the loop runs in a copy of the
+def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int,
+          norm=lambda s, g: model.max_abs(g), g=None):
+    """The one Euler loop: yields (s_k, g_k, norm(s_k, g_k)) for k =
+    0..n_steps, g_k the force at s_k and s_{k+1} = s_k - eps * g_k; the
+    residual `norm`, max|g_k| by default, may edit g_k.  s_k is a copy of
+    s_init updated in place (copy what you keep); g_k is fresh, g_0 the
+    caller's `g` if given.  A non-finite residual, the initial one
+    included, raises DivergenceError at its step.  numpy keeps its error
+    state in a context variable: the loop runs in a copy of the
     caller's context that ignores overflow (it surfaces in the residual),
     so the setting never reaches the consumer."""
     if not 0 < step_size < math.inf:
@@ -175,7 +178,7 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int, norm=
             if k:
                 s -= eps * g
                 g = force(s)
-            residual = float(norm(g))
+            residual = float(norm(s, g))
             # a non-finite component anywhere surfaces in the residual
             if not math.isfinite(residual):
                 raise DivergenceError(f"non-finite state at step {k}", step=k)
@@ -198,7 +201,7 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
     tol = np.broadcast_to(cfg.tolerance if tolerance is None else tolerance, steps.shape)
     k = frozen = 0
 
-    def moving(g):
+    def moving(s, g):
         nonlocal k, frozen
         col = np.maximum.reduce(np.abs(g), axis=0)
         done = col <= tol  # never for a NaN, which then diverges

@@ -153,6 +153,7 @@ def eqprop_gradients(theta: Params, x, y, betas, act: Activation, cfg: Relaxatio
     beta per column, each to its beta's tolerance; a serial phase from each
     column then certifies it, as the oracle certifies its probes.  A
     column agrees with the serial estimate to rounding; one beta is it."""
+    check_betas(sorted(betas, reverse=True))  # a second phase's betas, in any order
     cfgs = [tightened(cfg, beta) for beta in betas]
     stack = [np.repeat(sk[:, None], len(cfgs), axis=1) for sk in s_free]
     force = model.Force(theta, x, stack, act, y, betas)

@@ -25,7 +25,6 @@ reduces the gaps of a window of `_WINDOW` grid points in one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import List
 
 import numpy as np
@@ -53,14 +52,14 @@ class EquivalenceReport:
 
 
 def error_process_path(theta: Params, x, y, s_star: State, act: Activation, step_size, num_steps, tolerance):
-    """The side-process pair recorded at every grid point k = 0..num_steps."""
+    """The side-process pair recorded at every grid point k = 0..num_steps
+    of its flow (`rbp.SideProcess.flow`)."""
     eqprop.check_num_steps(num_steps)
-    side = rbp.SideProcess.at(theta, x, y, s_star, act, step_size, tolerance)
+    side = rbp.SideProcess.at(theta, x, y, s_star, act, tolerance)
     s_bars, theta_bars = [], []
-    for p in islice(side, num_steps + 1):
-        s_bars.append(model.split(p.s_bar, p.curvature.bounds))
-        theta_bars.append(p.theta_bar())
-    side.check_finite()
+    for s_bar, s_sum, _ in side.flow(step_size, num_steps):
+        s_bars.append(model.split(s_bar.copy(), side.curvature.bounds))
+        theta_bars.append(side.theta_bar(s_sum, step_size))
     return s_bars, theta_bars
 
 
@@ -220,16 +219,16 @@ def beta_sweep(
     at a time.  No weight-shaped quantity is built or carried, and memory
     grows with num_steps only by the four per-step gaps of each beta.
     Every report agrees with the serial sweep (a one-state flow per beta
-    beside an `rbp.SideProcess`) to rounding; a repeated beta's are
+    beside `rbp.SideProcess.flow`) to rounding; a repeated beta's are
     bitwise equal.
     """
     eqprop.check_num_steps(num_steps)
     betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
     eps = cfg.step_size
-    side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
+    side = rbp.SideProcess.at(theta, x, y, s_free, act, cfg.tolerance)
     ops = side.curvature
     theta_gap = _theta_gap(ops, eps, betas)
-    stack = model.split(np.column_stack([model.flatten(s_free)] * len(betas) + [side.s_bar]), ops.bounds)
+    stack = model.split(np.column_stack([model.flatten(s_free)] * len(betas) + [side.s_bar_0]), ops.bounds)
     force = _SideColumnForce(theta, x, stack, act, y, betas, ops)
     # per grid point and beta: s gap, theta gap, ||s_bar||, ||s_tilde||
     per_step = np.empty((num_steps + 1, 4, len(betas)))
@@ -267,11 +266,10 @@ def truncation_correspondence(
     eqprop.check_num_steps(num_steps)
     [beta], cfg, s_free = eqprop.second_phase(theta, x, act, cfg, [beta])
     truncated = eqprop.truncated_eqprop_gradient(theta, x, y, beta, num_steps, act, cfg, s_free).grad
-    side = rbp.SideProcess.at(theta, x, y, s_free, act, cfg.step_size, cfg.tolerance)
-    for _ in islice(side, num_steps + 1):
+    side = rbp.SideProcess.at(theta, x, y, s_free, act, cfg.tolerance)
+    for _, s_sum, _ in side.flow(cfg.step_size, num_steps):
         pass
-    side.check_finite()
-    theta_bar = side.theta_bar()
+    theta_bar = side.theta_bar(s_sum, cfg.step_size)
     gap = model.inf_norm([a - b for a, b in zip(truncated, theta_bar)])
     return gap / (1.0 + model.inf_norm(theta_bar))
 

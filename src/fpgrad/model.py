@@ -146,7 +146,7 @@ ACTIVATIONS = {a.name: a for a in (LOGISTIC, TANH, HARD_SIGMOID)}
 def get_activation(name: str) -> Activation:
     try:
         return ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a list or object, unhashable
         raise UnsupportedActivationError(
             f"unknown activation '{name}'; available: {sorted(ACTIVATIONS)}"
         ) from None

@@ -12,19 +12,20 @@ s_bar decays to zero and theta_bar converges to the objective gradient;
 the decay of ||s_bar|| is the natural stopping certificate.  Being linear,
 theta_bar_k is theta_bar_0 minus eps times the mixed product of the sum
 of s_bar_0 .. s_bar_{k-1}, so the integration carries only s_bar and
-that sum (`SideProcess`, built from a pair).  Every side-process path but
-the matched-grid sweep, which runs it as a stacked column, advances one.
+that sum (`SideProcess`, built from a pair).  s_bar runs in the one Euler
+loop, `dynamics._flow`, under the linear force (d2E/ds2)(s0) . s_bar,
+with the sum taken beside it (`SideProcess.flow`); the matched-grid sweep
+runs it as one more column of its stacked nudged flow instead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import model
+from . import dynamics, model
 from .dynamics import RelaxationConfig
 from .eqprop import GradientEstimate, _free_fixed_point
 from .exceptions import (
@@ -79,57 +80,47 @@ class SideProcess:
     s_bar: theta_bar_k = theta_bar_0 - eps * J(S_k), with J the mixed
     product d2E/dW ds and S_k = s_bar_0 + ... + s_bar_{k-1} (Liao et al.
     2018, "Reviving and Improving Recurrent Back-Propagation").  Only
-    s_bar and S_k advance, both flat state vectors; `theta_bar()` forms
-    the weight-shaped member of the pair where it is read.  Iterating
-    yields the process itself at k = 0, 1, 2, ..., advanced in place.
+    s_bar and S_k advance (`flow`), both flat state vectors;
+    `theta_bar(S_k, eps)` forms the weight-shaped member of the pair where
+    it is read.  The process itself holds only its start and operators.
     """
 
-    def __init__(
-        self, p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation, step_size: float
-    ):
+    def __init__(self, p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation):
         self.curvature = model.CurvatureOps(theta, x, s_star, act)
-        self.step_size, self._eps = step_size, np.array(step_size, dtype=float)
         self.theta_bar_0 = p.theta_bar
-        self.s_bar = model.flatten(p.s_bar)
-        self.s_sum = np.zeros_like(self.s_bar)
-        self.t = p.t
+        self.s_bar_0 = model.flatten(p.s_bar)
 
     @classmethod
-    def at(cls, theta: Params, x, y, s_star: State, act: Activation, step_size, tolerance):
+    def at(cls, theta: Params, x, y, s_star: State, act: Activation, tolerance):
         """`rbp_init`'s process, checked by its own curvature's residual."""
         p = ErrorProcessState(model.grad_s_cost(y, s_star), model.grad_theta_cost(theta, y, s_star), 0.0)
-        side = cls(p, theta, x, s_star, act, step_size)
+        side = cls(p, theta, x, s_star, act)
         _check_fixed_point(side.curvature.residual, tolerance)
         return side
 
-    def advance(self) -> None:
-        """One forward-Euler step; s_bar becomes a fresh vector, S_k
-        is updated in place."""
-        h = self.curvature.apply_ss(self.s_bar)
-        self.s_sum += self.s_bar
-        self.s_bar = self.s_bar - self._eps * h
-        self.t += self.step_size
+    def flow(self, step_size: float, n_steps: int):
+        """Yields (s_bar_k, S_k, ||s_bar_k||_inf) for k = 0..n_steps: the
+        Euler flow (`dynamics._flow`) of s_bar under `apply_ss`, with S_k
+        summed beside it, both updated in place (copy what you keep).
+        ||s_bar_k||, the flow's residual, is the stopping certificate; a
+        non-finite one raises DivergenceError at t = k * eps."""
+        s_sum, force = np.zeros_like(self.s_bar_0), self.curvature.apply_ss
+        try:
+            steps = dynamics._flow(force, [self.s_bar_0], step_size, n_steps, lambda s, g: model.max_abs(s))
+            for k, (s_bar, _, residual) in enumerate(steps):
+                yield s_bar, s_sum, residual
+                if k < n_steps:  # so that S_n is the last sum
+                    s_sum += s_bar
+        except DivergenceError as e:
+            raise DivergenceError(f"non-finite side process at t={e.step * step_size!r}", step=e.step) from e
 
     def mixed(self, v: np.ndarray) -> Params:
         """J(v) = (d2E/dW ds) . v for a flat v."""
         return self.curvature.apply_theta_s(model.split(v, self.curvature.bounds))
 
-    def theta_bar(self) -> Params:
+    def theta_bar(self, s_sum: np.ndarray, step_size: float) -> Params:
         """theta_bar_k = theta_bar_0 - eps * J(S_k), in fresh blocks."""
-        return [
-            t0 - self.step_size * j
-            for t0, j in zip(self.theta_bar_0, self.mixed(self.s_sum))
-        ]
-
-    def check_finite(self) -> None:
-        """A DivergenceError unless s_bar and S_k are finite."""
-        if not (np.isfinite(self.s_bar).all() and np.isfinite(self.s_sum).all()):
-            raise DivergenceError(f"non-finite side process at t={self.t!r}")
-
-    def __iter__(self):
-        while True:
-            yield self
-            self.advance()
+        return [t0 - step_size * j for t0, j in zip(self.theta_bar_0, self.mixed(s_sum))]
 
 
 def rbp_step(
@@ -146,10 +137,11 @@ def rbp_step(
     Both equations advance from the time-t values: the theta_bar update
     uses the pre-update s_bar.  The Hessians stay pinned at s_star.
     """
-    side = SideProcess(p, theta, x, s_star, act, step_size)
-    side.advance()
-    q = ErrorProcessState(model.split(side.s_bar, side.curvature.bounds), side.theta_bar(), side.t)
-    if not (model.all_finite(q.s_bar) and model.all_finite(q.theta_bar)):
+    side = SideProcess(p, theta, x, s_star, act)
+    _, (s_bar, s_sum, _) = side.flow(step_size, 1)
+    s_bar = model.split(s_bar, side.curvature.bounds)
+    q = ErrorProcessState(s_bar, side.theta_bar(s_sum, step_size), p.t + step_size)
+    if not model.all_finite(q.theta_bar):
         raise DivergenceError(f"non-finite side process at t={q.t!r}")
     return q
 
@@ -166,12 +158,12 @@ def rbp_gradient(
     """Objective gradient via the side process.
 
     Runs the free phase from the zero state (unless `s_free` is given),
-    then integrates the side process with the same step size until
+    then the side process's flow with the same step size until
     ||s_bar||_inf falls below cfg.tolerance; a ConvergenceError is raised
     if that takes more than max_steps.  If the norm grows for many
     consecutive steps the step size is too large for the local curvature
     and an InstabilityError is raised.  theta_bar is formed once, from
-    the sum of the s_bar, at the end.
+    the sum of the s_bar, at the end, and the horizon is steps * eps.
 
     `record`, if given a list, receives (t, ||s_bar||_inf,
     ||delta theta_bar||_inf) tuples for decay plots, where the change of
@@ -180,40 +172,25 @@ def rbp_gradient(
     eps = cfg.step_size
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
-    p = SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
-    p.check_finite()
-    norm = float(model.max_abs(p.s_bar))
-    rising = steps = 0
-    while norm > cfg.tolerance and steps < cfg.max_steps:
-        if record is not None:
-            delta = eps * model.inf_norm(p.mixed(p.s_bar))
-        p.advance()
-        new_norm = float(model.max_abs(p.s_bar))
-        if not math.isfinite(new_norm):
-            raise DivergenceError(f"non-finite side process at t={p.t!r}")
-        if record is not None:
-            record.append((p.t, new_norm, delta))
-        if new_norm > norm:
-            rising += 1
+    side = SideProcess.at(theta, x, y, s_free, act, cfg.tolerance)
+    rising = 0
+    for k, (s_bar, s_sum, norm) in enumerate(side.flow(eps, cfg.max_steps)):
+        if k:
+            if record is not None:
+                record.append((k * eps, norm, delta))
+            rising = rising + 1 if norm > last else 0
             if rising >= _INSTABILITY_PATIENCE:
                 raise InstabilityError(
                     f"||s_bar|| grew for {rising} consecutive steps "
-                    f"(now {new_norm:.3e}); step size {eps:g} is too large "
+                    f"(now {norm:.3e}); step size {eps:g} is too large "
                     "for the largest curvature at this fixed point"
                 )
-        else:
-            rising = 0
-        norm = new_norm
-        steps += 1
-    if norm > cfg.tolerance:
-        raise ConvergenceError(
-            f"side process did not converge within {cfg.max_steps} steps "
-            f"(||s_bar|| {norm:.3e} > tolerance {cfg.tolerance:g})"
-        )
-    return GradientEstimate(
-        grad=p.theta_bar(),
-        method="rbp",
-        step=eps,
-        horizon_t=p.t,
+        if norm <= cfg.tolerance:
+            return GradientEstimate(side.theta_bar(s_sum, eps), "rbp", eps, horizon_t=k * eps)
+        if record is not None:
+            delta = eps * model.inf_norm(side.mixed(s_bar))
+        last = norm
+    raise ConvergenceError(
+        f"side process did not converge within {cfg.max_steps} steps "
+        f"(||s_bar|| {norm:.3e} > tolerance {cfg.tolerance:g})"
     )
-

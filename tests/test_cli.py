@@ -566,6 +566,19 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
          _with(BASE_CONFIG, "relaxation.tolerance", True)),
         (["gradcheck", "--method", "eqprop"], "method.betas: cannot read True as float",
          _with(BASE_CONFIG, "method.betas", [True, 1e-4])),
+        (["train"], "train.learning_rates: cannot read True as float",
+         _with(XOR_CONFIG, "train.learning_rates", True)),
+        # values of the wrong type, or a rate list of the wrong length
+        (["gradcheck", "--method", "rbp"], "unknown activation '['tanh']'",
+         dict(BASE_CONFIG, activation=["tanh"])),
+        (["gradcheck", "--method", "rbp"], "unknown activation '{'name': 'tanh'}'",
+         dict(BASE_CONFIG, activation={"name": "tanh"})),
+        (["gradcheck", "--method", "rbp"], "dataset: cannot read ['xor.csv'] as a file path",
+         dict(BASE_CONFIG, dataset=["xor.csv"])),
+        (["gradcheck", "--method", "rbp"], "checkpoint: cannot read ['model.ckpt'] as a file path",
+         dict(BASE_CONFIG, checkpoint=["model.ckpt"])),
+        (["train"], "got 1 learning rates for 2 weight matrices",
+         _with(XOR_CONFIG, "train.learning_rates", [0.5])),
     ],
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
          "step-size-config", "step-size-flag", "x-nan", "x-inf", "input-x-inf", "tolerance-nan", "delta-inf",
@@ -574,7 +587,8 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
          "train-start-without-resume", "relax-seed-flag", "train-seed-flag",
          "gradcheck-seed-config", "sweep-seed-config", "equivalence-one-beta",
          "equivalence-repeated-beta", "equivalence-one-beta-config", "max-steps-fraction",
-         "layer-width-fraction", "seed-bool", "tolerance-bool", "betas-bool"],
+         "layer-width-fraction", "seed-bool", "tolerance-bool", "betas-bool", "learning-rates-bool",
+         "activation-list", "activation-object", "dataset-list", "checkpoint-list", "learning-rates-count"],
 )
 def test_out_of_range_values_exit_2_without_traceback(ws, argv, message, cfg):
     if argv[0] == "train":
@@ -601,7 +615,7 @@ def test_gradcheck_builds_one_force_per_network(ws, monkeypatch, method, shape):
     # force per beta.  The oracle's reference and each probe, and each
     # beta, make one `relax` call; a start within tolerance is certified
     # by one evaluation, so at most the free phase, the stacks and the
-    # betas run a flow
+    # betas run a flow, and rbp's side process one more
     counts = {"forces": 0, "relax": 0, "flows": 0}
     init, relax, flow = fp.model.Force.__init__, fp.dynamics.relax, fp.dynamics._flow
 
@@ -619,7 +633,7 @@ def test_gradcheck_builds_one_force_per_network(ws, monkeypatch, method, shape):
     argv = ["gradcheck", "--config", write_config(ws, cfg), "--method", method, "--out", "out"]
     assert main(argv + (["--beta", "2e-4,1e-4"] if method == "eqprop" else [])) == 0
     probes = 2 * fp.NetworkShape(shape[0], tuple(shape[1])).num_params
-    forces, relax_calls, flows = (4, 2 + probes, 2) if method == "rbp" else (6, 4 + probes, 4)
+    forces, relax_calls, flows = (4, 2 + probes, 3) if method == "rbp" else (6, 4 + probes, 4)
     assert counts["forces"] == forces and counts["relax"] == relax_calls
     assert counts["flows"] <= flows
 

@@ -337,6 +337,28 @@ def test_stacked_betas_match_the_serial_estimates(index, act, tolerance):
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
+@pytest.mark.parametrize(
+    "betas, message",
+    [
+        ([], "betas must be non-empty"),
+        ([1e-3, float("nan")], "betas must be finite, got nan"),
+        ([float("inf")], "betas must be finite, got inf"),
+        ([1e-3, 0.0], "betas must be positive, got 0.0"),
+        ([-1e-4, 1e-3], "betas must be positive, got -0.0001"),
+    ],
+    ids=["empty", "nan", "inf", "zero", "negative"],
+)
+def test_stacked_betas_are_checked_before_any_relaxation(betas, message, converged, monkeypatch):
+    shape, theta, x, y, act, s0, cfg = converged
+
+    def relaxed(*args, **kwargs):
+        raise AssertionError("relaxed before its betas were checked")
+
+    monkeypatch.setattr(fp.dynamics, "_flow", relaxed)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fp.eqprop.eqprop_gradients(theta, x, y, betas, act, cfg, s0)
+
+
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
 @pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
 def test_one_stacked_beta_is_the_serial_estimate_bit_for_bit(index, act):

@@ -26,7 +26,7 @@ def _serial_sweep_reference(theta, x, y, betas, num_steps, act, cfg, s_free=None
     drho/beta against rho*, u, drho, see `equivalence._theta_gap`)."""
     betas, cfg, s_free = eqprop.second_phase(theta, x, act, cfg, betas, s_free)
     eps = cfg.step_size
-    side = rbp.SideProcess.at(theta, x, y, s_free, act, eps, cfg.tolerance)
+    side = rbp.SideProcess.at(theta, x, y, s_free, act, cfg.tolerance)
     ops = side.curvature
     rho, bounds, n = ops.rho, ops.bounds + [len(ops.rates)], len(ops.rho)
     eps_d1 = eps * ops.slopes
@@ -34,19 +34,18 @@ def _serial_sweep_reference(theta, x, y, betas, num_steps, act, cfg, s_free=None
     forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
     flows = zip(*(dynamics._flow(f, s_free, eps, num_steps) for f in forces))
     reports = [EquivalenceReport(b, eps, num_steps, [], [], [], [], 0.0, 0.0, 0.0) for b in betas]
-    for points, p in zip(flows, side):
-        sbar_norm = float(np.abs(p.s_bar).max())
+    for points, (s_bar, s_sum, _) in zip(flows, side.flow(eps, num_steps)):
+        sbar_norm = float(np.abs(s_bar).max())
         for r, force, (_, g, residual) in zip(reports, forces, points):
             drho = force.rho - rho
-            u = drho / r.beta + eps_d1 * p.s_sum
+            u = drho / r.beta + eps_d1 * s_sum
             left, right = np.stack([u, rho, drho / r.beta]), np.zeros((3, len(ops.rates)))
             right[0], right[1, :n], right[2, :n] = ops.rates, u, drho
             gap = max(float(np.abs(left[:, a:b].T @ right[:, b:c]).max()) for a, b, c in blocks)
-            r.per_step_s_gap.append(float(np.abs(g / r.beta - p.s_bar).max()))
+            r.per_step_s_gap.append(float(np.abs(g / r.beta - s_bar).max()))
             r.per_step_theta_gap.append(gap)
             r.per_step_sbar_norm.append(sbar_norm)
             r.per_step_stilde_norm.append(residual / r.beta)
-    side.check_finite()
     for r in reports:
         r.max_s_gap = max(r.per_step_s_gap)
         r.max_theta_gap = max(r.per_step_theta_gap)

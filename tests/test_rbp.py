@@ -1,5 +1,7 @@
 """Error-derivative side process: initial conditions, updates, gradient limit."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -61,10 +63,10 @@ def test_side_process_checks_its_start_with_its_curvatures_residual(converged, m
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(fp.model.Force, "__init__", counted)
-    side = fp.rbp.SideProcess.at(theta, x, y, s0, act, cfg.step_size, cfg.tolerance)
+    side = fp.rbp.SideProcess.at(theta, x, y, s0, act, cfg.tolerance)
     assert builds == ["CurvatureOps"]
     p = fp.rbp_init(theta, x, y, s0, act, cfg.tolerance)
-    np.testing.assert_array_equal(side.s_bar, fp.model.flatten(p.s_bar))
+    np.testing.assert_array_equal(side.s_bar_0, fp.model.flatten(p.s_bar))
     off = random_state(shape, np.random.default_rng(3))
     nan = [sk.copy() for sk in s0]
     nan[1][0] = np.nan
@@ -72,7 +74,7 @@ def test_side_process_checks_its_start_with_its_curvatures_residual(converged, m
         with pytest.raises(NotAtFixedPointError) as want:
             fp.rbp_init(theta, x, y, s, act, cfg.tolerance)
         with pytest.raises(NotAtFixedPointError) as got:
-            fp.rbp.SideProcess.at(theta, x, y, s, act, cfg.step_size, cfg.tolerance)
+            fp.rbp.SideProcess.at(theta, x, y, s, act, cfg.tolerance)
         assert str(got.value) == str(want.value)
 
 
@@ -315,3 +317,62 @@ def test_rbp_gradient_equals_the_per_block_curvature_product_bit_for_bit(
     assert est.horizon_t == ref.horizon_t > 0
     for a, b in zip(est.grad, ref.grad):
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _stepwise(ops, s_bar, eps):
+    """The side process as a hand-written Euler step, outside
+    `dynamics._flow`: yields (s_bar_k, S_k) for k = 0, 1, ..., with
+    s_bar <- s_bar - eps * (d2E/ds2) . s_bar and S_k summed beside it."""
+    eps0, s_sum = np.array(eps, dtype=float), np.zeros_like(s_bar)
+    while True:
+        yield s_bar, s_sum
+        h = ops.apply_ss(s_bar)
+        s_sum += s_bar
+        s_bar = s_bar - eps0 * h
+
+
+def _neumann_theta_bar(ops, theta_bar_0, s_sum, eps):
+    """theta_bar_0 - eps * J(S_k), J the mixed product at the frozen point."""
+    return [t0 - eps * j for t0, j in zip(theta_bar_0, ops.apply_theta_s(fp.model.split(s_sum, ops.bounds)))]
+
+
+def _bits(blocks):
+    return [b.tobytes() for b in blocks]
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, index, tight_cfg):
+    from fpgrad.equivalence import error_process_path, truncation_correspondence
+
+    shape, theta, x, y = make_instance(index)
+    beta, K, eps, tol = 1e-3, 40, tight_cfg.step_size, tight_cfg.tolerance
+    # tight_cfg's tolerance is below beta * 1e-3: the second phase's free point is rbp's
+    _, _, s0 = fp.eqprop.second_phase(theta, x, act, tight_cfg, [beta])
+    ops = fp.model.CurvatureOps(theta, x, s0, act)
+    p0 = fp.rbp_init(theta, x, y, s0, act, tol)
+
+    for steps, (s_bar, s_sum) in enumerate(_stepwise(ops, fp.model.flatten(p0.s_bar), eps)):
+        if np.abs(s_bar).max() <= tol:
+            break
+    est = fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0)
+    assert est.horizon_t == steps * eps
+    assert _bits(est.grad) == _bits(_neumann_theta_bar(ops, p0.theta_bar, s_sum, eps))
+
+    s_bars, theta_bars = error_process_path(theta, x, y, s0, act, eps, K, tol)
+    assert len(s_bars) == len(theta_bars) == K + 1
+    for k, (s_bar, s_sum) in zip(range(K + 1), _stepwise(ops, fp.model.flatten(p0.s_bar), eps)):
+        assert fp.model.flatten(s_bars[k]).tobytes() == s_bar.tobytes()
+        assert _bits(theta_bars[k]) == _bits(_neumann_theta_bar(ops, p0.theta_bar, s_sum, eps))
+
+    truncated = fp.truncated_eqprop_gradient(theta, x, y, beta, K, act, tight_cfg, s0).grad
+    theta_bar = theta_bars[K]
+    gap = fp.model.inf_norm([a - b for a, b in zip(truncated, theta_bar)]) / (1.0 + fp.model.inf_norm(theta_bar))
+    assert truncation_correspondence(theta, x, y, beta, K, act, tight_cfg) == gap
+
+    p = p0
+    for _ in range(3):
+        _, (s_bar, s_sum) = islice(_stepwise(ops, fp.model.flatten(p.s_bar), eps), 2)
+        want = (s_bar.tobytes(), _bits(_neumann_theta_bar(ops, p.theta_bar, s_sum, eps)), p.t + eps)
+        p = fp.rbp_step(p, theta, x, s0, act, eps)
+        assert (fp.model.flatten(p.s_bar).tobytes(), _bits(p.theta_bar), p.t) == want
