@@ -252,8 +252,7 @@ def _out_path(args, name: str) -> str:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -77,30 +77,27 @@ def relax(force: FlatForce, s_init: State, cfg: RelaxationConfig):
 
     Returns (final state, Trajectory), both in per-layer form.
     Convergence is checked before stepping: a start within tolerance is
-    certified by that one evaluation and comes back unchanged with a
-    single-snapshot trajectory, without starting the flow.
+    certified by that one evaluation and comes back unchanged, with its
+    one-snapshot trajectory built directly, without starting the flow.
     """
-    s = model.flatten(s_init)
+    s, bounds = model.flatten(s_init), model.layer_bounds(s_init)
     with np.errstate(over="ignore", invalid="ignore"):  # as in `_flow`
         g = force(s)
-    eps, every, residual = cfg.step_size, cfg.record_every, float(model.max_abs(g))
-    flow = [(s, g, residual)] if residual <= cfg.tolerance else _flow(force, [s], eps, cfg.max_steps, g=g)
-    times, snapshots = [], []
-    for k, (s, _, residual) in enumerate(flow):
-        done = residual <= cfg.tolerance or k == cfg.max_steps
-        if k == 0 or done or (every > 0 and k % every == 0):
+    residual = model.max_abs(g)
+    if residual <= cfg.tolerance:
+        return model.split(s, bounds), Trajectory([0.0], [model.split(s.copy(), bounds)], True, 0, residual)
+    eps, every, tol, last = cfg.step_size, cfg.record_every, cfg.tolerance, cfg.max_steps
+    times, snapshots = [0.0], [s.copy()]
+    for k, (s, _, residual) in enumerate(_flow(force, [s], eps, last, g=g)):
+        if residual <= tol or k == last:
+            break
+        if every and k and not k % every:
             times.append(k * eps)
             snapshots.append(s.copy())
-        if done:
-            break
-    bounds = model.layer_bounds(s_init)
-    return model.split(s, bounds), Trajectory(
-        times=times,
-        states=[model.split(v, bounds) for v in snapshots],
-        converged=residual <= cfg.tolerance,
-        steps_taken=k,
-        final_residual=residual,
-    )
+    times.append(k * eps)
+    snapshots.append(s.copy())
+    states = [model.split(v, bounds) for v in snapshots]
+    return model.split(s, bounds), Trajectory(times, states, residual <= tol, k, residual)
 
 
 def converged_state(result, cfg: RelaxationConfig, phase: str) -> State:
@@ -155,14 +152,16 @@ def relax_nudged(
 
 
 def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int,
-          norm=lambda s, g: model.max_abs(g), g=None):
-    """The one Euler loop: yields (s_k, g_k, norm(s_k, g_k)) for k =
-    0..n_steps, g_k the force at s_k and s_{k+1} = s_k - eps * g_k; the
-    residual `norm`, max|g_k| by default, may edit g_k.  s_k is a copy of
-    s_init updated in place (copy what you keep); g_k is fresh, g_0 the
-    caller's `g` if given.  A non-finite residual, the initial one
-    included, raises DivergenceError at its step.  numpy keeps its error
-    state in a context variable: the loop runs in a copy of the
+          norm=None, g=None, diverged="non-finite state at step {k}"):
+    """The one Euler loop: yields (s_k, g_k, residual_k) for k =
+    0..n_steps, g_k the force at s_k and s_{k+1} = s_k - eps * g_k.  The
+    residual is max|g_k| (`model.max_abs`, taken inline), or `norm(s_k,
+    g_k)`, a Python float, which may edit g_k.  s_k is a copy of s_init
+    updated in place (copy what you keep); g_k is fresh, g_0 the caller's
+    `g` if given.  A non-finite residual, the initial one included,
+    raises DivergenceError at its step, with the message `diverged`
+    formatted with the step k and the time t = k * eps.  numpy keeps its
+    error state in a context variable: the loop runs in a copy of the
     caller's context that ignores overflow (it surfaces in the residual),
     so the setting never reaches the consumer."""
     if not 0 < step_size < math.inf:
@@ -178,10 +177,14 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int,
             if k:
                 s -= eps * g
                 g = force(s)
-            residual = float(norm(s, g))
+            if norm is None:
+                a = np.abs(g)
+                residual = a.item(a.argmax())
+            else:
+                residual = norm(s, g)
             # a non-finite component anywhere surfaces in the residual
             if not math.isfinite(residual):
-                raise DivergenceError(f"non-finite state at step {k}", step=k)
+                raise DivergenceError(diverged.format(k=k, t=k * step_size), step=k)
             yield s, g, residual
 
     ctx = contextvars.copy_context()
@@ -194,9 +197,10 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
     of B states and each column's step count.  A column stops, as a serial
     `relax` of it would, once max|g[:, j]| is within its tolerance (one per
     column, default cfg.tolerance), and its count is the step it stopped
-    at, written then.  The column maxima, taken once a step, give the
-    flow's residual, 0 once no column moves; one still moving after
-    cfg.max_steps raises a ConvergenceError."""
+    at, written then.  The column maxima, one reduction a step, give the
+    flow's residual, read at their `argmax` as `model.max_abs` reads it,
+    0 once no column moves; one still moving after cfg.max_steps raises
+    a ConvergenceError."""
     steps = np.full(np.shape(stack[0])[1], -1)
     tol = np.broadcast_to(cfg.tolerance if tolerance is None else tolerance, steps.shape)
     k = frozen = 0
@@ -211,7 +215,7 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
             if n > frozen:  # a frozen column stays frozen: its force is unchanged
                 steps[done & (steps < 0)], frozen = k, n
         k += 1
-        return np.maximum.reduce(col)
+        return col.item(col.argmax())
 
     for s, g, residual in _flow(force, stack, cfg.step_size, cfg.max_steps, moving):
         if not residual:

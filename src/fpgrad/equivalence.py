@@ -56,10 +56,11 @@ def error_process_path(theta: Params, x, y, s_star: State, act: Activation, step
     of its flow (`rbp.SideProcess.flow`)."""
     eqprop.check_num_steps(num_steps)
     side = rbp.SideProcess.at(theta, x, y, s_star, act, tolerance)
-    s_bars, theta_bars = [], []
-    for s_bar, s_sum, _ in side.flow(step_size, num_steps):
+    s_bars, theta_bars, s_sum = [], [], np.zeros_like(side.s_bar_0)
+    for s_bar, _, _ in side.flow(step_size, num_steps):
         s_bars.append(model.split(s_bar.copy(), side.curvature.bounds))
         theta_bars.append(side.theta_bar(s_sum, step_size))
+        s_sum += s_bar
     return s_bars, theta_bars
 
 
@@ -267,9 +268,7 @@ def truncation_correspondence(
     [beta], cfg, s_free = eqprop.second_phase(theta, x, act, cfg, [beta])
     truncated = eqprop.truncated_eqprop_gradient(theta, x, y, beta, num_steps, act, cfg, s_free).grad
     side = rbp.SideProcess.at(theta, x, y, s_free, act, cfg.tolerance)
-    for _, s_sum, _ in side.flow(cfg.step_size, num_steps):
-        pass
-    theta_bar = side.theta_bar(s_sum, cfg.step_size)
+    theta_bar = side.theta_bar(side.endpoint(cfg.step_size, num_steps)[1], cfg.step_size)
     gap = model.inf_norm([a - b for a, b in zip(truncated, theta_bar)])
     return gap / (1.0 + model.inf_norm(theta_bar))
 

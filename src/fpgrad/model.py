@@ -254,9 +254,12 @@ def inf_norm(blocks) -> float:
     return float(np.max([np.max(np.abs(b)) for b in blocks]))
 
 
-def max_abs(v: np.ndarray):
-    """max|v|, NaN if v holds one, without `ndarray.max`'s Python wrapper."""
-    return np.maximum.reduce(np.abs(v), axis=None)
+def max_abs(v: np.ndarray) -> float:
+    """max|v| as a Python float, NaN if v holds one (`argmax` finds the
+    first NaN): read at its `argmax`, about half the cost of a ufunc
+    reduction on a few entries, and exact, as any max is."""
+    a = np.abs(v)
+    return a.item(a.argmax())
 
 
 def add_scaled(a, c: float, b):
@@ -407,11 +410,11 @@ class Force:
         # total synaptic input to each layer, W_k rho(next), then += W_{k-1}^T rho(prev);
         # the innermost layer's W_{L-1} rho(x) is the one taken at construction
         for w, r, a in self._down:
-            np.dot(w, r, out=a)
+            w.dot(r, out=a)
         for w, r, a in self._up:
-            a += np.dot(w, r)
+            a += w.dot(r)
         for w, r, a in self._up_innermost:
-            np.add(self._input_drive, np.dot(w, r), out=a)
+            np.add(self._input_drive, w.dot(r), out=a)
         g = s - self.slopes * self.drive
         if self.y is not None:
             n = self.bounds[1]
@@ -522,7 +525,7 @@ class CurvatureOps(Force):
         act.require_curvature()
         super().__init__(theta, x, s, act)
         v = flatten(s)
-        self.residual = float(max_abs(self(v)))  # max|dE/ds| at s
+        self.residual = max_abs(self(v))  # max|dE/ds| at s
         # curvature of the leak-plus-drive term, diagonal per layer
         self.d2_drive = act.d2f(v) * self.drive
         # W_k (d1 v)_{k+1} into layers 0..L-2 and W_k^T (d1 v)_k into layers

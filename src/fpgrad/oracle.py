@@ -112,11 +112,12 @@ def _relaxed_stack(theta: Params, x, start: State, act: Activation, probes, cfg:
     cols = np.concatenate([cols, cols[inner]])
     at = np.concatenate([rows_i, rows_j[inner]]) * width + cols
     rate_at = np.concatenate([rows_j, rows_i[inner]]) * width + cols
-    d, rates = np.concatenate([d, d[inner]]), shared.rates.ravel()
+    d = np.concatenate([d, d[inner]])
 
     def force(s):
         g = shared(s)
-        g.ravel()[at] -= shared.slopes.ravel()[at] * d * rates[rate_at]
+        flat = g.ravel()
+        flat[at] = flat.take(at) - shared.slopes.take(at) * d * shared.rates.take(rate_at)
         return g
 
     return dynamics.relax_columns(force, stack, cfg, "oracle relaxation")[0]

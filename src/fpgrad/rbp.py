@@ -13,14 +13,16 @@ the decay of ||s_bar|| is the natural stopping certificate.  Being linear,
 theta_bar_k is theta_bar_0 minus eps times the mixed product of the sum
 of s_bar_0 .. s_bar_{k-1}, so the integration carries only s_bar and
 that sum (`SideProcess`, built from a pair).  s_bar runs in the one Euler
-loop, `dynamics._flow`, under the linear force (d2E/ds2)(s0) . s_bar,
-with the sum taken beside it (`SideProcess.flow`); the matched-grid sweep
-runs it as one more column of its stacked nudged flow instead.
+loop, `dynamics._flow`, under the linear force (d2E/ds2)(s0) . s_bar
+(`SideProcess.flow`), and its consumers take the sum as they read the
+steps; the matched-grid sweep runs it as one more column of its stacked
+nudged flow instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -28,16 +30,17 @@ import numpy as np
 from . import dynamics, model
 from .dynamics import RelaxationConfig
 from .eqprop import GradientEstimate, _free_fixed_point
-from .exceptions import (
-    ConvergenceError,
-    DivergenceError,
-    InstabilityError,
-    NotAtFixedPointError,
-)
+from .exceptions import ConvergenceError, DivergenceError, InstabilityError, NotAtFixedPointError
 from .model import Activation, Params, State
 
 # consecutive growth steps of ||s_bar|| before declaring the step unstable
 _INSTABILITY_PATIENCE = 100
+
+
+def _s_bar_norm(s_bar, _):
+    """||s_bar||_inf, the side flow's residual (`model.max_abs`, inline)."""
+    a = np.abs(s_bar)
+    return a.item(a.argmax())
 
 
 @dataclass
@@ -80,9 +83,11 @@ class SideProcess:
     s_bar: theta_bar_k = theta_bar_0 - eps * J(S_k), with J the mixed
     product d2E/dW ds and S_k = s_bar_0 + ... + s_bar_{k-1} (Liao et al.
     2018, "Reviving and Improving Recurrent Back-Propagation").  Only
-    s_bar and S_k advance (`flow`), both flat state vectors;
-    `theta_bar(S_k, eps)` forms the weight-shaped member of the pair where
-    it is read.  The process itself holds only its start and operators.
+    s_bar advances (`flow`, the Euler loop itself, one generator resume a
+    step), and its consumer sums S_k, both flat state vectors (`endpoint`
+    for the last pair of a fixed horizon); `theta_bar(S_k, eps)` forms
+    the weight-shaped member of the pair where it is read.  The process
+    itself holds only its start and operators.
     """
 
     def __init__(self, p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation):
@@ -99,20 +104,21 @@ class SideProcess:
         return side
 
     def flow(self, step_size: float, n_steps: int):
-        """Yields (s_bar_k, S_k, ||s_bar_k||_inf) for k = 0..n_steps: the
-        Euler flow (`dynamics._flow`) of s_bar under `apply_ss`, with S_k
-        summed beside it, both updated in place (copy what you keep).
+        """The Euler flow (`dynamics._flow`) of s_bar under `apply_ss`
+        itself: yields (s_bar_k, (d2E/ds2) . s_bar_k, ||s_bar_k||_inf) for
+        k = 0..n_steps, s_bar_k updated in place (copy what you keep).
+        The consumer sums S_k, adding s_bar_k after it has read S_k.
         ||s_bar_k||, the flow's residual, is the stopping certificate; a
         non-finite one raises DivergenceError at t = k * eps."""
-        s_sum, force = np.zeros_like(self.s_bar_0), self.curvature.apply_ss
-        try:
-            steps = dynamics._flow(force, [self.s_bar_0], step_size, n_steps, lambda s, g: model.max_abs(s))
-            for k, (s_bar, _, residual) in enumerate(steps):
-                yield s_bar, s_sum, residual
-                if k < n_steps:  # so that S_n is the last sum
-                    s_sum += s_bar
-        except DivergenceError as e:
-            raise DivergenceError(f"non-finite side process at t={e.step * step_size!r}", step=e.step) from e
+        return dynamics._flow(self.curvature.apply_ss, [self.s_bar_0], step_size, n_steps,
+                              _s_bar_norm, diverged="non-finite side process at t={t!r}")
+
+    def endpoint(self, step_size: float, n_steps: int):
+        """(s_bar_n, S_n), n = n_steps: the flow run to its last step."""
+        s_sum, steps = np.zeros_like(self.s_bar_0), self.flow(step_size, n_steps)
+        for s_bar, _, _ in islice(steps, n_steps):
+            s_sum += s_bar
+        return next(steps)[0], s_sum
 
     def mixed(self, v: np.ndarray) -> Params:
         """J(v) = (d2E/dW ds) . v for a flat v."""
@@ -123,14 +129,8 @@ class SideProcess:
         return [t0 - step_size * j for t0, j in zip(self.theta_bar_0, self.mixed(s_sum))]
 
 
-def rbp_step(
-    p: ErrorProcessState,
-    theta: Params,
-    x,
-    s_star: State,
-    act: Activation,
-    step_size: float,
-) -> ErrorProcessState:
+def rbp_step(p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation,
+             step_size: float) -> ErrorProcessState:
     """One forward-Euler update of the pair, returned as a new state: one
     step of the `SideProcess` started from p.
 
@@ -138,7 +138,7 @@ def rbp_step(
     uses the pre-update s_bar.  The Hessians stay pinned at s_star.
     """
     side = SideProcess(p, theta, x, s_star, act)
-    _, (s_bar, s_sum, _) = side.flow(step_size, 1)
+    s_bar, s_sum = side.endpoint(step_size, 1)
     s_bar = model.split(s_bar, side.curvature.bounds)
     q = ErrorProcessState(s_bar, side.theta_bar(s_sum, step_size), p.t + step_size)
     if not model.all_finite(q.theta_bar):
@@ -146,15 +146,8 @@ def rbp_step(
     return q
 
 
-def rbp_gradient(
-    theta: Params,
-    x,
-    y,
-    act: Activation,
-    cfg: RelaxationConfig,
-    s_free: Optional[State] = None,
-    record: Optional[list] = None,
-) -> GradientEstimate:
+def rbp_gradient(theta: Params, x, y, act: Activation, cfg: RelaxationConfig,
+                 s_free: Optional[State] = None, record: Optional[list] = None) -> GradientEstimate:
     """Objective gradient via the side process.
 
     Runs the free phase from the zero state (unless `s_free` is given),
@@ -173,8 +166,8 @@ def rbp_gradient(
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
     side = SideProcess.at(theta, x, y, s_free, act, cfg.tolerance)
-    rising = 0
-    for k, (s_bar, s_sum, norm) in enumerate(side.flow(eps, cfg.max_steps)):
+    rising, s_sum = 0, np.zeros_like(side.s_bar_0)
+    for k, (s_bar, _, norm) in enumerate(side.flow(eps, cfg.max_steps)):
         if k:
             if record is not None:
                 record.append((k * eps, norm, delta))
@@ -189,6 +182,7 @@ def rbp_gradient(
             return GradientEstimate(side.theta_bar(s_sum, eps), "rbp", eps, horizon_t=k * eps)
         if record is not None:
             delta = eps * model.inf_norm(side.mixed(s_bar))
+        s_sum += s_bar
         last = norm
     raise ConvergenceError(
         f"side process did not converge within {cfg.max_steps} steps "

@@ -297,6 +297,45 @@ def test_equivalence_rejects_one_distinct_beta_before_relaxing(ws, monkeypatch, 
     assert "at least two distinct betas" in capsys.readouterr().err
 
 
+def _eqprop_equivalence(ws, **method):
+    cfg = dict(BASE_CONFIG)
+    cfg["method"] = dict(cfg["method"], name="eqprop", **method)
+    return ["equivalence", "--config", write_config(ws, cfg), "--out", "out"]
+
+
+def test_equivalence_with_a_zero_gap_threshold_runs_and_fails_its_gate(ws, capsys):
+    # 0 is a valid threshold, not a config error (exit 2); no positive
+    # relative gap is within it
+    assert main(_eqprop_equivalence(ws, gap_threshold=0)) == 1
+    err = capsys.readouterr().err
+    assert "equivalence: gate failed (slopes in [0.8, 1.2]? True; relative gap " in err
+    assert "<= 0.0? False)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("slope", [1.3, 0.7])
+@pytest.mark.parametrize("key", ["s_slope", "theta_slope"])
+def test_equivalence_fails_its_gate_on_a_slope_outside_the_band(ws, capsys, monkeypatch, key, slope):
+    summarize = fp.equivalence.summarize
+    monkeypatch.setattr(fp.equivalence, "summarize", lambda reports: dict(summarize(reports), **{key: slope}))
+    assert main(_eqprop_equivalence(ws)) == 1
+    summary = json.loads((ws / "out" / "equivalence_summary.json").read_text())
+    assert summary[key] == slope
+    assert "equivalence: gate failed (slopes in [0.8, 1.2]? False; " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", [1e-3, 2.5e-4])
+def test_degenerate_floor_is_ten_tolerances_over_beta_inclusive(beta):
+    tol = 1e-12
+    floor = 10.0 * tol / beta
+
+    def rep(gap):
+        return fp.equivalence.EquivalenceReport(beta, 0.1, 1, [], [], [], [], gap, gap / 2, 1.0)
+
+    assert cli._degenerate(rep(floor), tol)
+    assert not cli._degenerate(rep(np.nextafter(floor, np.inf)), tol)
+    assert not cli._degenerate(rep(50.0 * tol / beta), tol)
+
+
 def test_sweep_accepts_one_beta(ws):
     cfg = write_config(ws, BASE_CONFIG)
     assert main(["sweep", "--config", cfg, "--beta", "1e-3", "--out", "out"]) == 0

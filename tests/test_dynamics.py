@@ -578,3 +578,45 @@ def test_stacked_columns_match_a_loop_that_writes_the_masks_every_step(seeded_ne
     assert steps[3] == 0 and len(set(steps.tolist())) == 4
     np.testing.assert_array_equal(steps, ref_steps)
     np.testing.assert_array_equal(ends.view(np.int64), ref.view(np.int64))
+
+
+def _flow_residuals(monkeypatch):
+    """The residuals `relax_columns`' flow yields, recorded as they pass."""
+    seen, flow = [], fp.dynamics._flow
+
+    def recorded(*args, **kwargs):
+        for point in flow(*args, **kwargs):
+            seen.append((point[1].copy(), point[2]))
+            yield point
+
+    monkeypatch.setattr(fp.dynamics, "_flow", recorded)
+    return seen
+
+
+def test_the_stacked_flow_residual_is_the_max_over_moving_columns(monkeypatch):
+    # g = rate * s per column: column j shrinks by (1 - eps * rate_j) a
+    # step, so the three columns freeze at three different steps, after
+    # which the residual is exactly 0.0
+    seen = _flow_residuals(monkeypatch)
+    rates = np.array([1.0, 2.0, 4.0])
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-3)
+    stack = [np.array([[1.0, -2.0, 0.5], [-0.25, 1.0, -3.0]]), np.array([[0.5, 0.0, -1.0]])]
+    ends, steps = fp.dynamics.relax_columns(lambda s: s * rates, stack, cfg, "stack")
+    assert len(set(steps.tolist())) == 3
+    residuals = [r for _, r in seen]
+    assert all(type(r) is float for r in residuals)
+    assert residuals[-1] == 0.0 and all(residuals[:-1])
+    for k, (g, r) in enumerate(seen):
+        moving = g[:, steps > k]  # frozen columns were zeroed by the flow's hook
+        assert np.float64(r).tobytes() == np.max(np.abs(moving), initial=0.0).tobytes()
+
+
+@pytest.mark.parametrize("column", [0, 2])
+def test_a_nan_column_diverges_though_the_others_are_frozen(column):
+    # the other columns are within tolerance at step 0 and freeze there
+    stack = [np.zeros((2, 3)), np.zeros((1, 3))]
+    stack[1][0, column] = np.nan
+    cfg = fp.RelaxationConfig(tolerance=1e-3)
+    with pytest.raises(DivergenceError, match="non-finite state at step 0") as err:
+        fp.dynamics.relax_columns(lambda s: 2.0 * s, stack, cfg, "stack")
+    assert err.value.step == 0

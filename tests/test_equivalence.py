@@ -34,7 +34,8 @@ def _serial_sweep_reference(theta, x, y, betas, num_steps, act, cfg, s_free=None
     forces = [model.Force(theta, x, s_free, act, y, b) for b in betas]
     flows = zip(*(dynamics._flow(f, s_free, eps, num_steps) for f in forces))
     reports = [EquivalenceReport(b, eps, num_steps, [], [], [], [], 0.0, 0.0, 0.0) for b in betas]
-    for points, (s_bar, s_sum, _) in zip(flows, side.flow(eps, num_steps)):
+    s_sum = np.zeros(n)
+    for points, (s_bar, _, _) in zip(flows, side.flow(eps, num_steps)):
         sbar_norm = float(np.abs(s_bar).max())
         for r, force, (_, g, residual) in zip(reports, forces, points):
             drho = force.rho - rho
@@ -46,6 +47,7 @@ def _serial_sweep_reference(theta, x, y, betas, num_steps, act, cfg, s_free=None
             r.per_step_theta_gap.append(gap)
             r.per_step_sbar_norm.append(sbar_norm)
             r.per_step_stilde_norm.append(residual / r.beta)
+        s_sum += s_bar
     for r in reports:
         r.max_s_gap = max(r.per_step_s_gap)
         r.max_theta_gap = max(r.per_step_theta_gap)
@@ -646,3 +648,14 @@ def test_report_csv_and_summary_export(converged):
     s = summarize([rep])
     assert s["s_slope"] is None  # single beta: no fit
     assert s["betas"] == [1e-3]
+
+
+@pytest.mark.parametrize("member", ["max_s_gap", "max_theta_gap"])
+def test_a_zero_gap_makes_the_summary_degenerate(member):
+    # no log-log slope through a zero gap
+    reports = [EquivalenceReport(b, 0.1, 1, [], [], [], [], b, 2 * b, 1.0) for b in (1e-3, 5e-4, 2.5e-4)]
+    setattr(reports[1], member, 0.0)
+    s = summarize(reports)
+    assert s["s_slope"] is None and s["theta_slope"] is None
+    assert s["max_s_gaps"] == [r.max_s_gap for r in reports]
+    assert summarize([EquivalenceReport(b, 0.1, 1, [], [], [], [], b, 2 * b, 1.0) for b in (1e-3, 5e-4)])["s_slope"] is not None

@@ -1,8 +1,11 @@
 """Energy, cost, and analytic-derivative checks against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fpgrad as fp
 from fpgrad.exceptions import ShapeError, UnsupportedActivationError
@@ -840,3 +843,57 @@ def test_the_scalar_operands_are_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         np.add(c, 1.0, out=c)
     assert float(c) == before
+
+
+# ---------------------------------------------------------------------------
+# max_abs: the residual of every Euler step
+# ---------------------------------------------------------------------------
+
+_max_abs_shapes = st.one_of(
+    st.tuples(st.integers(1, 9)),
+    st.tuples(st.integers(1, 6), st.integers(1, 5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=_max_abs_shapes)
+def test_max_abs_is_the_numpy_max_of_abs_bit_for_bit(data, shape):
+    # infinities and signed zeros included; a NaN is tested below
+    v = data.draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False, width=64)))
+    got = fp.model.max_abs(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(np.max(np.abs(v))).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=_max_abs_shapes)
+def test_max_abs_of_an_array_holding_a_nan_is_nan(data, shape):
+    v = data.draw(arrays(np.float64, shape, elements=st.floats(width=64)))
+    v.flat[data.draw(st.integers(0, v.size - 1))] = np.nan
+    got = fp.model.max_abs(v)
+    assert type(got) is float and math.isnan(got)
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        ([np.nan, 1.0, -np.inf], np.nan),
+        ([1.0, -np.inf, np.nan], np.nan),
+        ([np.nan], np.nan),
+        ([[0.5, np.nan], [np.inf, 2.0]], np.nan),
+        ([1.0, -np.inf, 3.0], np.inf),
+        ([np.inf, -2.0], np.inf),
+        ([[1.0, 2.0], [-np.inf, 0.0]], np.inf),
+        ([-0.0, -0.0], 0.0),
+        ([[-0.0], [-0.0]], 0.0),
+    ],
+    ids=["nan-first", "nan-last", "nan-alone", "nan-stack", "minus-inf", "plus-inf",
+         "inf-stack", "minus-zeros", "minus-zeros-stack"],
+)
+def test_max_abs_at_its_edges(v, want):
+    got = fp.model.max_abs(np.array(v))
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

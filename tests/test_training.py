@@ -426,3 +426,12 @@ def test_trainlog_csv_format():
     assert lines[0] == "epoch,mean_cost,accuracy,grad_norm"
     assert lines[1] == "0,0.5,0.5,0.1"
     assert lines[2] == "1,0.25,1.0,0.05"
+
+
+@pytest.mark.parametrize(
+    "pred, y, want",
+    [([0.5], [1.0], True), ([0.5], [0.0], False), ([np.nextafter(0.5, 0.0)], [0.0], True)],
+    ids=["half-is-one", "half-is-not-zero", "below-half-is-zero"],
+)
+def test_a_one_output_prediction_thresholds_at_one_half_inclusive(pred, y, want):
+    assert training._correct(np.array(pred), np.array(y)) is want
