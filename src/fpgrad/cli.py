@@ -10,7 +10,6 @@ convergence failure, 2 configuration or parse error.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import math
@@ -39,48 +38,80 @@ EXIT_CONFIG = 2
 _RBP_TOL, _RBP_FLOOR = 1e-3, 1e-7
 _EQPROP_TOL, _EQPROP_FLOOR = 1e-2, 1e-7
 
-_DEFAULTS = {
-    "shape": None,
-    "activation": "logistic",
-    "relaxation": {
-        "step_size": 0.1,
-        "max_steps": 100_000,
-        "tolerance": 1e-8,
-        "record_every": 1,
-    },
-    "method": {
-        "name": "rbp",
-        "beta": 1e-3,
-        "betas": [1e-3, 5e-4, 2.5e-4],
-        "num_steps": 300,
-        "truncation_steps": 100,
-        "delta": 1e-4,
-        "gap_threshold": 0.01,
-        "step_size": None,
-    },
-    "seed": 0,
-    "dataset": None,
-    "checkpoint": None,
-    "input_x": None,
-    "train": {
-        "epochs": 100,
-        "learning_rates": 0.5,
-    },
+# Every config key, dotted by section: (kind, default, the flag that
+# overrides it).  `load_config` reads every key as its kind (see `_read`);
+# a key whose default is None may be null.
+_KEYS = {
+    "shape": ("shape", None, None),
+    "activation": (None, "logistic", None),
+    "relaxation.step_size": (float, 0.1, "step_size"),
+    "relaxation.max_steps": (int, 100_000, "max_steps"),
+    "relaxation.tolerance": (float, 1e-8, "tolerance"),
+    "relaxation.record_every": (int, 1, None),
+    "method.name": (training.TRAIN_METHODS, "rbp", "method"),
+    "method.beta": (float, 1e-3, None),  # and the first of --beta's betas
+    "method.betas": ([float], [1e-3, 5e-4, 2.5e-4], "beta"),
+    "method.num_steps": (int, 300, "steps"),
+    "method.truncation_steps": (int, 100, None),
+    "method.delta": (float, 1e-4, None),
+    "method.gap_threshold": (float, 0.01, None),
+    "method.step_size": (float, None, None),
+    "seed": (int, 0, "seed"),
+    "dataset": ("path", None, "dataset"),
+    "checkpoint": ("path", None, "checkpoint"),
+    "input_x": ([float], None, "x"),
+    "train.epochs": (int, 100, "epochs"),
+    "train.learning_rates": ("rates", 0.5, None),
 }
+_SECTIONS = {key.partition(".")[0] for key in _KEYS if "." in key}
 
-_ALLOWED_SHAPE = {"input_dim", "layer_dims"}
+
+def _read(value, kind, what: str):
+    """`value` read strictly as `kind`, or a ConfigError naming `what`.  A
+    kind is int or float (a bool is no number, a fraction no int), [kind]
+    for a list of them, a tuple of the names allowed, "rates" for a float
+    or a list of floats, "path" for an existing file, "shape" for a
+    NetworkShape, or None for a value its command checks itself."""
+    if kind is None:
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{what}: cannot read {value!r} as one of {', '.join(kind)}")
+        return value
+    if kind == "rates":
+        kind = [float] if isinstance(value, list) else float
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{what}: cannot read {value!r} as a list")
+        return [_read(v, kind[0], what) for v in value]
+    if kind == "path":
+        if not isinstance(value, str):
+            raise ConfigError(f"{what}: cannot read {value!r} as a file path")
+        if not os.path.exists(value):
+            raise ConfigError(f"{what}: missing file {value}")
+        return value
+    if kind == "shape":
+        if not isinstance(value, dict) or set(value) != {"input_dim", "layer_dims"}:
+            raise ConfigError(f"shape: cannot read {value!r} as an object of input_dim and layer_dims")
+        return NetworkShape(_read(value["input_dim"], int, "shape.input_dim"),
+                            tuple(_read(value["layer_dims"], [int], "shape.layer_dims")))
+    try:
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}: cannot read {value!r} as {kind.__name__}") from None
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+def _put(cfg: dict, key: str, value) -> None:
+    section, _, name = key.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[name] = value
 
 
 def load_config(path):
-    """Parse, validate, and default-fill an experiment config file."""
-    cfg = copy.deepcopy(_DEFAULTS)
-    explicit = set()
+    """Parse an experiment config file, fill in the defaults and read every
+    key as its kind (see `_KEYS`), whether or not the command uses it."""
+    raw = {}
     if path is not None:
         try:
             with open(path) as f:
@@ -91,149 +122,74 @@ def load_config(path):
             raise ConfigError(f"{path}: invalid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        _check_keys(raw, _DEFAULTS, "top level")
-        for key, value in raw.items():
-            explicit.add(key)
-            if isinstance(_DEFAULTS[key], dict) and key != "shape":
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{path}: '{key}' must be an object")
-                _check_keys(value, _DEFAULTS[key], f"'{key}'")
-                cfg[key].update(value)
-            else:
-                cfg[key] = value
-    if cfg["shape"] is not None:
-        if not isinstance(cfg["shape"], dict):
-            raise ConfigError("'shape' must be an object")
-        _check_keys(cfg["shape"], _ALLOWED_SHAPE, "'shape'")
-        missing = _ALLOWED_SHAPE - set(cfg["shape"])
-        if missing:
-            raise ConfigError(f"'shape' is missing {sorted(missing)}")
-    for key in ("dataset", "checkpoint"):
-        if cfg[key] is not None and not isinstance(cfg[key], str):
-            raise ConfigError(f"{key}: cannot read {cfg[key]!r} as a file path")
-        if cfg[key] is not None and not os.path.exists(cfg[key]):
-            raise ConfigError(f"config references missing {key} file: {cfg[key]}")
-    _check_matched_grid(cfg)
-    cfg["_explicit"] = explicit
+    given = {}
+    for key, value in raw.items():
+        if key not in _SECTIONS:
+            given[key] = value
+        elif isinstance(value, dict):
+            given.update((f"{key}.{k}", v) for k, v in value.items())
+        else:
+            raise ConfigError(f"{path}: '{key}' must be an object")
+    unknown = sorted(set(given) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {unknown}")
+    cfg = {"_explicit": set(raw)}
+    for key, (kind, default, _) in _KEYS.items():
+        value = given.get(key, default)
+        _put(cfg, key, value if value is None and default is None else _read(value, kind, key))
     return cfg
 
 
-def _check_matched_grid(cfg) -> None:
-    # a second-phase step override must agree with the relaxation step,
-    # otherwise the processes live on different grids
-    override = cfg["method"]["step_size"]
-    if override is not None and override != cfg["relaxation"]["step_size"]:
-        raise ConfigError(
-            f"method.step_size {override!r} differs from relaxation.step_size "
-            f"{cfg['relaxation']['step_size']!r}; both phases must share one grid"
-        )
-
-
-def _read(value, kind, what: str):
-    """`value` as `kind`, or a ConfigError naming `what`: a bool is no number, a fraction no int."""
-    try:
-        if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what}: cannot read {value!r} as {kind.__name__}") from None
-
-
-def _floats(values, what: str) -> list:
-    """`values` as floats, or a ConfigError that names the bad entry."""
-    try:
-        return [_read(v, float, what) for v in values]
-    except TypeError as e:
-        raise ConfigError(f"{what}: {e}") from None
-
-
-def _number(cfg, key: str, kind=float):
-    """The config value at dotted `key` as `kind`, or a ConfigError that
-    names the key and the value."""
-    section, _, name = key.rpartition(".")
-    return _read(cfg[section][name] if section else cfg[name], kind, key)
-
-
 def _apply_overrides(cfg, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    cfg["seed"] = _number(cfg, "seed", int)
+    """Set the key of each flag given, read as the key's kind (see `_KEYS`),
+    then check the rules that join keys."""
+    flags = {name: value for name, value in vars(args).items() if value is not None}
+    if "x" in flags:
+        flags["x"] = flags["x"].split(",")
+    if "beta" in flags:
+        flags["beta"] = [b for b in args.beta.split(",") if b]
+        if not flags["beta"]:
+            raise ConfigError(f"cannot parse --beta '{args.beta}'")
+    config_step = cfg["relaxation"]["step_size"]
+    for key, (kind, _, flag) in _KEYS.items():
+        if flag in flags:
+            _put(cfg, key, _read(flags[flag], kind, "--" + flag))
+    if "beta" in flags:
+        cfg["method"]["beta"] = cfg["method"]["betas"][0]
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
-    if getattr(args, "dataset", None) is not None:
-        if not os.path.exists(args.dataset):
-            raise ConfigError(f"missing dataset file: {args.dataset}")
-        cfg["dataset"] = args.dataset
-    if getattr(args, "checkpoint", None) is not None:
-        if not os.path.exists(args.checkpoint):
-            raise ConfigError(f"missing checkpoint file: {args.checkpoint}")
-        cfg["checkpoint"] = args.checkpoint
-    if getattr(args, "method", None) is not None:
-        cfg["method"]["name"] = args.method
-    if getattr(args, "beta", None) is not None:
-        betas = _floats([b for b in args.beta.split(",") if b], "--beta")
-        if not betas:
-            raise ConfigError(f"cannot parse --beta '{args.beta}'")
-        cfg["method"]["beta"] = betas[0]
-        cfg["method"]["betas"] = betas
-    if getattr(args, "steps", None) is not None:
-        cfg["method"]["num_steps"] = args.steps
-        cfg["method"]["truncation_steps"] = args.steps
-    if getattr(args, "max_steps", None) is not None:
-        cfg["relaxation"]["max_steps"] = args.max_steps
-    if getattr(args, "tolerance", None) is not None:
-        cfg["relaxation"]["tolerance"] = args.tolerance
-    if getattr(args, "step_size", None) is not None:
-        cfg["relaxation"]["step_size"] = args.step_size
-    if getattr(args, "epochs", None) is not None:
-        cfg["train"]["epochs"] = args.epochs
-    _check_matched_grid(cfg)
+    # a second-phase step must be the relaxation step, of the config and
+    # after the flags: otherwise the processes live on different grids
+    override = cfg["method"]["step_size"]
+    for step in (config_step, cfg["relaxation"]["step_size"]):
+        if override is not None and override != step:
+            raise ConfigError(
+                f"method.step_size {override!r} differs from relaxation.step_size "
+                f"{step!r}; both phases must share one grid"
+            )
 
 
-def _relaxation(cfg) -> RelaxationConfig:
-    try:
-        return RelaxationConfig(
-            step_size=_number(cfg, "relaxation.step_size"),
-            max_steps=_number(cfg, "relaxation.max_steps", int),
-            tolerance=_number(cfg, "relaxation.tolerance"),
-            record_every=_number(cfg, "relaxation.record_every", int),
-        )
-    except ValueError as e:
-        raise ConfigError(f"bad relaxation settings: {e}") from e
-
-
-def _shape(cfg) -> NetworkShape:
-    if cfg["shape"] is None:
-        raise ConfigError("this command needs 'shape' in the config (or a checkpoint)")
-    try:
-        return NetworkShape(
-            _number(cfg, "shape.input_dim", int),
-            tuple(_read(d, int, "shape.layer_dims") for d in cfg["shape"]["layer_dims"]),
-        )
-    except (ShapeError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad shape: {e}") from e
-
-
-def _resolve_network(cfg, args, with_point=False):
+def _resolve_network(cfg, with_point=False):
     """(shape, activation, weights) from checkpoint if given, else seeded;
     with_point, then (x, y) from the first dataset row if given, else
     seeded, drawn with the seeded weights in one instance."""
-    ckpt = cfg["checkpoint"]
+    ckpt, shape, act_name = cfg["checkpoint"], cfg["shape"], cfg["activation"]
     if ckpt is not None:
-        theta, shape, act_name = training.load_checkpoint(ckpt)
-        if cfg["shape"] is not None and _shape(cfg) != shape:
+        theta, ck_shape, ck_act = training.load_checkpoint(ckpt)
+        if shape is not None and shape != ck_shape:
             raise ConfigError(
-                f"config shape {cfg['shape']} disagrees with checkpoint shape "
-                f"{shape.input_dim}->{list(shape.layer_dims)}"
+                f"config shape {shape.input_dim}->{list(shape.layer_dims)} disagrees with "
+                f"checkpoint shape {ck_shape.input_dim}->{list(ck_shape.layer_dims)}"
             )
-        if "activation" in cfg["_explicit"]:
-            act_name = cfg["activation"]
-        net = (shape, model.get_activation(act_name), theta)
+        shape = ck_shape
+        if "activation" not in cfg["_explicit"]:
+            act_name = ck_act
+    elif shape is None:
+        raise ConfigError("this command needs 'shape' in the config (or a checkpoint)")
     else:
-        shape = _shape(cfg)
-        act = model.get_activation(cfg["activation"])
         seeded = model.random_instance(shape, cfg["seed"])
-        net = (shape, act, seeded[0])
+        theta = seeded[0]
+    net = (shape, model.get_activation(act_name), theta)
     if not with_point:
         return net
     if cfg["dataset"] is not None:
@@ -262,19 +218,17 @@ def _write_json(path: str, payload: dict) -> None:
 def cmd_relax(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    shape, act, theta = _resolve_network(cfg, args)
-    what, x = ("--x", args.x.split(",")) if args.x is not None else ("input_x", cfg["input_x"])
+    shape, act, theta = _resolve_network(cfg)
+    x, what = cfg["input_x"], "input_x" if args.x is None else "--x"
     if x is None:
         raise ConfigError("relax needs an input vector: --x or config 'input_x'")
-    x = np.array(_floats(x, what))
-    for i, v in enumerate(x.tolist()):
+    for i, v in enumerate(x):
         if not math.isfinite(v):
             raise ConfigError(f"{what}: component {i} is not finite: {v!r}")
-    if x.shape != (shape.input_dim,):
-        raise ConfigError(
-            f"input vector has {x.shape[0]} components, network expects {shape.input_dim}"
-        )
-    rcfg = _relaxation(cfg)
+    if len(x) != shape.input_dim:
+        raise ConfigError(f"input vector has {len(x)} components, network expects {shape.input_dim}")
+    x = np.array(x)
+    rcfg = RelaxationConfig(**cfg["relaxation"])
     s, traj = dynamics.relax_free(theta, x, shape.zero_state(), act, rcfg)
     csv_path = _out_path(args, "trajectory.csv")
     dynamics.write_trajectory_csv(traj, csv_path)
@@ -297,17 +251,13 @@ def cmd_relax(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    shape, act, theta, x, y = _resolve_network(cfg, args, with_point=True)
-    rcfg = _relaxation(cfg)
-    try:
-        fd = oracle.FDConfig(delta=_number(cfg, "method.delta"))
-    except ValueError as e:
-        raise ConfigError(f"bad finite-difference settings: {e}") from e
-    method = cfg["method"]["name"]
+    shape, act, theta, x, y = _resolve_network(cfg, with_point=True)
+    rcfg = RelaxationConfig(**cfg["relaxation"])
+    fd = oracle.FDConfig(delta=cfg["method"]["delta"])
+    method, betas = cfg["method"]["name"], cfg["method"]["betas"]
     if method not in ("rbp", "eqprop"):
         raise ConfigError(f"gradcheck supports methods rbp and eqprop, got '{method}'")
     if method == "eqprop":
-        betas = _floats(cfg["method"]["betas"], "method.betas")
         if not betas:
             raise ConfigError("method.betas: betas must be non-empty")
         for beta in betas:
@@ -383,16 +333,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def _run_sweep(cfg, args, fit_slope=False):
-    shape, act, theta, x, y = _resolve_network(cfg, args, with_point=True)
-    rcfg = _relaxation(cfg)
-    betas = _floats(cfg["method"]["betas"], "method.betas")
+    shape, act, theta, x, y = _resolve_network(cfg, with_point=True)
+    rcfg = RelaxationConfig(**cfg["relaxation"])
+    betas, num_steps = cfg["method"]["betas"], cfg["method"]["num_steps"]
     try:
         eqprop.check_betas(betas)
     except ValueError as e:
         raise ConfigError(f"method.betas: {e}") from None
     if fit_slope and len(set(betas)) < 2:
         raise ConfigError("method.betas: equivalence needs at least two distinct betas to fit a slope")
-    num_steps = _number(cfg, "method.num_steps", int)
     if num_steps < 0:
         raise ConfigError(f"method.num_steps must be >= 0, got {num_steps}")
     reports = equivalence.beta_sweep(theta, x, y, betas, num_steps, act, rcfg)
@@ -413,7 +362,7 @@ def _degenerate(rep, tolerance) -> bool:
 def cmd_equivalence(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    threshold = _number(cfg, "method.gap_threshold")
+    threshold = cfg["method"]["gap_threshold"]
     if not 0 <= threshold < math.inf:
         raise ConfigError(f"method.gap_threshold must be finite and >= 0, got {threshold}")
     reports, paths, rcfg = _run_sweep(cfg, args, fit_slope=True)
@@ -466,25 +415,16 @@ def cmd_sweep(args) -> int:
 
 
 def _train_config(cfg) -> training.TrainConfig:
-    method, rates = cfg["method"]["name"], cfg["train"]["learning_rates"]
-    try:
-        tcfg = training.TrainConfig(
-            method=method,
-            beta=_number(cfg, "method.beta"),
-            truncation_steps=_number(cfg, "method.truncation_steps", int)
-            if method == "eqprop-truncated"
-            else None,
-            learning_rates=_floats(rates, "train.learning_rates")
-            if isinstance(rates, list)
-            else _number(cfg, "train.learning_rates"),
-            epochs=_number(cfg, "train.epochs", int),
-            relaxation=_relaxation(cfg),
-            seed=cfg["seed"],
-        )
-        tcfg.rates_for(_shape(cfg).num_layers)  # one rate per weight matrix, or one for all
-        return tcfg
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad training settings: {e}") from e
+    m = cfg["method"]
+    return training.TrainConfig(
+        method=m["name"],
+        beta=m["beta"],
+        truncation_steps=m["truncation_steps"] if m["name"] == "eqprop-truncated" else None,
+        learning_rates=cfg["train"]["learning_rates"],
+        epochs=cfg["train"]["epochs"],
+        relaxation=RelaxationConfig(**cfg["relaxation"]),
+        seed=cfg["seed"],
+    )
 
 
 def cmd_train(args) -> int:
@@ -497,18 +437,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--start-epoch must be >= 0, got {start_epoch}")
     if start_epoch and args.resume is None:
         raise ConfigError(f"--start-epoch {start_epoch} needs --resume CKPT")
-    initial = None
-    if args.resume is not None:
-        initial, ck_shape, ck_act = training.load_checkpoint(args.resume)
-        if cfg["shape"] is None:
-            cfg["shape"] = {
-                "input_dim": ck_shape.input_dim,
-                "layer_dims": list(ck_shape.layer_dims),
-            }
-        if "activation" not in cfg["_explicit"]:
-            cfg["activation"] = ck_act
-    shape = _shape(cfg)
-    act = model.get_activation(cfg["activation"])
+    cfg["checkpoint"] = args.resume  # training starts from --resume, else from its seeded init
+    shape, act, theta = _resolve_network(cfg)
     ds = training.load_dataset(cfg["dataset"], shape)
     tcfg = _train_config(cfg)
     if start_epoch >= tcfg.epochs:
@@ -516,7 +446,7 @@ def cmd_train(args) -> int:
             f"no epochs to run: start epoch {start_epoch} is not below epochs {tcfg.epochs}"
         )
     theta, log = training.sgd_train(
-        ds, shape, act, tcfg, initial_params=initial, start_epoch=start_epoch
+        ds, shape, act, tcfg, initial_params=theta if args.resume else None, start_epoch=start_epoch
     )
     log_path = _out_path(args, "trainlog.csv")
     training.write_trainlog_csv(log, log_path, start_epoch=start_epoch)
@@ -537,10 +467,9 @@ def cmd_predict(args) -> int:
         raise ConfigError("predict needs a checkpoint in the config or --checkpoint")
     if cfg["dataset"] is None:
         raise ConfigError("predict needs a dataset path in the config or --dataset")
-    theta, shape, act_name = training.load_checkpoint(cfg["checkpoint"])
-    act = model.get_activation(act_name)
+    shape, act, theta = _resolve_network(cfg)
     ds = training.load_dataset(cfg["dataset"], shape)
-    rcfg = _relaxation(cfg)
+    rcfg = RelaxationConfig(**cfg["relaxation"])
     out_path = _out_path(args, "predictions.csv")
     width = shape.layer_dims[0]
     with open(out_path, "w") as f:

@@ -29,7 +29,7 @@ from typing import Callable, List
 import numpy as np
 
 from . import model
-from .exceptions import ConvergenceError, DivergenceError
+from .exceptions import ConfigError, ConvergenceError, DivergenceError
 from .model import Activation, Params, State
 
 FlatForce = Callable[[np.ndarray], np.ndarray]
@@ -51,13 +51,13 @@ class RelaxationConfig:
 
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+            raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
         if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.record_every < 0:
-            raise ValueError(f"record_every must be >= 0, got {self.record_every}")
+            raise ConfigError(f"record_every must be >= 0, got {self.record_every}")
 
 
 @dataclass

@@ -56,4 +56,6 @@ class DatasetError(FpgradError, ValueError):
 
 
 class ConfigError(FpgradError, ValueError):
-    """Experiment configuration is malformed or self-contradictory."""
+    """Experiment configuration is malformed or self-contradictory: a
+    config file, or the settings of a RelaxationConfig, FDConfig or
+    TrainConfig."""

@@ -25,7 +25,7 @@ import numpy as np
 from . import dynamics, model
 from .dynamics import RelaxationConfig
 from .eqprop import GradientEstimate
-from .exceptions import BasinJumpError
+from .exceptions import BasinJumpError, ConfigError
 from .model import Activation, Params, State
 
 # perturbed relaxations that land farther than this from the reference
@@ -53,9 +53,9 @@ class FDConfig:
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
         if self.scheme != "central":
-            raise ValueError(f"unsupported scheme '{self.scheme}'")
+            raise ConfigError(f"unsupported scheme '{self.scheme}'")
 
 
 def _steps_for(t: float, step_size: float) -> int:

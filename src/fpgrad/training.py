@@ -25,6 +25,7 @@ from .eqprop import _free_fixed_point, eqprop_gradient, tightened, truncated_eqp
 from .rbp import rbp_gradient
 from .exceptions import (
     CheckpointError,
+    ConfigError,
     ConvergenceError,
     DatasetError,
     DivergenceError,
@@ -73,19 +74,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.method not in TRAIN_METHODS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown method '{self.method}'; expected one of {TRAIN_METHODS}"
             )
         if self.method in ("eqprop", "eqprop-truncated") and not 0 < self.beta < math.inf:
-            raise ValueError(f"method '{self.method}' requires a finite beta > 0")
+            raise ConfigError(f"method '{self.method}' requires a finite beta > 0")
         if self.method == "eqprop-truncated":
             if self.truncation_steps is None or self.truncation_steps < 1:
-                raise ValueError("eqprop-truncated requires truncation_steps >= 1")
+                raise ConfigError("eqprop-truncated requires truncation_steps >= 1")
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         # zero rates are legal (no-op training, useful in tests); negative are not
         if not all(0 <= r < math.inf for r in self.rates_for(None)):
-            raise ValueError("learning rates must be finite and non-negative")
+            raise ConfigError("learning rates must be finite and non-negative")
 
     def rates_for(self, num_matrices: Optional[int]) -> List[float]:
         if np.isscalar(self.learning_rates):
@@ -93,7 +94,7 @@ class TrainConfig:
             return [float(self.learning_rates)] * n
         rates = [float(r) for r in self.learning_rates]
         if num_matrices is not None and len(rates) != num_matrices:
-            raise ValueError(
+            raise ConfigError(
                 f"got {len(rates)} learning rates for {num_matrices} weight matrices"
             )
         return rates

@@ -2,6 +2,8 @@
 
 import types
 
+import pytest
+
 import fpgrad as fp
 
 PUBLIC_NAMES = {
@@ -48,3 +50,20 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in sorted(PUBLIC_NAMES):
         assert getattr(fp, name, None) is not None, name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fp.RelaxationConfig(step_size=0.0),
+        lambda: fp.FDConfig(delta=float("inf")),
+        lambda: fp.TrainConfig(epochs=-1),
+        lambda: fp.TrainConfig(learning_rates=[0.5]).rates_for(2),
+    ],
+    ids=["relaxation", "finite-difference", "train", "rates-for"],
+)
+def test_config_errors_are_value_errors(make):
+    # a ConfigError, which callers catching ValueError still catch
+    with pytest.raises(fp.ConfigError):
+        make()
+    assert issubclass(fp.ConfigError, ValueError)

@@ -424,6 +424,33 @@ def test_train_resume_outside_the_epoch_range_exits_2_without_traceback(ws, flag
     assert not (ws / "out" / "trainlog.csv").exists()
 
 
+def _xor_checkpoint(ws):
+    shape = fp.NetworkShape(2, (1, 4))
+    fp.save_checkpoint(fp.init_params(shape, 0), shape, "tanh", ws / "model.ckpt")
+    return str(ws / "model.ckpt")
+
+
+def test_predict_rejects_a_config_shape_that_disagrees_with_the_checkpoint(ws, capsys):
+    cfg = dict(XOR_CONFIG, shape={"input_dim": 2, "layer_dims": [1, 3]}, dataset=write_xor(ws))
+    argv = ["predict", "--config", write_config(ws, cfg), "--checkpoint", _xor_checkpoint(ws)]
+    assert main(argv + ["--out", "out"]) == 2
+    assert "config shape 2->[1, 3] disagrees with checkpoint shape 2->[1, 4]" in capsys.readouterr().err
+    assert not (ws / "out" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "logistic"])
+def test_predict_runs_an_explicit_activation(ws, activation):
+    cfg = dict(XOR_CONFIG, activation=activation, dataset=write_xor(ws))
+    argv = ["predict", "--config", write_config(ws, cfg), "--checkpoint", _xor_checkpoint(ws)]
+    assert main(argv + ["--out", "out"]) == 0
+    theta, _, _ = fp.load_checkpoint(ws / "model.ckpt")
+    rcfg = fp.RelaxationConfig(**XOR_CONFIG["relaxation"])
+    rows = (ws / "out" / "predictions.csv").read_text().splitlines()[1:]
+    for i, sample in enumerate(fp.load_dataset(ws / "xor.csv").samples):
+        pred = fp.predict(theta, sample.x, fp.get_activation(activation), rcfg)
+        assert rows[i] == f"{i}," + ",".join(repr(float(v)) for v in pred)
+
+
 # ---------------------------------------------------------------------------
 # config validation and determinism
 # ---------------------------------------------------------------------------
@@ -457,6 +484,28 @@ def test_shipped_config_loads(monkeypatch, name):
     cli._apply_overrides(cfg, argparse.Namespace())
     if cfg["dataset"] is not None:
         assert cli._train_config(cfg).epochs == cfg["train"]["epochs"]
+
+
+def test_flags_set_their_keys(ws):
+    (ws / "d.csv").write_text("x0,y0\n0,0\n")  # a path flag needs only an existing file
+    cfg = cli.load_config(None)
+    cli._apply_overrides(cfg, argparse.Namespace(
+        step_size=0.2, max_steps=7, tolerance=1e-5, method="eqprop", beta="2e-3,,1e-3", steps=5,
+        seed=3, dataset="d.csv", checkpoint="d.csv", x="0.5,-0.25", epochs=9,
+    ))
+    assert cfg["relaxation"] == {"step_size": 0.2, "max_steps": 7, "tolerance": 1e-5, "record_every": 1}
+    assert cfg["method"]["name"] == "eqprop" and cfg["method"]["num_steps"] == 5
+    # --beta sets the betas, and its first value is method.beta
+    assert cfg["method"]["betas"] == [2e-3, 1e-3] and cfg["method"]["beta"] == 2e-3
+    assert (cfg["seed"], cfg["dataset"], cfg["checkpoint"]) == (3, "d.csv", "d.csv")
+    assert cfg["input_x"] == [0.5, -0.25] and cfg["train"]["epochs"] == 9
+
+
+def test_readme_config_table_names_every_key_and_default():
+    with open(os.path.join(_REPO, "README.md")) as f:
+        rows = [line.split("|")[1:-1] for line in f if line.startswith("| `")]
+    table = {key.strip(" `"): json.loads(default.strip(" `")) for key, _, default, _ in rows}
+    assert table == {key: default for key, (_, default, _) in cli._KEYS.items()}
 
 
 def test_missing_dataset_path_rejected(ws):
@@ -516,6 +565,12 @@ def test_malformed_numbers_exit_2_without_traceback(ws, argv, bad):
         ("train", "method.beta", "b"),
         ("train", "method.truncation_steps", "t"),
         ("train", "train.epochs", "e"),
+        # every key is read when the config loads, used by the command or not
+        ("gradcheck", "method.gap_threshold", "abc"),
+        ("relax", "method.delta", "d"),
+        ("sweep", "train.learning_rates", "r"),
+        ("equivalence", "method.beta", "b"),
+        ("sweep", "method.name", "bogus"),
     ],
 )
 def test_malformed_config_numbers_exit_2_without_traceback(ws, command, key, value):

@@ -620,3 +620,38 @@ def test_a_nan_column_diverges_though_the_others_are_frozen(column):
     with pytest.raises(DivergenceError, match="non-finite state at step 0") as err:
         fp.dynamics.relax_columns(lambda s: 2.0 * s, stack, cfg, "stack")
     assert err.value.step == 0
+
+
+def test_nudged_warns_only_past_beta_times_1e_3(seeded_net):
+    shape, theta, x, y, act = seeded_net
+    beta = 1e-3
+    s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, fp.RelaxationConfig(tolerance=1e-12))
+    at = fp.RelaxationConfig(tolerance=beta * 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fp.relax_nudged(theta, x, y, beta, s0, act, at)
+    above = fp.RelaxationConfig(tolerance=float(np.nextafter(at.tolerance, np.inf)))
+    with pytest.warns(UserWarning, match="loose relative to"):
+        fp.relax_nudged(theta, x, y, beta, s0, act, above)
+
+
+# g = s with powers of two: every Euler step of size 1/2 halves s exactly
+_TOL = 2.0 ** -20
+
+
+def test_a_start_whose_residual_equals_the_tolerance_is_certified_in_zero_steps():
+    cfg = fp.RelaxationConfig(step_size=0.5, tolerance=_TOL)
+    s, traj = fp.dynamics.relax(lambda s: 1.0 * s, [np.array([_TOL, -_TOL / 2])], cfg)
+    assert traj.converged and traj.steps_taken == 0 and traj.final_residual == _TOL
+    assert traj.times == [0.0] and s[0].tolist() == [_TOL, -_TOL / 2]
+    # a flow whose residual reaches the tolerance exactly stops at that step
+    s, traj = fp.dynamics.relax(lambda s: 1.0 * s, [np.array([2 * _TOL])], cfg)
+    assert traj.converged and traj.steps_taken == 1 and s[0].tolist() == [_TOL]
+
+
+def test_a_column_whose_residual_equals_its_tolerance_freezes_at_step_0():
+    cfg = fp.RelaxationConfig(step_size=0.5, tolerance=_TOL)
+    stack = [np.array([[_TOL, 2 * _TOL], [-_TOL / 2, _TOL]])]
+    ends, steps = fp.dynamics.relax_columns(lambda s: 1.0 * s, stack, cfg, "stack")
+    assert steps.tolist() == [0, 1]
+    assert ends.tolist() == [[_TOL, _TOL], [-_TOL / 2, _TOL / 2]]

@@ -394,3 +394,15 @@ def test_the_readout_of_the_settling_force_is_grad_theta_energy_bit_for_bit(inde
         s_nudged, _ = fp.relax_nudged(theta, x, y, beta, start, act, c)
         want = [(gn - gf) / beta for gn, gf in zip(fp.grad_theta_energy(theta, x, s_nudged, act), g_free)]
         assert [b.tobytes() for b in est.grad] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("beta", [1e-3, 2.5e-4])
+def test_a_second_phase_runs_at_beta_times_1e_3(seeded_net, beta):
+    # read back from the second phase of the smallest beta; a config
+    # already tighter than that keeps its own tolerance
+    shape, theta, x, y, act = seeded_net
+    loose = fp.RelaxationConfig(tolerance=1e-2)
+    _, cfg, _ = fp.eqprop.second_phase(theta, x, act, loose, [2 * beta, beta], s_free=shape.zero_state())
+    assert cfg.tolerance == beta * 1e-3
+    tight = fp.RelaxationConfig(tolerance=beta * 1e-4)
+    assert fp.eqprop.tightened(tight, beta).tolerance == beta * 1e-4

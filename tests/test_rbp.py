@@ -376,3 +376,13 @@ def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, inde
         want = (s_bar.tobytes(), _bits(_neumann_theta_bar(ops, p.theta_bar, s_sum, eps)), p.t + eps)
         p = fp.rbp_step(p, theta, x, s0, act, eps)
         assert (fp.model.flatten(p.s_bar).tobytes(), _bits(p.theta_bar), p.t) == want
+
+
+def test_instability_is_declared_after_exactly_the_patience(converged):
+    shape, theta, x, y, act, s0, cfg = converged
+    import dataclasses
+
+    bad = dataclasses.replace(cfg, step_size=25.0)
+    patience = fp.rbp._INSTABILITY_PATIENCE
+    with pytest.raises(InstabilityError, match=f"grew for {patience} consecutive steps"):
+        fp.rbp_gradient(theta, x, y, act, bad, s_free=s0)
