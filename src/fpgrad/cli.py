@@ -1,6 +1,8 @@
 """Command-line front end: reproducible experiments from JSON configs.
 
-Subcommands: relax, gradcheck, equivalence, sweep, train, predict.
+Subcommands (the rows of `_COMMANDS`): relax, gradcheck, equivalence,
+sweep, train, predict.  `main` loads the config and applies the flags,
+read as their keys' kinds (see `_KEYS`), once before the command runs.
 Every numeric output is printed with full round-trip precision and every
 command is deterministic given config + seed, so rerunning a command
 produces byte-identical files.  Exit codes: 0 success, 1 tolerance or
@@ -39,8 +41,9 @@ _RBP_TOL, _RBP_FLOOR = 1e-3, 1e-7
 _EQPROP_TOL, _EQPROP_FLOOR = 1e-2, 1e-7
 
 # Every config key, dotted by section: (kind, default, the flag that
-# overrides it).  `load_config` reads every key as its kind (see `_read`);
-# a key whose default is None may be null.
+# overrides it, named as its argparse dest: `step_size` is `--step-size`).
+# `load_config` reads every key as its kind (see `_read`); a key whose
+# default is None may be null.
 _KEYS = {
     "shape": ("shape", None, None),
     "activation": (None, "logistic", None),
@@ -141,19 +144,14 @@ def load_config(path):
 
 
 def _apply_overrides(cfg, args) -> None:
-    """Set the key of each flag given, read as the key's kind (see `_KEYS`),
-    then check the rules that join keys."""
+    """Set the key of each flag given, read as the key's kind (see `_KEYS`;
+    a list flag is split on commas), then check the rules that join keys."""
     flags = {name: value for name, value in vars(args).items() if value is not None}
-    if "x" in flags:
-        flags["x"] = flags["x"].split(",")
-    if "beta" in flags:
-        flags["beta"] = [b for b in args.beta.split(",") if b]
-        if not flags["beta"]:
-            raise ConfigError(f"cannot parse --beta '{args.beta}'")
     config_step = cfg["relaxation"]["step_size"]
     for key, (kind, _, flag) in _KEYS.items():
         if flag in flags:
-            _put(cfg, key, _read(flags[flag], kind, "--" + flag))
+            value = flags[flag].split(",") if isinstance(kind, list) else flags[flag]
+            _put(cfg, key, _read(value, kind, "--" + flag.replace("_", "-")))
     if "beta" in flags:
         cfg["method"]["beta"] = cfg["method"]["betas"][0]
     if cfg["seed"] < 0:
@@ -215,9 +213,7 @@ def _write_json(path: str, payload: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_relax(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_relax(cfg, args) -> int:
     shape, act, theta = _resolve_network(cfg)
     x, what = cfg["input_x"], "input_x" if args.x is None else "--x"
     if x is None:
@@ -248,9 +244,7 @@ def cmd_relax(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_gradcheck(cfg, args) -> int:
     shape, act, theta, x, y = _resolve_network(cfg, with_point=True)
     rcfg = RelaxationConfig(**cfg["relaxation"])
     fd = oracle.FDConfig(delta=cfg["method"]["delta"])
@@ -338,7 +332,7 @@ def _run_sweep(cfg, args, fit_slope=False):
     betas, num_steps = cfg["method"]["betas"], cfg["method"]["num_steps"]
     try:
         eqprop.check_betas(betas)
-    except ValueError as e:
+    except ConfigError as e:
         raise ConfigError(f"method.betas: {e}") from None
     if fit_slope and len(set(betas)) < 2:
         raise ConfigError("method.betas: equivalence needs at least two distinct betas to fit a slope")
@@ -359,9 +353,7 @@ def _degenerate(rep, tolerance) -> bool:
     return max(rep.max_s_gap, rep.max_theta_gap) <= 10.0 * tolerance / rep.beta
 
 
-def cmd_equivalence(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_equivalence(cfg, args) -> int:
     threshold = cfg["method"]["gap_threshold"]
     if not 0 <= threshold < math.inf:
         raise ConfigError(f"method.gap_threshold must be finite and >= 0, got {threshold}")
@@ -397,9 +389,7 @@ def cmd_equivalence(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_sweep(cfg, args) -> int:
     reports, paths, _ = _run_sweep(cfg, args)
     summary_path = _out_path(args, "sweep_summary.csv")
     with open(summary_path, "w") as f:
@@ -427,9 +417,7 @@ def _train_config(cfg) -> training.TrainConfig:
     )
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_train(cfg, args) -> int:
     if cfg["dataset"] is None:
         raise ConfigError("train needs a dataset path in the config or --dataset")
     start_epoch = args.start_epoch
@@ -460,9 +448,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_predict(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_predict(cfg, args) -> int:
     if cfg["checkpoint"] is None:
         raise ConfigError("predict needs a checkpoint in the config or --checkpoint")
     if cfg["dataset"] is None:
@@ -485,9 +471,32 @@ def cmd_predict(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+# Every command: (function, help line, the `_KEYS` flags it takes besides
+# the four of every command, its own switches with their argparse keywords).
+_COMMON_FLAGS = ("seed", "max_steps", "tolerance", "step_size")
+_COMMANDS = {
+    "relax": (cmd_relax, "relax freely from the zero state, dump trajectory",
+              ("x", "checkpoint"), {"--allow-nonconverged": {"action": "store_true"}}),
+    "gradcheck": (cmd_gradcheck, "compare a gradient method against the FD oracle",
+                  ("method", "beta", "checkpoint", "dataset"),
+                  {"--inject-fault": {"action": "store_true", "help": argparse.SUPPRESS}}),
+    "equivalence": (cmd_equivalence, "matched-grid process comparison with gates",
+                    ("beta", "steps", "checkpoint", "dataset"), {}),
+    "sweep": (cmd_sweep, "beta sweep of the process comparison, no gates",
+              ("beta", "steps", "checkpoint", "dataset"), {}),
+    "train": (cmd_train, "per-sample SGD on a CSV dataset", ("method", "beta", "epochs", "dataset"),
+              {"--resume": {"help": "checkpoint to continue from"},
+               "--start-epoch": {"type": int, "default": 0}}),
+    "predict": (cmd_predict, "outputs at the free fixed point per dataset row",
+                ("checkpoint", "dataset"), {}),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it unchanged."""
+    """The CLI's parser, built once per process from `_COMMANDS`: parsing
+    leaves it unchanged.  A flag of `_KEYS` keeps its string, which
+    `_apply_overrides` reads as its key's kind."""
     parser = argparse.ArgumentParser(
         prog="fpgrad",
         description=(
@@ -496,63 +505,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    helps = {flag: f"sets {key}" + (", comma-separated" if isinstance(kind, list) else "")
+            for key, (kind, _, flag) in _KEYS.items() if flag}
+    for name, (func, text, flags, switches) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--max-steps", dest="max_steps", type=int)
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--step-size", dest="step_size", type=float)
-
-    p = sub.add_parser("relax", help="relax freely from the zero state, dump trajectory")
-    common(p)
-    p.add_argument("--x", help="input vector, comma-separated")
-    p.add_argument("--checkpoint", help="weights to relax (default: seeded init)")
-    p.add_argument("--allow-nonconverged", action="store_true")
-    p.set_defaults(func=cmd_relax)
-
-    p = sub.add_parser("gradcheck", help="compare a gradient method against the FD oracle")
-    common(p)
-    p.add_argument("--method", choices=["rbp", "eqprop"])
-    p.add_argument("--beta", help="beta value(s), comma-separated")
-    p.add_argument("--checkpoint")
-    p.add_argument("--dataset")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("equivalence", help="matched-grid process comparison with gates")
-    common(p)
-    p.add_argument("--beta", help="beta value(s), comma-separated, decreasing")
-    p.add_argument("--steps", type=int, help="grid length K")
-    p.add_argument("--checkpoint")
-    p.add_argument("--dataset")
-    p.set_defaults(func=cmd_equivalence)
-
-    p = sub.add_parser("sweep", help="beta sweep of the process comparison, no gates")
-    common(p)
-    p.add_argument("--beta", help="beta value(s), comma-separated, decreasing")
-    p.add_argument("--steps", type=int, help="grid length K")
-    p.add_argument("--checkpoint")
-    p.add_argument("--dataset")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("train", help="per-sample SGD on a CSV dataset")
-    common(p)
-    p.add_argument("--method", choices=list(training.TRAIN_METHODS))
-    p.add_argument("--beta")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dataset")
-    p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--start-epoch", dest="start_epoch", type=int, default=0)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="outputs at the free fixed point per dataset row")
-    common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--dataset")
-    p.set_defaults(func=cmd_predict)
-
+        for flag in _COMMON_FLAGS + flags:
+            p.add_argument("--" + flag.replace("_", "-"), help=helps[flag])
+        for switch, keywords in switches.items():
+            p.add_argument(switch, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -563,7 +526,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        _apply_overrides(cfg, args)
+        return args.func(cfg, args)
     except (
         ConfigError,
         CheckpointError,

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import dynamics, model
 from .dynamics import RelaxationConfig
+from .exceptions import ConfigError
 from .model import Activation, Params, State
 
 METHODS = ("rbp", "eqprop", "eqprop-truncated", "fd-oracle")
@@ -95,25 +96,25 @@ def _free_fixed_point(theta, x, act, cfg) -> State:
 
 def check_betas(betas) -> List[float]:
     """The betas of a second phase as floats: non-empty, finite, positive,
-    non-increasing; a ValueError says which rule a value breaks."""
+    non-increasing; a ConfigError says which rule a value breaks."""
     betas = [float(b) for b in betas]
     if not betas:
-        raise ValueError("betas must be non-empty")
+        raise ConfigError("betas must be non-empty")
     for b in betas:
         if not math.isfinite(b):
-            raise ValueError(f"betas must be finite, got {b}")
+            raise ConfigError(f"betas must be finite, got {b}")
         if not b > 0:
-            raise ValueError(f"betas must be positive, got {b}")
+            raise ConfigError(f"betas must be positive, got {b}")
     for a, b in zip(betas, betas[1:]):
         if b > a:
-            raise ValueError(f"betas must be non-increasing, got {a} before {b}")
+            raise ConfigError(f"betas must be non-increasing, got {a} before {b}")
     return betas
 
 
 def check_num_steps(num_steps: int) -> None:
-    """A ValueError naming num_steps unless it is >= 0."""
+    """A ConfigError naming num_steps unless it is >= 0."""
     if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+        raise ConfigError(f"num_steps must be >= 0, got {num_steps}")
 
 
 def second_phase(theta: Params, x, act: Activation, cfg: RelaxationConfig, betas, s_free=None):

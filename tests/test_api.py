@@ -52,6 +52,10 @@ def test_every_public_name_resolves():
         assert getattr(fp, name, None) is not None, name
 
 
+def _instance():
+    return fp.random_instance(fp.NetworkShape(2, (1,)), 0)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -59,8 +63,10 @@ def test_every_public_name_resolves():
         lambda: fp.FDConfig(delta=float("inf")),
         lambda: fp.TrainConfig(epochs=-1),
         lambda: fp.TrainConfig(learning_rates=[0.5]).rates_for(2),
+        lambda: fp.beta_sweep(*_instance(), [-1e-3], 0, fp.LOGISTIC, fp.RelaxationConfig()),
+        lambda: fp.beta_sweep(*_instance(), [1e-3], -1, fp.LOGISTIC, fp.RelaxationConfig()),
     ],
-    ids=["relaxation", "finite-difference", "train", "rates-for"],
+    ids=["relaxation", "finite-difference", "train", "rates-for", "betas", "num-steps"],
 )
 def test_config_errors_are_value_errors(make):
     # a ConfigError, which callers catching ValueError still catch

@@ -4,6 +4,7 @@ import argparse
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -490,7 +491,7 @@ def test_flags_set_their_keys(ws):
     (ws / "d.csv").write_text("x0,y0\n0,0\n")  # a path flag needs only an existing file
     cfg = cli.load_config(None)
     cli._apply_overrides(cfg, argparse.Namespace(
-        step_size=0.2, max_steps=7, tolerance=1e-5, method="eqprop", beta="2e-3,,1e-3", steps=5,
+        step_size=0.2, max_steps=7, tolerance=1e-5, method="eqprop", beta="2e-3,1e-3", steps=5,
         seed=3, dataset="d.csv", checkpoint="d.csv", x="0.5,-0.25", epochs=9,
     ))
     assert cfg["relaxation"] == {"step_size": 0.2, "max_steps": 7, "tolerance": 1e-5, "record_every": 1}
@@ -499,6 +500,61 @@ def test_flags_set_their_keys(ws):
     assert cfg["method"]["betas"] == [2e-3, 1e-3] and cfg["method"]["beta"] == 2e-3
     assert (cfg["seed"], cfg["dataset"], cfg["checkpoint"]) == (3, "d.csv", "d.csv")
     assert cfg["input_x"] == [0.5, -0.25] and cfg["train"]["epochs"] == 9
+
+
+# the option strings of each command, as literal data: no flag is gained or lost
+_HELP = ["-h", "--help"]
+_COMMON = _HELP + ["--config", "--out", "--seed", "--max-steps", "--tolerance", "--step-size"]
+_OPTIONS = {
+    "relax": _COMMON + ["--x", "--checkpoint", "--allow-nonconverged"],
+    "gradcheck": _COMMON + ["--method", "--beta", "--checkpoint", "--dataset", "--inject-fault"],
+    "equivalence": _COMMON + ["--beta", "--steps", "--checkpoint", "--dataset"],
+    "sweep": _COMMON + ["--beta", "--steps", "--checkpoint", "--dataset"],
+    "train": _COMMON + ["--method", "--beta", "--epochs", "--dataset", "--resume", "--start-epoch"],
+    "predict": _COMMON + ["--checkpoint", "--dataset"],
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_takes_its_flags():
+    options = {
+        name: sorted(o for a in p._actions for o in a.option_strings)
+        for name, p in _subparsers().items()
+    }
+    assert options == {name: sorted(flags) for name, flags in _OPTIONS.items()}
+
+
+def test_readme_lists_the_flags_of_every_command():
+    with open(os.path.join(_REPO, "README.md")) as f:
+        text = f.read()
+    common = re.search(r"Every command takes (.*?)\.", text, re.S).group(1)
+    rows = dict(re.findall(r"^- `(\w+)`: (`--.*)$", text, re.M))
+    assert set(rows) == set(_subparsers())
+    for name, p in _subparsers().items():
+        shown = {o for a in p._actions if a.help != argparse.SUPPRESS for o in a.option_strings}
+        assert sorted(re.findall(r"`(--[a-z-]+)`", common + rows[name])) == sorted(shown - set(_HELP))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["relax", "--x", "0,0", "--seed", "2.5"], "--seed: cannot read '2.5' as int"),
+        (["train", "--method", "bogus"],
+         "--method: cannot read 'bogus' as one of eqprop, eqprop-truncated, rbp"),
+        (["gradcheck", "--method", "eqprop-truncated"], "gradcheck supports methods rbp and eqprop"),
+    ],
+    ids=["seed-fraction", "train-method", "gradcheck-method"],
+)
+def test_malformed_flags_exit_2_naming_their_kind(ws, argv, message):
+    cfg = dict(XOR_CONFIG, dataset=write_xor(ws)) if argv[0] == "train" else BASE_CONFIG
+    proc = _run_cli(argv + ["--config", write_config(ws, cfg), "--out", "out"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_readme_config_table_names_every_key_and_default():
@@ -544,8 +600,9 @@ def test_reruns_are_byte_identical(ws):
     [
         (["relax", "--x", "0.3,abc"], "'abc'"),
         (["equivalence", "--beta", "1e-3,x"], "'x'"),
+        (["equivalence", "--beta", "1e-3,,5e-4"], "''"),
     ],
-    ids=["relax-x", "equivalence-beta"],
+    ids=["relax-x", "equivalence-beta", "equivalence-beta-empty"],
 )
 def test_malformed_numbers_exit_2_without_traceback(ws, argv, bad):
     proc = _run_cli(argv + ["--config", write_config(ws, BASE_CONFIG), "--out", "out"])
