@@ -244,6 +244,14 @@ def cmd_relax(cfg, args) -> int:
     return EXIT_OK
 
 
+def _method_betas(fn, *args):
+    """fn(*args); its ConfigErrors, all caused by the betas, name `method.betas`."""
+    try:
+        return fn(*args)
+    except ConfigError as e:
+        raise ConfigError(f"method.betas: {e}") from None
+
+
 def cmd_gradcheck(cfg, args) -> int:
     shape, act, theta, x, y = _resolve_network(cfg, with_point=True)
     rcfg = RelaxationConfig(**cfg["relaxation"])
@@ -251,18 +259,12 @@ def cmd_gradcheck(cfg, args) -> int:
     method, betas = cfg["method"]["name"], cfg["method"]["betas"]
     if method not in ("rbp", "eqprop"):
         raise ConfigError(f"gradcheck supports methods rbp and eqprop, got '{method}'")
-    if method == "eqprop":
-        if not betas:
-            raise ConfigError("method.betas: betas must be non-empty")
-        for beta in betas:
-            if not 0 < beta < math.inf:
-                raise ConfigError(f"method.betas: betas must be positive and finite, got {beta}")
-        # one free phase for every beta, under the tolerance of the smallest
-        _, _, s_free = eqprop.second_phase(theta, x, act, rcfg, [min(betas)])
-    else:
-        s_free = eqprop._free_fixed_point(theta, x, act, rcfg)
-    # the oracle re-certifies the free point under its own tolerance
-    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, s_free)
+    if method == "rbp":
+        estimates = [rbp.rbp_gradient(theta, x, y, act, rcfg)]
+    else:  # one free phase for every beta; their nudged phases, in the order given, as one stack
+        estimates = _method_betas(eqprop.eqprop_gradients, theta, x, y, betas, act, rcfg)
+    # the oracle starts from the estimator's free point and re-certifies it under its own tolerance
+    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, estimates[0].free_point)
 
     def corrupted(grad):
         if args.inject_fault:
@@ -272,14 +274,13 @@ def cmd_gradcheck(cfg, args) -> int:
 
     reports = []
     if method == "rbp":
-        est = rbp.rbp_gradient(theta, x, y, act, rcfg, s_free)
+        [est] = estimates
         rep = oracle.gradient_report(corrupted(est.grad), reference.grad, _RBP_TOL, _RBP_FLOOR)
         rep["method"] = "rbp"
         reports.append(rep)
     else:
         errors = []
-        # the betas' nudged phases relax as one stack, in the order given
-        for beta, est in zip(betas, eqprop.eqprop_gradients(theta, x, y, betas, act, rcfg, s_free)):
+        for beta, est in zip(betas, estimates):
             grad = corrupted(est.grad)
             rep = oracle.gradient_report(grad, reference.grad, _EQPROP_TOL, _EQPROP_FLOOR)
             rep.update(method="eqprop", beta=beta)
@@ -330,10 +331,7 @@ def _run_sweep(cfg, args, fit_slope=False):
     shape, act, theta, x, y = _resolve_network(cfg, with_point=True)
     rcfg = RelaxationConfig(**cfg["relaxation"])
     betas, num_steps = cfg["method"]["betas"], cfg["method"]["num_steps"]
-    try:
-        eqprop.check_betas(betas)
-    except ConfigError as e:
-        raise ConfigError(f"method.betas: {e}") from None
+    _method_betas(eqprop.check_betas, betas)
     if fit_slope and len(set(betas)) < 2:
         raise ConfigError("method.betas: equivalence needs at least two distinct betas to fit a slope")
     if num_steps < 0:
@@ -495,10 +493,10 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process from `_COMMANDS`: parsing
-    leaves it unchanged.  A flag of `_KEYS` keeps its string, which
-    `_apply_overrides` reads as its key's kind."""
+    leaves it unchanged.  A flag is spelled in full; one of `_KEYS` keeps
+    its string, which `_apply_overrides` reads as its key's kind."""
     parser = argparse.ArgumentParser(
-        prog="fpgrad",
+        prog="fpgrad", allow_abbrev=False,
         description=(
             "Fixed-point recurrent network gradients: relaxation, gradient "
             "checking, process-equivalence harnesses, and toy training."
@@ -508,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     helps = {flag: f"sets {key}" + (", comma-separated" if isinstance(kind, list) else "")
             for key, (kind, _, flag) in _KEYS.items() if flag}
     for name, (func, text, flags, switches) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output directory (default: current)")
         for flag in _COMMON_FLAGS + flags:

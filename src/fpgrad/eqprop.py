@@ -17,12 +17,14 @@ Every second phase, here and in `equivalence`, starts from one setup
 one nudged `model.Force`, which in a beta sweep has one column per beta.
 gradcheck's betas relax to their fixed points as such a stack too
 (`eqprop_gradients`), each column then certified by a serial phase.
+Each estimator, rbp's too, reports the free fixed point it was read at
+(`GradientEstimate.free_point`): its callers leave the free phase to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -37,13 +39,15 @@ METHODS = ("rbp", "eqprop", "eqprop-truncated", "fd-oracle")
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """A weight-shaped gradient plus provenance metadata."""
+    """A weight-shaped gradient plus provenance metadata, and the free fixed
+    point it was read at (`free_point`, which == and repr ignore)."""
 
     grad: Params
     method: str
     step: float
     beta: Optional[float] = None
     horizon_t: Optional[float] = None
+    free_point: Optional[State] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -145,35 +149,37 @@ def eqprop_gradient(
     """
     [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
     g_free = model.grad_theta_energy(theta, x, s_free, act)
-    return _nudged_estimate(theta, x, y, beta, s_free, act, cfg, g_free)
+    return _nudged_estimate(theta, x, y, beta, s_free, act, cfg, g_free, s_free)
 
 
-def eqprop_gradients(theta: Params, x, y, betas, act: Activation, cfg: RelaxationConfig, s_free: State):
+def eqprop_gradients(theta: Params, x, y, betas, act: Activation, cfg: RelaxationConfig, s_free=None):
     """`eqprop_gradient` of each beta, in the order given (repeats too),
-    from one free fixed point.  The nudged phases relax as one stack, a
-    beta per column, each to its beta's tolerance; a serial phase from each
-    column then certifies it, as the oracle certifies its probes.  A
-    column agrees with the serial estimate to rounding; one beta is it."""
-    check_betas(sorted(betas, reverse=True))  # a second phase's betas, in any order
+    from one free fixed point, located under the smallest beta's tolerance
+    unless `s_free` is given.  The nudged phases relax as one stack, a beta
+    per column, each to its beta's tolerance; a serial phase from each
+    column then certifies it.  A column agrees with the serial estimate to
+    rounding; one beta is it."""
+    # a second phase's betas, in any order
+    _, _, s_free = second_phase(theta, x, act, cfg, sorted(betas, reverse=True), s_free)
     cfgs = [tightened(cfg, beta) for beta in betas]
     stack = [np.repeat(sk[:, None], len(cfgs), axis=1) for sk in s_free]
     force = model.Force(theta, x, stack, act, y, betas)
     ends, steps = dynamics.relax_columns(force, stack, cfg, "nudged phase", [c.tolerance for c in cfgs])
     g_free = model.grad_theta_energy(theta, x, s_free, act)
     return [
-        _nudged_estimate(theta, x, y, b, model.split(end, force.bounds), act, c, g_free, k)
+        _nudged_estimate(theta, x, y, b, model.split(end, force.bounds), act, c, g_free, s_free, k)
         for b, c, end, k in zip(betas, cfgs, ends.T, steps.tolist())
     ]
 
 
-def _nudged_estimate(theta, x, y, beta, start: State, act, cfg, g_free: Params, steps=0):
+def _nudged_estimate(theta, x, y, beta, start: State, act, cfg, g_free: Params, s_free, steps=0):
     """The two-point estimate from a nudged phase `steps` in at `start`, read from its force."""
     force = model.Force(theta, x, start, act, y, beta)
     result = dynamics.relax(force, start, cfg)
     dynamics.converged_state(result, cfg, "nudged phase")
     grad = _two_point_gradient(force.grad_theta(), g_free, beta)
     horizon = (steps + result[1].steps_taken) * cfg.step_size
-    return GradientEstimate(grad, "eqprop", cfg.step_size, beta, horizon_t=horizon)
+    return GradientEstimate(grad, "eqprop", cfg.step_size, beta, horizon, free_point=s_free)
 
 
 def truncated_eqprop_gradient(
@@ -198,7 +204,7 @@ def truncated_eqprop_gradient(
             g_free = force.grad_theta()
     grad = _two_point_gradient(force.grad_theta(), g_free, beta)
     return GradientEstimate(
-        grad, "eqprop-truncated", cfg.step_size, beta, horizon_t=num_steps * cfg.step_size
+        grad, "eqprop-truncated", cfg.step_size, beta, num_steps * cfg.step_size, free_point=s_free
     )
 
 

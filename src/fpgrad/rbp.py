@@ -179,7 +179,8 @@ def rbp_gradient(theta: Params, x, y, act: Activation, cfg: RelaxationConfig,
                     "for the largest curvature at this fixed point"
                 )
         if norm <= cfg.tolerance:
-            return GradientEstimate(side.theta_bar(s_sum, eps), "rbp", eps, horizon_t=k * eps)
+            return GradientEstimate(side.theta_bar(s_sum, eps), "rbp", eps, horizon_t=k * eps,
+                                    free_point=s_free)
         if record is not None:
             delta = eps * model.inf_norm(side.mixed(s_bar))
         s_sum += s_bar

@@ -3,7 +3,9 @@
 The loop is deliberately plain: one gradient estimate per presented
 sample (no mini-batching, no momentum), weights updated with per-matrix
 learning rates.  Training and `predict` relax every free phase from the
-zero state, so the log describes the model that `predict` runs.  The
+zero state, so the log describes the model that `predict` runs: its cost
+and accuracy are read at each estimate's free point
+(`GradientEstimate.free_point`), which the estimator locates itself.  The
 per-epoch shuffle is seeded with (seed, epoch), so a run resumed from a
 checkpoint at epoch N reproduces an uninterrupted run exactly.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import model
 from .dynamics import RelaxationConfig
-from .eqprop import _free_fixed_point, eqprop_gradient, tightened, truncated_eqprop_gradient
+from .eqprop import GradientEstimate, _free_fixed_point, eqprop_gradient, truncated_eqprop_gradient
 from .rbp import rbp_gradient
 from .exceptions import (
     CheckpointError,
@@ -32,7 +34,7 @@ from .exceptions import (
     InstabilityError,
     ShapeError,
 )
-from .model import Activation, NetworkShape, Params, Sample, State
+from .model import Activation, NetworkShape, Params, Sample
 
 TRAIN_METHODS = ("eqprop", "eqprop-truncated", "rbp")
 
@@ -175,25 +177,13 @@ def _parse_header(path, header) -> tuple:
 # training loop
 # ---------------------------------------------------------------------------
 
-def _sample_gradient(theta, sample: Sample, act, cfg: TrainConfig, s_free: State) -> Params:
+def _sample_gradient(theta, sample: Sample, act, cfg: TrainConfig) -> GradientEstimate:
+    x, y, rcfg = sample.x, sample.y, cfg.relaxation
     if cfg.method == "rbp":
-        est = rbp_gradient(theta, sample.x, sample.y, act, cfg.relaxation, s_free=s_free)
-    elif cfg.method == "eqprop":
-        est = eqprop_gradient(
-            theta, sample.x, sample.y, cfg.beta, act, cfg.relaxation, s_free=s_free
-        )
-    else:
-        est = truncated_eqprop_gradient(
-            theta,
-            sample.x,
-            sample.y,
-            cfg.beta,
-            cfg.truncation_steps,
-            act,
-            cfg.relaxation,
-            s_free=s_free,
-        )
-    return est.grad
+        return rbp_gradient(theta, x, y, act, rcfg)
+    if cfg.method == "eqprop":
+        return eqprop_gradient(theta, x, y, cfg.beta, act, rcfg)
+    return truncated_eqprop_gradient(theta, x, y, cfg.beta, cfg.truncation_steps, act, rcfg)
 
 
 def _is_classification(ds: Dataset) -> bool:
@@ -234,8 +224,6 @@ def sgd_train(
     else:
         theta = model.init_params(shape, np.random.default_rng(cfg.seed))
     rates = cfg.rates_for(shape.num_layers)
-    # the eqprop estimators divide by beta: tighten their free phase as `second_phase` does
-    free_cfg = cfg.relaxation if cfg.method == "rbp" else tightened(cfg.relaxation, cfg.beta)
     log = TrainLog()
     classification = _is_classification(ds)
     n = len(ds.samples)
@@ -247,19 +235,18 @@ def sgd_train(
         for i in order:
             sample = ds.samples[int(i)]
             try:
-                s_free = _free_fixed_point(theta, sample.x, act, free_cfg)
-                grad = _sample_gradient(theta, sample, act, cfg, s_free)
+                est = _sample_gradient(theta, sample, act, cfg)
             except DivergenceError as e:
                 raise DivergenceError(
                     f"divergence at epoch {epoch}, sample {i}: {e}", step=e.step
                 ) from e
             except (ConvergenceError, InstabilityError) as e:
                 raise type(e)(f"epoch {epoch}, sample {i}: {e}") from e
-            costs.append(model.cost(sample.y, s_free))
+            costs.append(model.cost(sample.y, est.free_point))
             if classification:
-                hits += _correct(s_free[0], sample.y)
-            norms.append(model.inf_norm(grad))
-            theta = [w - lr * g for w, lr, g in zip(theta, rates, grad)]
+                hits += _correct(est.free_point[0], sample.y)
+            norms.append(model.inf_norm(est.grad))
+            theta = [w - lr * g for w, lr, g in zip(theta, rates, est.grad)]
             if not model.all_finite(theta):
                 raise DivergenceError(
                     f"non-finite weights after update at epoch {epoch}, sample {i}"

@@ -118,7 +118,7 @@ def test_gradcheck_rejects_bad_betas_before_the_oracle_runs(ws, monkeypatch, cap
     code = main(["gradcheck", "--config", cfg, "--method", "eqprop", "--beta=-1e-3", "--out", "out"])
     assert code == 2
     assert calls == []
-    assert "method.betas: betas must be positive and finite, got -0.001" in capsys.readouterr().err
+    assert "method.betas: betas must be positive, got -0.001" in capsys.readouterr().err
 
 
 def test_gradcheck_eqprop_relaxes_the_free_phase_once(ws, monkeypatch):
@@ -203,7 +203,7 @@ def test_one_beta_gradcheck_is_the_serial_estimate_byte_for_byte(ws, monkeypatch
     assert main(argv + ["stacked"]) == 0
     stacked = capsys.readouterr().out
 
-    def serial(theta, x, y, betas, act, rcfg, s_free):
+    def serial(theta, x, y, betas, act, rcfg, s_free=None):
         return [fp.eqprop_gradient(theta, x, y, b, act, rcfg, s_free) for b in betas]
 
     monkeypatch.setattr(fp.eqprop, "eqprop_gradients", serial)
@@ -580,6 +580,31 @@ def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["relax", "--x", "0.3,-0.5", "--tol", "1e-6"], "--tol 1e-6"),
+        (["relax", "--x", "0.3,-0.5", "--allow"], "--allow"),
+        (["gradcheck", "--method", "eqprop", "--bet", "1e-3"], "--bet 1e-3"),
+        (["train", "--start", "1"], "--start 1"),
+    ],
+    ids=["tolerance", "allow-nonconverged", "beta", "start-epoch"],
+)
+def test_a_flag_is_spelled_in_full(ws, capsys, argv, flag):
+    # a prefix of a flag is not that flag: argparse's abbreviations are off
+    assert main(argv[:1] + ["--config", write_config(ws, BASE_CONFIG), "--out", "out"] + argv[1:]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (ws / "out").exists()
+
+
+def test_a_list_flag_with_a_negative_first_entry_takes_the_equals_form(ws, capsys):
+    cfg = write_config(ws, BASE_CONFIG)
+    assert main(["relax", "--config", cfg, "--x", "-0.5,0.3", "--out", "out"]) == 2
+    assert "argument --x: expected one argument" in capsys.readouterr().err
+    assert main(["relax", "--config", cfg, "--x=-0.5,0.3", "--out", "out"]) == 0
+    assert (ws / "out" / "trajectory.csv").exists()
+
+
 def test_package_runs_as_a_module():
     proc = _run_cli(["--help"], module="fpgrad")
     assert proc.returncode == 0
@@ -679,7 +704,7 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
         (["gradcheck", "--method", "rbp"], "delta must be positive and finite, got inf",
          _with(BASE_CONFIG, "method.delta", float("inf"))),
         (["gradcheck", "--method", "eqprop", "--beta", "inf"],
-         "betas must be positive and finite, got inf", BASE_CONFIG),
+         "method.betas: betas must be finite, got inf", BASE_CONFIG),
         (["gradcheck", "--method", "eqprop"], "method.betas: betas must be non-empty",
          _with(BASE_CONFIG, "method.betas", [])),
         (["equivalence", "--beta", "inf"], "method.betas: betas must be finite, got inf",

@@ -396,6 +396,46 @@ def test_the_readout_of_the_settling_force_is_grad_theta_energy_bit_for_bit(inde
         assert [b.tobytes() for b in est.grad] == [b.tobytes() for b in want]
 
 
+_ESTIMATORS = {
+    "rbp": lambda t, x, y, a, c, s: [fp.rbp_gradient(t, x, y, a, c, s)],
+    "eqprop": lambda t, x, y, a, c, s: [fp.eqprop_gradient(t, x, y, 1e-4, a, c, s)],
+    "truncated": lambda t, x, y, a, c, s: [fp.truncated_eqprop_gradient(t, x, y, 1e-4, 50, a, c, s)],
+    "stacked": lambda t, x, y, a, c, s: fp.eqprop.eqprop_gradients(t, x, y, [1e-4, 2e-4, 1e-4], a, c, s),
+}
+
+
+@pytest.mark.parametrize("method", list(_ESTIMATORS))
+def test_an_estimate_reports_the_free_point_it_was_read_at(seeded_net, method):
+    # located as `second_phase` locates it for the smallest beta, 1e-4,
+    # and for rbp at the config's tolerance; a point given is reported as is
+    shape, theta, x, y, act = seeded_net
+    cfg = fp.RelaxationConfig(tolerance=1e-6)
+    if method == "rbp":
+        want = fp.eqprop._free_fixed_point(theta, x, act, cfg)
+    else:
+        _, _, want = fp.eqprop.second_phase(theta, x, act, cfg, [1e-4])
+    for est in _ESTIMATORS[method](theta, x, y, act, cfg, None):
+        assert [b.tobytes() for b in est.free_point] == [b.tobytes() for b in want]
+        assert "free_point" not in repr(est)
+    for est in _ESTIMATORS[method](theta, x, y, act, cfg, want):
+        assert est.free_point is want
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
+def test_stacked_betas_without_a_free_point_match_those_given_one(index, act):
+    theta, x, y = fp.random_instance(GRADCHECK_SHAPES[index], 1201 + index)
+    cfg = fp.RelaxationConfig(tolerance=1e-6)
+    betas = [2e-4, 1e-4, 1e-3]
+    _, _, s_free = fp.eqprop.second_phase(theta, x, act, cfg, [min(betas)])
+    given = fp.eqprop.eqprop_gradients(theta, x, y, betas, act, cfg, s_free)
+    located = fp.eqprop.eqprop_gradients(theta, x, y, betas, act, cfg)
+    for a, b in zip(given, located):
+        assert (a.beta, a.horizon_t) == (b.beta, b.horizon_t)
+        assert [g.tobytes() for g in a.grad] == [g.tobytes() for g in b.grad]
+        assert [s.tobytes() for s in b.free_point] == [s.tobytes() for s in s_free]
+
+
 @pytest.mark.parametrize("beta", [1e-3, 2.5e-4])
 def test_a_second_phase_runs_at_beta_times_1e_3(seeded_net, beta):
     # read back from the second phase of the smallest beta; a config

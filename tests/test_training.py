@@ -231,6 +231,18 @@ def test_methods_agree_on_fixed_snapshot(xor_ds):
             assert np.all(err <= np.maximum(1e-2 * np.abs(gb), 1e-6))
 
 
+@pytest.mark.parametrize("method", training.TRAIN_METHODS)
+def test_training_relaxes_one_free_phase_per_sample(xor_ds, xor_recipe, monkeypatch, method):
+    # the log reads cost and accuracy at the estimate's own free point
+    shape, act, cfg = xor_recipe
+    calls = []
+    relax_free = fp.dynamics.relax_free
+    monkeypatch.setattr(fp.dynamics, "relax_free", lambda *a: calls.append(1) or relax_free(*a))
+    cfg = replace(cfg, method=method, truncation_steps=20, epochs=3)
+    fp.sgd_train(xor_ds, shape, act, cfg)
+    assert len(calls) == 3 * len(xor_ds.samples)
+
+
 def test_training_is_deterministic(xor_ds, xor_recipe):
     shape, act, cfg = xor_recipe
     import dataclasses

@@ -66,6 +66,13 @@ MUTANTS = [
     ("nudged-warning-boundary", "src/fpgrad/dynamics.py",
      "    if beta > 0 and cfg.tolerance > beta * 1e-3:",
      "    if beta > 0 and cfg.tolerance >= beta * 1e-3:"),
+    # the free phase that an estimate reports
+    ("stacked-betas-unsorted", "src/fpgrad/eqprop.py",
+     "    _, _, s_free = second_phase(theta, x, act, cfg, sorted(betas, reverse=True), s_free)",
+     "    _, _, s_free = second_phase(theta, x, act, cfg, betas, s_free)"),
+    ("gradcheck-oracle-from-zero", "src/fpgrad/cli.py",
+     "    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, estimates[0].free_point)",
+     "    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, None)"),
     # stopping rules at their boundary
     ("relax-start-boundary", "src/fpgrad/dynamics.py",
      "    if residual <= cfg.tolerance:",
