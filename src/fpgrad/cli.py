@@ -337,11 +337,8 @@ def _run_sweep(cfg, args, fit_slope=False):
     if num_steps < 0:
         raise ConfigError(f"method.num_steps must be >= 0, got {num_steps}")
     reports = equivalence.beta_sweep(theta, x, y, betas, num_steps, act, rcfg)
-    paths = []
-    for i, rep in enumerate(reports):
-        p = _out_path(args, f"equivalence_beta{i}.csv")
-        equivalence.write_equivalence_csv(rep, p)
-        paths.append(p)
+    paths = [_out_path(args, f"equivalence_beta{i}.csv") for i in range(len(reports))]
+    equivalence._write_csvs(reports, paths)
     return reports, paths, rcfg
 
 

@@ -100,7 +100,8 @@ def _free_fixed_point(theta, x, act, cfg) -> State:
 
 def check_betas(betas) -> List[float]:
     """The betas of a second phase as floats: non-empty, finite, positive,
-    non-increasing; a ConfigError says which rule a value breaks."""
+    large enough for a positive `tightened` tolerance, non-increasing; a
+    ConfigError says which rule a value breaks."""
     betas = [float(b) for b in betas]
     if not betas:
         raise ConfigError("betas must be non-empty")
@@ -109,6 +110,8 @@ def check_betas(betas) -> List[float]:
             raise ConfigError(f"betas must be finite, got {b}")
         if not b > 0:
             raise ConfigError(f"betas must be positive, got {b}")
+        if not b * 1e-3 > 0:
+            raise ConfigError(f"betas must be large enough for a positive tolerance beta * 1e-3, got {b}")
     for a, b in zip(betas, betas[1:]):
         if b > a:
             raise ConfigError(f"betas must be non-increasing, got {a} before {b}")

@@ -14,9 +14,10 @@ s_bar and the running sum of s_bar (its Neumann-series form, see
 `rbp.SideProcess`), and both theta_bar and theta_tilde are sums of a few
 outer products of state-sized vectors per weight block, so their
 difference is formed from state-sized factors and reduced to its norm
-block by block (`_theta_gap`).  A bound on each block, then one on each
-row, certifies which products need multiplying out (`_blocks_max`).  No
-side network runs beside the nudged one: after the shared setup
+block by block (`_theta_gap`).  Small blocks are multiplied out; a bound
+on each other block, from per-layer maxima, then one on each row,
+certifies which of its products must be too (`_blocks_max`).  No side
+network runs beside the nudged one: after the shared setup
 (`eqprop.second_phase`), every comparison is one Euler flow whose state
 stacks its betas' nudged states as columns and s_bar as one more, and
 reduces the gaps of a window of `_WINDOW` grid points in one batch.
@@ -25,6 +26,7 @@ reduces the gaps of a window of `_WINDOW` grid points in one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List
 
 import numpy as np
@@ -107,19 +109,30 @@ def _block_max(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return lb
 
 
-def _blocks_max(left: np.ndarray, right: np.ndarray, bounds: list) -> np.ndarray:
+def _blocks_max(left: np.ndarray, right: np.ndarray, bounds: list, bound=None) -> np.ndarray:
     """max over blocks k of `_dense_max(left[:, :, a:b], right[:, :, b:c])`,
-    (a, b, c) = bounds[k : k + 3], bit for bit.  By decreasing block bound
-    sum_r max|left_r| * max|right_r| (NaN or inf with such a factor), a
-    block skips `_block_max` in each row where that is 0 or, widened, at
-    most a finite running max; only the other rows are multiplied out."""
-    bound = np.add.reduce(np.maximum.reduceat(np.abs(left), bounds[:-2], axis=2)
-                          * np.maximum.reduceat(np.abs(right), bounds[1:-1], axis=2), axis=1)
-    top, wide, held = np.zeros(len(left)), bound * (1.0 + _MARGIN) + _TINY, bound == 0
+    (a, b, c) = bounds[k : k + 3], bit for bit.  `bound` holds each block's
+    bound sum_r max|left_r| * max|right_r| (NaN or inf with such a factor),
+    taken from the factors if not given.  The blocks of at most
+    `_CERTIFIED_ROWS` rows are multiplied out first, for the whole batch;
+    a row where each other block's bound is 0 or, widened, at most their
+    finite max is done.  In the other rows, by decreasing bound, a block
+    skips `_block_max` where that holds for the running max."""
+    if bound is None:
+        bound = np.add.reduce(np.maximum.reduceat(np.abs(left), bounds[:-2], axis=2)
+                              * np.maximum.reduceat(np.abs(right), bounds[1:-1], axis=2), axis=1)
+    spans = [bounds[k : k + 3] for k in range(len(bounds) - 2)]
+    small = np.array([b - a <= _CERTIFIED_ROWS for a, b, _ in spans])
+    tops = [_dense_max(left[:, :, a:b], right[:, :, b:c]) for (a, b, c), s in zip(spans, small) if s]
+    top = reduce(np.maximum, tops) if tops else np.zeros(len(left))
+    wide = bound * (1.0 + _MARGIN) + _TINY
+    held = (bound == 0) | (wide <= top[:, None]) & (top[:, None] < np.inf) | small
+    if held.all():
+        return top
     for k in np.argsort(-bound.max(axis=0)):
         rows = np.flatnonzero(~held[:, k])
         if len(rows):
-            a, b, c = bounds[k : k + 3]
+            a, b, c = spans[k]
             top[rows] = np.maximum(top[rows], _block_max(left[rows, :, a:b], right[rows, :, b:c]))
             held |= (wide <= top[:, None]) & (top[:, None] < np.inf)
     return top
@@ -143,27 +156,37 @@ def _theta_gap(ops: model.CurvatureOps, step_size: float, betas):
     process, u_b and drho_b are zero.  The cancellation between the two
     processes happens in the state-sized u and drho; one `_blocks_max`
     call reduces the blocks' (m x 3) @ (3 x c) products of the w * B
-    (grid point, beta) factors.
+    (grid point, beta) factors.  Their bounds come from the largest |u|
+    and |drho| of each layer, the largest |rho*| and |rho(x)| taken once,
+    and max|drho/beta| = max|drho| / beta, exact since division by
+    beta > 0 rounds monotonically.
     """
     rho, bounds = ops.rho, ops.bounds + [len(ops.rates)]
     n, betas = len(rho), np.asarray(betas, dtype=float)[:, None]
     eps_d1 = step_size * ops.slopes
-    # per grid point and beta, rows (u, rho*, drho/beta) and (rho*, u,
-    # drho), the second padded with (rho(x), 0, 0) over the input: block
-    # (a, b) of beta i at point j is left[j, i, :, a:b].T @ right[j, i, :, b:c]
-    shape = (_WINDOW, len(betas), 3)
-    left, right = np.zeros(shape + (n,)), np.zeros(shape + (len(ops.rates),))
-    left[:, :, 1], right[:, :, 0] = rho, ops.rates
-    u, drho_beta, drho = left[:, :, 0], left[:, :, 2], right[:, :, 2, :n]
+    # per grid point and beta, rows (drho/beta, rho*|rho(x), u, drho), zero
+    # over the input; as views, batch rows (u, rho*, drho/beta) on the left
+    # and (rho*|rho(x), u, drho) on the right: block (a, b) of beta i at
+    # point j is left[r, :, a:b].T @ right[r, :, b:c], r = j * B + i
+    factors = np.zeros((_WINDOW, len(betas), 4, len(ops.rates)))
+    factors[:, :, 1] = ops.rates
+    drho_beta, u, drho = factors[:, :, 0, :n], factors[:, :, 2, :n], factors[:, :, 3, :n]
+    batch = (_WINDOW * len(betas), 3, -1)
+    left, right = factors[:, :, 2::-1, :n].reshape(batch), factors[:, :, 1:].reshape(batch)
+    # |u| and |drho|, and the largest |rho*| of each layer and |rho(x)|
+    moving, fixed = np.empty_like(factors[:, :, 2:]), np.maximum.reduceat(np.abs(ops.rates), ops.bounds)
 
     def gap(rho_w: np.ndarray, s_sums: np.ndarray) -> np.ndarray:
         w = len(rho_w)
         np.subtract(rho_w, rho, out=drho[:w])
         np.divide(drho[:w], betas, out=drho_beta[:w])
         np.add(drho_beta[:w], (eps_d1 * s_sums)[:, None], out=u[:w])
-        right[:w, :, 1, :n] = u[:w]
-        batch = (w * len(betas), 3, -1)
-        return _blocks_max(left[:w].reshape(batch), right[:w].reshape(batch), bounds).reshape(w, -1)
+        # the largest |u| and |drho| of each layer and of the input (0)
+        np.abs(factors[:w, :, 2:], out=moving[:w])
+        mu, md = np.maximum.reduceat(moving[:w], ops.bounds, axis=3).transpose(2, 0, 1, 3)
+        bound = (mu[..., :-1] * fixed[1:] + fixed[:-1] * mu[..., 1:]) + md[..., :-1] / betas * md[..., 1:]
+        rows = w * len(betas)
+        return _blocks_max(left[:rows], right[:rows], bounds, bound.reshape(rows, -1)).reshape(w, -1)
 
     return gap
 
@@ -303,11 +326,19 @@ def summarize(reports: List[EquivalenceReport]) -> dict:
 
 def write_equivalence_csv(report: EquivalenceReport, path_or_file) -> None:
     """Rows k,t,s_gap,theta_gap,sbar_norm,stilde_norm."""
-    with model.text_output(path_or_file) as f:
-        f.write("k,t,s_gap,theta_gap,sbar_norm,stilde_norm\n")
-        for k in range(report.num_steps + 1):
-            f.write(
-                f"{k},{k * report.step!r},{report.per_step_s_gap[k]!r},"
-                f"{report.per_step_theta_gap[k]!r},{report.per_step_sbar_norm[k]!r},"
-                f"{report.per_step_stilde_norm[k]!r}\n"
-            )
+    _write_csvs([report], [path_or_file])
+
+
+def _write_csvs(reports: List[EquivalenceReport], paths) -> None:
+    """`write_equivalence_csv` of each report of one sweep to its path or
+    open file.  The reports share their grid and s_bar, so the columns k,
+    t and sbar_norm are formatted once; each file is written in one call."""
+    first = reports[0]
+    shared = [(f"{k},{k * first.step!r},", f",{sbar!r},")
+              for k, sbar in zip(range(first.num_steps + 1), first.per_step_sbar_norm, strict=True)]
+    for report, path in zip(reports, paths):
+        columns = report.per_step_s_gap, report.per_step_theta_gap, report.per_step_stilde_norm
+        rows = zip(shared, *columns, strict=True)
+        with model.text_output(path) as f:
+            f.write("".join(["k,t,s_gap,theta_gap,sbar_norm,stilde_norm\n"]
+                            + [f"{head}{s!r},{t!r}{mid}{st!r}\n" for (head, mid), s, t, st in rows]))

@@ -678,6 +678,7 @@ def _with(cfg, key, value):
 
 
 _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit a slope"
+_TINY_BETA = "method.betas: betas must be large enough for a positive tolerance beta * 1e-3, got 1e-322"
 
 
 @pytest.mark.parametrize(
@@ -714,6 +715,10 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
         (["equivalence"], "method.gap_threshold must be finite and >= 0, got nan",
          _with(BASE_CONFIG, "method.gap_threshold", float("nan"))),
         (["train", "--beta", "inf"], "requires a finite beta > 0", XOR_CONFIG),
+        # a beta whose second-phase tolerance beta * 1e-3 rounds to 0
+        (["gradcheck", "--method", "eqprop", "--beta", "1e-322"], _TINY_BETA, BASE_CONFIG),
+        (["equivalence", "--beta", "1e-322,5e-323"], _TINY_BETA, BASE_CONFIG),
+        (["train", "--beta", "1e-322"], _TINY_BETA.removeprefix("method.betas: "), XOR_CONFIG),
         (["train"], "learning rates must be finite and non-negative",
          _with(XOR_CONFIG, "train.learning_rates", float("nan"))),
         # an empty epoch range, or a start epoch with nothing to resume
@@ -759,7 +764,8 @@ _ONE_BETA = "method.betas: equivalence needs at least two distinct betas to fit 
     ids=["equivalence-beta", "sweep-beta-order", "sweep-steps", "gradcheck-beta",
          "step-size-config", "step-size-flag", "x-nan", "x-inf", "input-x-inf", "tolerance-nan", "delta-inf",
          "gradcheck-beta-inf", "gradcheck-betas-empty", "equivalence-beta-inf", "sweep-betas-inf", "gap-threshold-nan",
-         "train-beta-inf", "learning-rate-nan", "train-no-epochs",
+         "train-beta-inf", "gradcheck-beta-underflow", "equivalence-beta-underflow", "train-beta-underflow",
+         "learning-rate-nan", "train-no-epochs",
          "train-start-without-resume", "relax-seed-flag", "train-seed-flag",
          "gradcheck-seed-config", "sweep-seed-config", "equivalence-one-beta",
          "equivalence-repeated-beta", "equivalence-one-beta-config", "max-steps-fraction",

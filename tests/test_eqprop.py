@@ -345,8 +345,9 @@ def test_stacked_betas_match_the_serial_estimates(index, act, tolerance):
         ([float("inf")], "betas must be finite, got inf"),
         ([1e-3, 0.0], "betas must be positive, got 0.0"),
         ([-1e-4, 1e-3], "betas must be positive, got -0.0001"),
+        ([1e-3, 2e-321], r"betas must be large enough for a positive tolerance beta \* 1e-3, got 2e-321"),
     ],
-    ids=["empty", "nan", "inf", "zero", "negative"],
+    ids=["empty", "nan", "inf", "zero", "negative", "tolerance-underflow"],
 )
 def test_stacked_betas_are_checked_before_any_relaxation(betas, message, converged, monkeypatch):
     shape, theta, x, y, act, s0, cfg = converged
@@ -357,6 +358,14 @@ def test_stacked_betas_are_checked_before_any_relaxation(betas, message, converg
     monkeypatch.setattr(fp.dynamics, "_flow", relaxed)
     with pytest.raises(ValueError, match=f"^{message}$"):
         fp.eqprop.eqprop_gradients(theta, x, y, betas, act, cfg, s0)
+
+
+def test_a_beta_is_taken_exactly_when_its_tightened_tolerance_is_positive():
+    # 2e-321 * 1e-3 rounds to 0, and 3e-321 * 1e-3 to the smallest subnormal
+    with pytest.raises(fp.ConfigError, match=r"beta \* 1e-3, got 2e-321$"):
+        fp.eqprop.check_betas([2e-321])
+    [beta] = fp.eqprop.check_betas([3e-321])
+    assert fp.eqprop.tightened(fp.RelaxationConfig(), beta).tolerance > 0
 
 
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)

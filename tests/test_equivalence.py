@@ -466,17 +466,122 @@ def test_blocks_max_never_skips_while_the_running_max_is_infinite(nan_block):
         assert np.isnan(equivalence._blocks_max(left, right, bounds)).all()
 
 
-def _count_block_max(monkeypatch):
-    """(batch rows, block rows) of each call of `_block_max`: how many
-    (grid point, beta) entries reach it, and the row count of their block."""
+def test_small_blocks_at_inf_hold_no_block_that_holds_a_nan():
+    # the 2-row block is multiplied out first and its max is inf; the
+    # 17-row block's bound is inf too, and it holds an inf facing a zero,
+    # a NaN entry: an inf max holds no block, so the NaN is found
+    bounds = [0, 2, 19, 21]
+    left, right = np.ones((1, 3, 19)), np.ones((1, 3, 21))
+    left[0, 0, 0] = left[0, 0, 5] = math.inf
+    right[0, 0, 19] = 0.0
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(equivalence._blocks_max(left, right, bounds)).all()
+
+
+def test_a_block_whose_widened_bound_is_the_small_blocks_max_is_held(monkeypatch):
+    # the 17-row block's bound is 0.5 * 0.5, and the 1-row block's max is
+    # that bound widened by the margins, exactly: the larger block is held
+    # without `_block_max`, and the max is the small block's
+    calls = _count_block_max(monkeypatch)
+    bounds = [0, 1, 18, 20]
+    left, right = np.zeros((1, 3, 18)), np.zeros((1, 3, 20))
+    wide = 0.25 * (1.0 + equivalence._MARGIN) + equivalence._TINY
+    left[0, 0, 0], right[0, 0, 1:18] = wide, 1.0
+    left[0, 0, 1:18], right[0, 0, 18:20] = 0.5, 0.5
+    got = equivalence._blocks_max(left, right, bounds)
+    assert got.tolist() == [wide] and calls == []
+
+
+def _dense_window_gap(ops, eps, betas, rho_w, s_sums):
+    """One window of `_theta_gap` from its definition: for each grid point
+    and beta, the largest `_dense_max` over the blocks of the factor rows
+    (u, rho*, drho/beta) against (rho*|rho(x), u, drho)."""
+    w, n, N = len(rho_w), len(ops.rho), len(ops.rates)
+    drho = rho_w - ops.rho
+    drho_beta = drho / np.asarray(betas)[:, None]
+    u = drho_beta + ((eps * ops.slopes) * s_sums)[:, None]
+    left = np.stack([u, np.broadcast_to(ops.rho, u.shape), drho_beta], axis=2).reshape(-1, 3, n)
+    right = np.zeros((w, len(betas), 3, N))
+    right[:, :, 0], right[:, :, 1, :n], right[:, :, 2, :n] = ops.rates, u, drho
+    right = right.reshape(-1, 3, N)
+    bounds = ops.bounds + [N]
+    spans = zip(bounds, bounds[1:], bounds[2:])
+    blocks = [equivalence._dense_max(left[:, :, a:b], right[:, :, b:c]) for a, b, c in spans]
+    return np.max(blocks, axis=0).reshape(w, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    dims=st.lists(st.sampled_from([1, 3, 10, 16, 17, 24]), min_size=1, max_size=3),
+    act=st.sampled_from([fp.LOGISTIC, fp.TANH]),
+    at_zero=st.booleans(),
+    betas=st.lists(st.sampled_from([1.0, 0.3, 1e-3, 2.5e-4]), min_size=1, max_size=3),
+    moves=st.sampled_from([(0.0, 0.0), (1e-6, 1e-3), (1e-3, 0.0), (1.0, 1.0)]),
+    poison=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+)
+def test_a_window_of_theta_gaps_is_the_dense_max_of_every_block_bit_for_bit(
+    data, dims, act, at_zero, betas, moves, poison
+):
+    # one-layer networks, first blocks of more than 16 rows, rates that
+    # stay at the free point with S = 0 (every bound 0, as at step 0), and
+    # a NaN or an inf in the rates or in S; at the zero state tanh's rho*
+    # is 0, so only drho_a drho_b^T / beta moves the inner blocks
+    shape = fp.NetworkShape(data.draw(st.integers(1, 4)), tuple(dims))
+    theta, x, _ = fp.random_instance(shape, data.draw(st.integers(0, 99)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = shape.zero_state() if at_zero else random_state(shape, rng)
+    ops = model.CurvatureOps(theta, x, s, act)
+    w, n = data.draw(st.integers(1, equivalence._WINDOW)), len(ops.rho)
+    rho_w = ops.rho + moves[0] * rng.standard_normal((w, len(betas), n))
+    s_sums = moves[1] * rng.standard_normal((w, n))
+    if poison is not None:
+        target = data.draw(st.sampled_from([rho_w, s_sums]))
+        target[data.draw(st.tuples(*(st.integers(0, d - 1) for d in target.shape)))] = poison
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = equivalence._theta_gap(ops, 0.1, betas)(rho_w, s_sums)
+        want = _dense_window_gap(ops, 0.1, betas, rho_w, s_sums)
+    assert got.shape == (w, len(betas))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[~np.isnan(got)].view(np.int64), want[~np.isnan(want)].view(np.int64))
+
+
+def test_a_sweeps_csvs_written_together_are_each_written_alone_byte_for_byte(tmp_path):
+    # the shared columns k, t and sbar_norm are formatted once per sweep
+    theta, x, y = fp.random_instance(fp.NetworkShape(4, (3, 3, 2)), 5)
+    cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12)
+    reports = fp.beta_sweep(theta, x, y, [1e-3, 5e-4, 2.5e-4], 30, fp.TANH, cfg)
+    paths = [tmp_path / f"equivalence_beta{i}.csv" for i in range(len(reports))]
+    equivalence._write_csvs(reports, paths)
+    for rep, path in zip(reports, paths):
+        alone = io.StringIO()
+        fp.write_equivalence_csv(rep, alone)
+        columns = zip(rep.per_step_s_gap, rep.per_step_theta_gap, rep.per_step_sbar_norm, rep.per_step_stilde_norm)
+        rows = [f"{k},{k * rep.step!r},{a!r},{b!r},{c!r},{d!r}\n" for k, (a, b, c, d) in enumerate(columns)]
+        header = "k,t,s_gap,theta_gap,sbar_norm,stilde_norm\n"
+        assert path.read_bytes() == alone.getvalue().encode() == "".join([header] + rows).encode()
+
+
+@pytest.mark.parametrize("column", ["per_step_s_gap", "per_step_sbar_norm"])
+def test_a_report_with_a_column_short_of_its_grid_is_not_written(column):
+    rep = EquivalenceReport(1e-3, 0.1, 2, [0.0] * 3, [0.0] * 3, [0.0] * 3, [0.0] * 3, 0.0, 0.0, 0.0)
+    getattr(rep, column).pop()
+    with pytest.raises(ValueError):
+        fp.write_equivalence_csv(rep, io.StringIO())
+
+
+def _count_block_max(monkeypatch, name="_block_max"):
+    """(batch rows, block rows) of each call of `_block_max` (or of `name`):
+    how many (grid point, beta) entries reach it, and the row count of
+    their block."""
     calls = []
-    block_max = equivalence._block_max
+    block_max = getattr(equivalence, name)
 
     def counted(left, right):
         calls.append(left.shape[::2])
         return block_max(left, right)
 
-    monkeypatch.setattr(equivalence, "_block_max", counted)
+    monkeypatch.setattr(equivalence, name, counted)
     return calls
 
 
@@ -488,19 +593,20 @@ def _entries(calls, rows):
 def test_wide_sweep_takes_no_dense_fallback(monkeypatch):
     # on 64 -> [10, 256, 256] the bound of each 256-row block certifies it
     # below the output block's max at every grid point, so only the 10-row
-    # output block is multiplied out, once per grid point and beta; at step
-    # 0 every factor but rho* is zero, so every block's bound is 0
-    calls = _count_block_max(monkeypatch)
+    # output block is multiplied out, once per grid point and beta: blocks
+    # of at most 16 rows are multiplied out for the whole batch, step 0
+    # included, where every factor but rho* is zero and every bound is 0
+    calls = _count_block_max(monkeypatch, "_dense_max")
     shape = fp.NetworkShape(64, (10, 256, 256))
     theta, x, y = fp.random_instance(shape, 601)
     cfg = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12)
     K, betas = 100, [1e-3, 5e-4, 2.5e-4]
     fp.beta_sweep(theta, x, y, betas, K, fp.LOGISTIC, cfg)
     assert {block for _, block in calls} == {10}
-    assert _entries(calls, 10) == K * len(betas)
+    assert _entries(calls, 10) == (K + 1) * len(betas)
 
 
-def _dense_blocks_max(left, right, bounds):
+def _dense_blocks_max(left, right, bounds, bound=None):
     """`equivalence._blocks_max` as the max of every block's dense max."""
     blocks = zip(bounds, bounds[1:], bounds[2:])
     return np.max([equivalence._dense_max(left[:, :, a:b], right[:, :, b:c]) for a, b, c in blocks], axis=0)

@@ -100,6 +100,15 @@ MUTANTS = [
     ("one-column-block-certified", "src/fpgrad/equivalence.py",
      "    if m <= top or right.shape[2] == 1:",
      "    if m <= top:"),
+    ("theta-bound-beta-dropped", "src/fpgrad/equivalence.py",
+     "        bound = (mu[..., :-1] * fixed[1:] + fixed[:-1] * mu[..., 1:]) + md[..., :-1] / betas * md[..., 1:]",
+     "        bound = (mu[..., :-1] * fixed[1:] + fixed[:-1] * mu[..., 1:]) + md[..., :-1] * md[..., 1:]"),
+    ("small-blocks-hold-strict", "src/fpgrad/equivalence.py",
+     "    held = (bound == 0) | (wide <= top[:, None]) & (top[:, None] < np.inf) | small",
+     "    held = (bound == 0) | (wide < top[:, None]) & (top[:, None] < np.inf) | small"),
+    ("small-blocks-hold-unguarded", "src/fpgrad/equivalence.py",
+     "    held = (bound == 0) | (wide <= top[:, None]) & (top[:, None] < np.inf) | small",
+     "    held = (bound == 0) | (wide <= top[:, None]) | small"),
     # training's classification threshold
     ("correct-threshold-exclusive", "src/fpgrad/training.py",
      "        return bool((pred[0] >= 0.5) == (y[0] >= 0.5))",
