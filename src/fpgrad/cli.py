@@ -244,12 +244,12 @@ def cmd_relax(cfg, args) -> int:
     return EXIT_OK
 
 
-def _method_betas(fn, *args):
-    """fn(*args); its ConfigErrors, all caused by the betas, name `method.betas`."""
+def _named(key, fn, *args):
+    """fn(*args); its ConfigErrors, all caused by the value of `key`, name it."""
     try:
         return fn(*args)
     except ConfigError as e:
-        raise ConfigError(f"method.betas: {e}") from None
+        raise ConfigError(f"{key}: {e}") from None
 
 
 def cmd_gradcheck(cfg, args) -> int:
@@ -262,7 +262,7 @@ def cmd_gradcheck(cfg, args) -> int:
     if method == "rbp":
         estimates = [rbp.rbp_gradient(theta, x, y, act, rcfg)]
     else:  # one free phase for every beta; their nudged phases, in the order given, as one stack
-        estimates = _method_betas(eqprop.eqprop_gradients, theta, x, y, betas, act, rcfg)
+        estimates = _named("method.betas", eqprop.eqprop_gradients, theta, x, y, betas, act, rcfg)
     # the oracle starts from the estimator's free point and re-certifies it under its own tolerance
     reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, estimates[0].free_point)
 
@@ -331,7 +331,7 @@ def _run_sweep(cfg, args, fit_slope=False):
     shape, act, theta, x, y = _resolve_network(cfg, with_point=True)
     rcfg = RelaxationConfig(**cfg["relaxation"])
     betas, num_steps = cfg["method"]["betas"], cfg["method"]["num_steps"]
-    _method_betas(eqprop.check_betas, betas)
+    _named("method.betas", eqprop.check_betas, betas)
     if fit_slope and len(set(betas)) < 2:
         raise ConfigError("method.betas: equivalence needs at least two distinct betas to fit a slope")
     if num_steps < 0:
@@ -401,7 +401,7 @@ def cmd_sweep(cfg, args) -> int:
 
 def _train_config(cfg) -> training.TrainConfig:
     m = cfg["method"]
-    return training.TrainConfig(
+    tcfg = training.TrainConfig(
         method=m["name"],
         beta=m["beta"],
         truncation_steps=m["truncation_steps"] if m["name"] == "eqprop-truncated" else None,
@@ -410,6 +410,9 @@ def _train_config(cfg) -> training.TrainConfig:
         relaxation=RelaxationConfig(**cfg["relaxation"]),
         seed=cfg["seed"],
     )
+    if tcfg.method != "rbp":
+        _named("method.beta", eqprop.check_betas, [tcfg.beta])
+    return tcfg
 
 
 def cmd_train(cfg, args) -> int:

@@ -91,11 +91,54 @@ def _two_point_gradient(g_nudged: Params, g_free: Params, beta: float) -> Params
     return g_nudged
 
 
+# The free phase's Newton finish: Euler runs down to a residual of _SWITCH
+# and Newton steps take over, only where at least six decades separate the
+# switch from the tolerance (at most _FINISH_BELOW): there Euler would spend
+# most of its steps on the linear tail.  Nearer the switch, at XOR
+# training's 1e-6 say, the free phase is plain Euler.
+_SWITCH, _FINISH_BELOW = 1e-3, 1e-9
+
+
 def _free_fixed_point(theta, x, act, cfg) -> State:
-    """The free fixed point from the zero state, recording no snapshots."""
+    """The free fixed point from the zero state, recording no snapshots.
+
+    At a tolerance at most _FINISH_BELOW, for an activation with a second
+    derivative, Euler stops at a residual of _SWITCH, Newton steps
+    (`_newton_steps`) move the point on, and `dynamics.relax` certifies it
+    at the tolerance: in one evaluation if it is within it, else by Euler
+    steps from it.  Euler takes at most cfg.max_steps steps in all, and a
+    phase that does not converge raises plain Euler's ConvergenceError."""
     cfg = replace(cfg, record_every=0)
-    result = dynamics.relax_free(theta, x, model.zero_state_like(theta), act, cfg)
-    return dynamics.converged_state(result, cfg, "free phase")
+    finish = act.d2f is not None and cfg.tolerance <= _FINISH_BELOW
+    s, traj = dynamics.relax_free(theta, x, model.zero_state_like(theta), act,
+                                  replace(cfg, tolerance=_SWITCH) if finish else cfg)
+    left = cfg.max_steps - traj.steps_taken
+    if finish and traj.converged and left and traj.final_residual > cfg.tolerance:
+        ops = model.CurvatureOps(theta, x, s, act)
+        s = model.split(_newton_steps(ops, model.flatten(s), cfg.tolerance), ops.bounds)
+        s, traj = dynamics.relax(ops, s, replace(cfg, max_steps=left))
+    return dynamics.settled_state(s, traj.final_residual, cfg, "free phase")
+
+
+def _newton_steps(ops: model.CurvatureOps, s: np.ndarray, tolerance: float) -> np.ndarray:
+    """The last point accepted by Newton steps from the flat state s, at
+    which `ops` is frozen.  While the residual is above tolerance, a step
+    solves H d = dE/ds by `ops.solve` and moves to s - d, or to s - d/2
+    where s - d does not lower the residual; it stops at the first refused
+    solve, or where neither lowers the residual."""
+    g, residual = ops.gradient, ops.residual
+    while residual > tolerance:
+        d = ops.solve(g, 0.5 * tolerance)
+        if d is None:
+            break
+        for trial in (s - d, s - 0.5 * d):
+            ops.freeze(trial)
+            if ops.residual < residual:
+                break
+        else:
+            break
+        s, g, residual = trial, ops.gradient, ops.residual
+    return s
 
 
 def check_betas(betas) -> List[float]:

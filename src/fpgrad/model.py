@@ -517,25 +517,34 @@ class CurvatureOps(Force):
     construction, so repeatedly applying the operators to different
     directions (the inner loop of the error-derivative process) costs only
     the matrix-vector work; calling it as a force again would move the
-    state it is frozen at.  `apply_ss` maps a flat direction to a flat
-    product; `apply_theta_s` takes a direction in per-layer form.
+    state it is frozen at, and `freeze` moves it, with its buffers kept.
+    `apply_ss` maps a flat direction to a flat product, and `solve` takes
+    a flat right-hand side through it; `apply_theta_s` takes a direction
+    in per-layer form.
     """
 
     def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation):
         act.require_curvature()
         super().__init__(theta, x, s, act)
-        v = flatten(s)
-        self.residual = max_abs(self(v))  # max|dE/ds| at s
-        # curvature of the leak-plus-drive term, diagonal per layer
-        self.d2_drive = act.d2f(v) * self.drive
         # W_k (d1 v)_{k+1} into layers 0..L-2 and W_k^T (d1 v)_k into layers
         # 1..L-1: one product per block, one buffer per side, flat rows [0, m) and [n0, n)
-        n0, m = self.bounds[1], self.bounds[-2]
-        self._dv, down, up = np.empty_like(v), np.empty(m), np.empty(len(v) - n0)
-        self._sides = [(slice(0, m), self.slopes[:m], down), (slice(n0, None), self.slopes[n0:], up)]
-        dv, inner = split(self._dv, self.bounds), list(enumerate(theta[:-1]))
+        n0, m, n = self.bounds[1], self.bounds[-2], self.bounds[-1]
+        self._dv, self._coupled = np.empty(n), (np.empty(m), np.empty(n - n0))
+        (down, up), dv, inner = self._coupled, split(self._dv, self.bounds), list(enumerate(theta[:-1]))
         down, up = split(down, self.bounds[:-1]), split(up, [b - n0 for b in self.bounds[1:]])
         self._products = [(w, dv[k + 1], down[k]) for k, w in inner] + [(w.T, dv[k], up[k]) for k, w in inner]
+        self.freeze(flatten(s))
+
+    def freeze(self, v: np.ndarray) -> None:
+        """Freeze the operators at the flat state v: the force there
+        (`gradient`, dE/ds), its max|dE/ds| (`residual`), the slopes and
+        the curvature of the drive."""
+        self.gradient = self(v)
+        self.residual = max_abs(self.gradient)
+        # curvature of the leak-plus-drive term, diagonal per layer
+        self.d2_drive = self.act.d2f(v) * self.drive
+        (down, up), n0, m = self._coupled, self.bounds[1], self.bounds[-2]
+        self._sides = [(slice(0, m), self.slopes[:m], down), (slice(n0, None), self.slopes[n0:], up)]
 
     def apply_ss(self, v: np.ndarray) -> np.ndarray:
         """(d2E/ds2) . v for a flat direction v: diagonal curvature of each
@@ -548,6 +557,30 @@ class CurvatureOps(Force):
         for rows, d1, coupling in self._sides:
             h[rows] -= d1 * coupling
         return h
+
+    def solve(self, b: np.ndarray, target: float) -> Optional[np.ndarray]:
+        """z with max|b - (d2E/ds2) . z| <= target, by conjugate gradients
+        on `apply_ss` from z = 0, reading the residual of the recurrence; or
+        None, the solve refused: where a search direction p meets p.Hp <= 0
+        (the Hessian is not positive definite here), or where the residual
+        is not within target after as many products as the state has
+        entries, when CG would have converged in exact arithmetic."""
+        z, r, p = np.zeros_like(b), b.copy(), b.copy()
+        rr = r @ r
+        for _ in range(len(b)):
+            if max_abs(r) <= target:
+                break
+            hp = self.apply_ss(p)
+            curvature = p @ hp
+            if not curvature > 0:
+                return None
+            a = rr / curvature
+            z += a * p
+            r -= a * hp
+            rr, last = r @ r, rr
+            p *= rr / last
+            p += r
+        return z if max_abs(r) <= target else None
 
 
 def hvp_ss(theta: Params, x: np.ndarray, s: State, v: State, act: Activation) -> State:

@@ -5,6 +5,7 @@ finite-difference loops remain fast; instances are generated from fixed
 seeds so every expected value in the suite is reproducible.
 """
 
+import numpy as np
 import pytest
 
 import fpgrad as fp
@@ -35,6 +36,11 @@ def random_state(shape, rng, scale=1.0):
 
 def random_direction(shape, rng):
     return [rng.standard_normal(d) for d in shape.layer_dims]
+
+
+def dense_hessian(ops):
+    """d2E/ds2 at the state `ops` is frozen at, one `apply_ss` column per unit vector."""
+    return np.column_stack([ops.apply_ss(e) for e in np.eye(ops.bounds[-1])])
 
 
 @pytest.fixture

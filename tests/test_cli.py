@@ -57,7 +57,9 @@ def write_xor(ws):
 # relax
 # ---------------------------------------------------------------------------
 
-def test_relax_converged_exit_zero(ws, capsys):
+def test_relax_converged_exit_zero(ws, capsys, monkeypatch):
+    # the trajectory is plain Euler's at a tolerance of 1e-12 too: no Newton finish
+    monkeypatch.setattr(fp.model.CurvatureOps, "solve", lambda *a: pytest.fail("a CG solve in relax"))
     cfg = write_config(ws, BASE_CONFIG)
     code = main(["relax", "--config", cfg, "--x", "0.3,-0.5", "--out", "out"])
     assert code == 0
@@ -718,7 +720,7 @@ _TINY_BETA = "method.betas: betas must be large enough for a positive tolerance 
         # a beta whose second-phase tolerance beta * 1e-3 rounds to 0
         (["gradcheck", "--method", "eqprop", "--beta", "1e-322"], _TINY_BETA, BASE_CONFIG),
         (["equivalence", "--beta", "1e-322,5e-323"], _TINY_BETA, BASE_CONFIG),
-        (["train", "--beta", "1e-322"], _TINY_BETA.removeprefix("method.betas: "), XOR_CONFIG),
+        (["train", "--beta", "1e-322"], _TINY_BETA.replace("method.betas: ", "method.beta: "), XOR_CONFIG),
         (["train"], "learning rates must be finite and non-negative",
          _with(XOR_CONFIG, "train.learning_rates", float("nan"))),
         # an empty epoch range, or a start epoch with nothing to resume
@@ -792,10 +794,11 @@ def test_integral_floats_still_read_as_ints(ws):
 @pytest.mark.parametrize("method", ["rbp", "eqprop"])
 @pytest.mark.parametrize("shape", [(2, [1]), (2, [2, 2, 1]), (4, [3, 3, 2])], ids=["2-1", "2-221", "4-332"])
 def test_gradcheck_builds_one_force_per_network(ws, monkeypatch, method, shape):
-    # per command: the free phase's force, the oracle's probed force and
-    # its stack's, then rbp's curvature, or eqprop's betas' stack and one
-    # force per beta.  The oracle's reference and each probe, and each
-    # beta, make one `relax` call; a start within tolerance is certified
+    # per command: the free phase's force and its Newton finish's curvature,
+    # the oracle's probed force and its stack's, then rbp's curvature, or
+    # eqprop's betas' stack and one force per beta.  The free phase's Euler
+    # run and its certificate, the oracle's reference and each probe, and
+    # each beta, make one `relax` call; a start within tolerance is certified
     # by one evaluation, so at most the free phase, the stacks and the
     # betas run a flow, and rbp's side process one more
     counts = {"forces": 0, "relax": 0, "flows": 0}
@@ -815,7 +818,7 @@ def test_gradcheck_builds_one_force_per_network(ws, monkeypatch, method, shape):
     argv = ["gradcheck", "--config", write_config(ws, cfg), "--method", method, "--out", "out"]
     assert main(argv + (["--beta", "2e-4,1e-4"] if method == "eqprop" else [])) == 0
     probes = 2 * fp.NetworkShape(shape[0], tuple(shape[1])).num_params
-    forces, relax_calls, flows = (4, 2 + probes, 3) if method == "rbp" else (6, 4 + probes, 4)
+    forces, relax_calls, flows = (5, 3 + probes, 3) if method == "rbp" else (7, 5 + probes, 4)
     assert counts["forces"] == forces and counts["relax"] == relax_calls
     assert counts["flows"] <= flows
 

@@ -9,7 +9,7 @@ import pytest
 
 import fpgrad as fp
 
-from conftest import make_instance
+from conftest import SHAPE_POOL, dense_hessian, make_instance, random_state
 
 
 @pytest.fixture
@@ -455,3 +455,153 @@ def test_a_second_phase_runs_at_beta_times_1e_3(seeded_net, beta):
     assert cfg.tolerance == beta * 1e-3
     tight = fp.RelaxationConfig(tolerance=beta * 1e-4)
     assert fp.eqprop.tightened(tight, beta).tolerance == beta * 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the free phase's Newton finish
+# ---------------------------------------------------------------------------
+
+def _plain_euler(theta, x, act, cfg):
+    """The free phase as plain Euler runs it, from the zero state."""
+    result = fp.relax_free(theta, x, fp.model.zero_state_like(theta), act, cfg)
+    return fp.dynamics.converged_state(result, cfg, "free phase")
+
+
+def _counted_solves(monkeypatch):
+    """A list that gets one entry, the solve's result, per `CurvatureOps.solve` call."""
+    calls, solve = [], fp.model.CurvatureOps.solve
+    monkeypatch.setattr(fp.model.CurvatureOps, "solve", lambda *a: calls.append(solve(*a)) or calls[-1])
+    return calls
+
+
+@pytest.mark.parametrize("tolerance, finished", [(1e-6, False), (1e-8, False), (1e-9, True), (1e-12, True)])
+def test_the_newton_finish_engages_six_decades_below_its_switch(seeded_net, monkeypatch, tolerance, finished):
+    # Euler to a residual of 1e-3, then Newton, only at a tolerance <= 1e-9
+    shape, theta, x, y, act = seeded_net
+    calls = _counted_solves(monkeypatch)
+    cfg = fp.RelaxationConfig(tolerance=tolerance)
+    s = fp.eqprop._free_fixed_point(theta, x, act, cfg)
+    assert bool(calls) == finished
+    assert fp.model.max_abs(fp.model.flatten(fp.grad_s_energy(theta, x, s, act))) <= tolerance
+    if not finished:
+        assert [b.tobytes() for b in s] == [b.tobytes() for b in _plain_euler(theta, x, act, cfg)]
+
+
+def test_an_activation_without_curvature_keeps_plain_euler(seeded_net, monkeypatch):
+    shape, theta, x, y, _ = seeded_net
+    act = fp.model.Activation("tanh-no-d2f", np.tanh, fp.TANH.df)
+    calls = _counted_solves(monkeypatch)
+    cfg = fp.RelaxationConfig(tolerance=1e-12)
+    s = fp.eqprop._free_fixed_point(theta, x, act, cfg)
+    assert calls == []
+    assert [b.tobytes() for b in s] == [b.tobytes() for b in _plain_euler(theta, x, act, cfg)]
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_the_newton_point_is_within_tol_over_lambda_min_of_a_long_euler_run(index, act):
+    shape, theta, x, _ = make_instance(index)
+    tol = 1e-12
+    s = fp.model.flatten(fp.eqprop._free_fixed_point(theta, x, act, fp.RelaxationConfig(tolerance=tol)))
+    long = fp.model.flatten(_plain_euler(theta, x, act, fp.RelaxationConfig(tolerance=1e-14)))
+    ops = fp.model.CurvatureOps(theta, x, fp.model.split(long, fp.model.layer_bounds(shape.zero_state())), act)
+    assert np.abs(s - long).max() <= tol / np.linalg.eigvalsh(dense_hessian(ops))[0]
+
+
+# the weights of 2->[1,4] tanh that XOR eqprop training (configs/xor_eqprop.json)
+# reaches in epoch 324, and the sample x = (0, 1): at the residual of 1e-3,
+# after 11 Euler steps of 0.25, d2E/ds2 has an eigenvalue of -0.38
+_XOR_INDEFINITE = (
+    [["-0x1.e682b23270752p-2", "0x1.309a32de6b85ap+0", "0x1.e496c0fc8e1bep+0", "0x1.f1504fbe743b6p-2"]],
+    [["-0x1.089d69b0cc5e0p-1", "0x1.eae4d4dd6fd55p+0"], ["0x1.0891392e07c97p+1", "0x1.97eef845d03a3p+1"],
+     ["-0x1.692ab6a3ee248p+0", "-0x1.145b97fe807d2p+0"], ["0x1.5138f47efae0dp+0", "0x1.1883195106e45p+1"]],
+)
+
+
+def _xor_indefinite():
+    theta = [np.array([[float.fromhex(v) for v in row] for row in w]) for w in _XOR_INDEFINITE]
+    return theta, np.array([0.0, 1.0]), fp.RelaxationConfig(step_size=0.25, tolerance=1e-12)
+
+
+def test_a_refused_solve_leaves_the_free_phase_to_euler(monkeypatch):
+    # the solve at the switch meets p.Hp <= 0 and returns none; Euler then
+    # continues from the switch point, so the free phase is plain Euler's
+    theta, x, cfg = _xor_indefinite()
+    calls = _counted_solves(monkeypatch)
+    s = fp.eqprop._free_fixed_point(theta, x, fp.TANH, cfg)
+    assert calls == [None]
+    assert [b.tobytes() for b in s] == [b.tobytes() for b in _plain_euler(theta, x, fp.TANH, cfg)]
+
+
+def _euler_steps(monkeypatch):
+    """A list of the step count of every `dynamics.relax` call."""
+    steps, relax = [], fp.dynamics.relax
+
+    def counted(*args):
+        result = relax(*args)
+        steps.append(result[1].steps_taken)
+        return result
+
+    monkeypatch.setattr(fp.dynamics, "relax", counted)
+    return steps
+
+
+@pytest.mark.parametrize("cap", [5, 10, 11, 12, 40, 200])
+def test_a_capped_free_phase_keeps_plain_eulers_message_and_budget(monkeypatch, cap):
+    # after a refused solve (at step 11), the Euler steps before and after
+    # the switch add up to at most max_steps, and a phase that does not
+    # converge raises plain Euler's message, word for word
+    theta, x, cfg = _xor_indefinite()
+    cfg = dataclasses.replace(cfg, max_steps=cap)
+    with pytest.raises(fp.ConvergenceError) as plain:
+        _plain_euler(theta, x, fp.TANH, cfg)
+    steps = _euler_steps(monkeypatch)
+    with pytest.raises(fp.ConvergenceError) as got:
+        fp.eqprop._free_fixed_point(theta, x, fp.TANH, cfg)
+    assert str(got.value) == str(plain.value)
+    assert sum(steps) <= cap
+
+
+def test_a_free_phase_capped_at_its_switch_takes_no_newton_step(seeded_net, monkeypatch):
+    # the switch at step k leaves no Euler step: the phase raises plain
+    # Euler's message; one step more leaves room for the finish, whose
+    # point is certified in one evaluation
+    shape, theta, x, y, act = seeded_net
+    switch = fp.RelaxationConfig(tolerance=1e-3)
+    k = fp.relax_free(theta, x, shape.zero_state(), act, switch)[1].steps_taken
+    cfg = fp.RelaxationConfig(tolerance=1e-12, max_steps=k)
+    with pytest.raises(fp.ConvergenceError) as plain:
+        _plain_euler(theta, x, act, cfg)
+    calls, steps = _counted_solves(monkeypatch), _euler_steps(monkeypatch)
+    with pytest.raises(fp.ConvergenceError) as got:
+        fp.eqprop._free_fixed_point(theta, x, act, cfg)
+    assert str(got.value) == str(plain.value) and calls == []
+    fp.eqprop._free_fixed_point(theta, x, act, dataclasses.replace(cfg, max_steps=k + 1))
+    assert len(calls) >= 1 and steps[1:] == [k, 0]
+
+
+# tanh starts from which the full Newton step s - d raises the residual; the
+# half step s - d/2 lowers it from the last three, and from the first three
+# neither does, so the start comes back as it was
+@pytest.mark.parametrize("index, scale, halved", [
+    (4, 2.0, False), (6, 1.0, False), (8, 1.0, False), (1, 2.0, True), (5, 0.5, True), (16, 2.0, True),
+])
+def test_a_newton_step_is_taken_only_where_it_lowers_the_residual(monkeypatch, index, scale, halved):
+    shape, theta, x, _ = make_instance(index)
+    start = random_state(shape, np.random.default_rng(index), scale)
+    s, tol = fp.model.flatten(start), 1e-12
+
+    def residual(v):
+        return fp.model.CurvatureOps(theta, x, fp.model.split(v, fp.model.layer_bounds(start)), fp.TANH).residual
+
+    ops = fp.model.CurvatureOps(theta, x, start, fp.TANH)
+    d = ops.solve(ops.gradient, 0.5 * tol)
+    assert residual(s - d) >= ops.residual
+    frozen, freeze = [], fp.model.CurvatureOps.freeze
+    monkeypatch.setattr(fp.model.CurvatureOps, "freeze", lambda self, v: frozen.append(v.copy()) or freeze(self, v))
+    got = fp.eqprop._newton_steps(ops, s, tol)
+    assert [v.tobytes() for v in frozen[:2]] == [(s - d).tobytes(), (s - 0.5 * d).tobytes()]
+    if halved:
+        assert residual(got) < residual(s)
+    else:
+        assert got.tobytes() == s.tobytes() and len(frozen) == 2

@@ -660,14 +660,22 @@ def test_windowed_sweep_is_the_one_point_window_bit_for_bit(monkeypatch, shape, 
 def test_beta_sweep_runs_one_side_process(converged, monkeypatch):
     # the side process does not depend on beta: it is one more column of
     # the betas' stack, so each of the K + 1 grid points takes one stacked
-    # force call of 3 + 1 columns, and no `apply_ss` call of its own
+    # force call of 3 + 1 columns, and no `apply_ss` call of its own: each
+    # is a product of the free phase's Newton finish, inside `solve`
     shape, theta, x, y, act, s0, cfg = converged
-    applied, stacked = [], []
-    apply_ss, call = model.CurvatureOps.apply_ss, model.Force.__call__
+    applied, stacked, solving = [], [], []
+    apply_ss, call, solve = model.CurvatureOps.apply_ss, model.Force.__call__, model.CurvatureOps.solve
 
     def counted_apply_ss(self, v):
-        applied.append(1)
+        applied.append(bool(solving))
         return apply_ss(self, v)
+
+    def marked_solve(self, b, target):
+        solving.append(1)
+        try:
+            return solve(self, b, target)
+        finally:
+            solving.pop()
 
     def counted_call(self, s):
         if np.ndim(s) == 2:
@@ -675,10 +683,11 @@ def test_beta_sweep_runs_one_side_process(converged, monkeypatch):
         return call(self, s)
 
     monkeypatch.setattr(model.CurvatureOps, "apply_ss", counted_apply_ss)
+    monkeypatch.setattr(model.CurvatureOps, "solve", marked_solve)
     monkeypatch.setattr(model.Force, "__call__", counted_call)
     K = 40
     reports = fp.beta_sweep(theta, x, y, [1e-3, 5e-4, 2.5e-4], K, act, cfg)
-    assert applied == []
+    assert all(applied)
     assert stacked == [4] * (K + 1)
     assert [len(r.per_step_s_gap) for r in reports] == [K + 1] * 3
 
@@ -734,8 +743,10 @@ def test_truncation_correspondence_matches_recorded_side_process(converged):
     beta, K = 1e-3, 40
     gap = fp.truncation_correspondence(theta, x, y, beta, K, act, cfg)
     tight = tightened(cfg, beta)
-    truncated = fp.truncated_eqprop_gradient(theta, x, y, beta, K, act, cfg, s_free=s0)
-    _, theta_bars = error_process_path(theta, x, y, s0, act, tight.step_size, K, tight.tolerance)
+    # the free fixed point both read from, located as the function locates it
+    s_free = _free_fixed_point(theta, x, act, tight)
+    truncated = fp.truncated_eqprop_gradient(theta, x, y, beta, K, act, cfg, s_free=s_free)
+    _, theta_bars = error_process_path(theta, x, y, s_free, act, tight.step_size, K, tight.tolerance)
     want = model.inf_norm([a - b for a, b in zip(truncated.grad, theta_bars[-1])])
     assert gap == want / (1.0 + model.inf_norm(theta_bars[-1]))
 

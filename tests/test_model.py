@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 import fpgrad as fp
 from fpgrad.exceptions import ShapeError, UnsupportedActivationError
 
-from conftest import SHAPE_POOL, make_instance, random_direction, random_state
+from conftest import SHAPE_POOL, dense_hessian, make_instance, random_direction, random_state
 
 
 def fd_energy_grad_s(theta, x, s, act, delta=1e-5):
@@ -897,3 +897,57 @@ def test_max_abs_at_its_edges(v, want):
         assert math.isnan(got)
     else:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_the_cg_solve_is_a_dense_solve_at_the_free_fixed_point(index, act):
+    # with max|b - H z| <= target, |z - H^-1 b|_inf <= |z - H^-1 b|_2
+    # <= |b - H z|_2 / lambda_min <= sqrt(n) * target / lambda_min
+    shape, theta, x, _ = make_instance(index)
+    s = fp.eqprop._free_fixed_point(theta, x, act, fp.RelaxationConfig(tolerance=1e-12))
+    ops = fp.model.CurvatureOps(theta, x, s, act)
+    h = dense_hessian(ops)
+    lam_min, n, target = np.linalg.eigvalsh(h)[0], len(h), 1e-12
+    assert lam_min > 0
+    b = np.random.default_rng(index).standard_normal(n)
+    z = ops.solve(b, target)
+    assert np.abs(b - h @ z).max() <= target
+    assert np.abs(z - np.linalg.solve(h, b)).max() <= math.sqrt(n) * target / lam_min
+
+
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_the_cg_solve_refuses_an_indefinite_hessian(index):
+    # tanh weights ten times their init make d2E/ds2 indefinite at a random
+    # state: CG meets p.Hp <= 0 before the residual is within target
+    shape, theta, x, _ = make_instance(index)
+    theta = [10.0 * w for w in theta]
+    rng = np.random.default_rng(index)
+    for _ in range(5):
+        ops = fp.model.CurvatureOps(theta, x, random_state(shape, rng), fp.TANH)
+        if np.linalg.eigvalsh(dense_hessian(ops))[0] < 0:
+            break
+    else:
+        pytest.fail("no indefinite Hessian in five draws")
+    assert ops.solve(rng.standard_normal(ops.bounds[-1]), 1e-12) is None
+
+
+def test_the_cg_solve_of_zero_is_zero_without_a_product(monkeypatch):
+    shape, theta, x, _ = make_instance(2)
+    ops = fp.model.CurvatureOps(theta, x, shape.zero_state(), fp.LOGISTIC)
+    monkeypatch.setattr(ops, "apply_ss", lambda v: pytest.fail("a product for b = 0"))
+    assert ops.solve(np.zeros(ops.bounds[-1]), 1e-12).tolist() == [0.0] * ops.bounds[-1]
+
+
+def test_freezing_at_a_state_is_building_there_bit_for_bit():
+    # `freeze` moves the operators; `apply_ss` and the residual then read as
+    # those of a `CurvatureOps` built at the new state
+    shape, theta, x, _ = make_instance(4)
+    rng = np.random.default_rng(4)
+    a, b = random_state(shape, rng), random_state(shape, rng)
+    moved = fp.model.CurvatureOps(theta, x, a, fp.TANH)
+    moved.freeze(fp.model.flatten(b))
+    built = fp.model.CurvatureOps(theta, x, b, fp.TANH)
+    v = rng.standard_normal(built.bounds[-1])
+    assert moved.apply_ss(v).tobytes() == built.apply_ss(v).tobytes()
+    assert moved.gradient.tobytes() == built.gradient.tobytes() and moved.residual == built.residual

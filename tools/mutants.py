@@ -73,6 +73,19 @@ MUTANTS = [
     ("gradcheck-oracle-from-zero", "src/fpgrad/cli.py",
      "    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, estimates[0].free_point)",
      "    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, None)"),
+    # the free phase's Newton finish
+    ("cg-curvature-unguarded", "src/fpgrad/model.py",
+     "            if not curvature > 0:",
+     "            if False:"),
+    ("newton-decrease-unchecked", "src/fpgrad/eqprop.py",
+     "            if ops.residual < residual:",
+     "            if True:"),
+    ("newton-finish-boundary", "src/fpgrad/eqprop.py",
+     "_SWITCH, _FINISH_BELOW = 1e-3, 1e-9",
+     "_SWITCH, _FINISH_BELOW = 1e-3, 1e-8"),
+    ("newton-finish-exclusive", "src/fpgrad/eqprop.py",
+     "    finish = act.d2f is not None and cfg.tolerance <= _FINISH_BELOW",
+     "    finish = act.d2f is not None and cfg.tolerance < _FINISH_BELOW"),
     # stopping rules at their boundary
     ("relax-start-boundary", "src/fpgrad/dynamics.py",
      "    if residual <= cfg.tolerance:",
