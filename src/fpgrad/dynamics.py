@@ -15,6 +15,9 @@ Lists of per-layer arrays appear only at the boundary: the initial state
 in, the final state and the recorded snapshots out.  A stack of states,
 one per column, relaxes as one flow that freezes each column once it
 has converged (`relax_columns`): the oracle's probes and gradcheck's betas.
+A stack that starts at a fixed point and settles near it may first take
+chord steps on one dense Hessian (`fd_hessian`), so that Euler is left
+only what they do not settle.
 """
 
 from __future__ import annotations
@@ -192,7 +195,8 @@ def _flow(force: FlatForce, s_init: State, step_size: float, n_steps: int,
     return iter(partial(ctx.run, next, euler(model.flatten(s_init), g)), None)
 
 
-def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: str, tolerance=None):
+def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: str, tolerance=None,
+                  hessian=None):
     """The column-freezing relaxation: the flat (n, B) endpoint of a stack
     of B states and each column's step count.  A column stops, as a serial
     `relax` of it would, once max|g[:, j]| is within its tolerance (one per
@@ -200,7 +204,14 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
     at, written then.  The column maxima, one reduction a step, give the
     flow's residual, read at their `argmax` as `model.max_abs` reads it,
     0 once no column moves; one still moving after cfg.max_steps raises
-    a ConvergenceError."""
+    a ConvergenceError.
+
+    `hessian`, a dense n x n matrix taken at the stack's common start
+    (`fd_hessian`), first moves every column by chord steps (`_chord`);
+    the Euler flow then starts where they stop, a column they settled
+    freezing at step 0, so the counts are Euler steps only.  Without it,
+    or where the chord takes no step, the flow is plain Euler's bit for
+    bit."""
     steps = np.full(np.shape(stack[0])[1], -1)
     tol = np.broadcast_to(cfg.tolerance if tolerance is None else tolerance, steps.shape)
     k = frozen = 0
@@ -217,11 +228,66 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
         k += 1
         return col.item(col.argmax())
 
-    for s, g, residual in _flow(force, stack, cfg.step_size, cfg.max_steps, moving):
+    start, g = model.flatten(stack), None
+    if hessian is not None and _positive_definite(hessian):
+        with np.errstate(over="ignore", invalid="ignore"):  # as in `_flow`
+            start, g = _chord(force, start, hessian, tol)
+    for s, g, residual in _flow(force, [start], cfg.step_size, cfg.max_steps, moving, g):
         if not residual:
             return s, steps
     worst = np.abs(g).max(axis=0).argmax()  # a moving column, past its tolerance
     return settled_state(s, residual, replace(cfg, tolerance=float(tol[worst])), phase), steps
+
+
+def _positive_definite(h: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky accepts h, with a finite factor."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(h)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _chord(force: FlatForce, s: np.ndarray, hessian: np.ndarray, tol):
+    """Chord steps s <- s - H^-1 force(s) on every column of the flat stack
+    s at once, one `np.linalg.solve` a step: the last point kept and its
+    force.  They run only where some column starts above its tolerance
+    `tol`: a stack within tolerance comes back as it was, as `relax`
+    certifies a start.  A step is kept only where it at least halves the
+    stack's max|force|, and the steps stop at the first that does not, at
+    the rounding floor at the latest, so that where they settle a column
+    its point does not depend on the stack around it.  A non-finite force
+    at the start is left to the flow, which raises at step 0; one at a
+    trial point raises DivergenceError here."""
+    g = force(s)
+    if not (np.maximum.reduce(np.abs(g), axis=0) > tol).any():
+        return s, g
+    residual, j = model.max_abs(g), 0
+    while 0 < residual < math.inf:
+        j += 1
+        trial = s - np.linalg.solve(hessian, g)
+        g_trial = force(trial)
+        r = model.max_abs(g_trial)
+        if not math.isfinite(r):
+            raise DivergenceError(f"non-finite state at chord step {j}, before Euler step 0", step=0)
+        if not r <= 0.5 * residual:
+            break
+        s, g, residual = trial, g_trial, r
+    return s, g
+
+
+def fd_hessian(theta: Params, x, s: State, act: Activation) -> np.ndarray:
+    """d2E/ds2 at s as a dense n x n matrix, symmetrised: central
+    differences of dE/ds, the 2n states s +/- h e_i (h = 1e-5) evaluated
+    as the columns of one stacked `model.Force`.  It reads no closed-form
+    curvature (`model.CurvatureOps`), only the force the relaxations run."""
+    v, h = model.flatten(s), 1e-5
+    n = len(v)
+    shift = h * np.eye(n)
+    stack = np.concatenate([v[:, None] + shift, v[:, None] - shift], axis=1)
+    force = model.Force(theta, x, model.split(stack, model.layer_bounds(s)), act)
+    g = force(stack)
+    d = (g[:, :n] - g[:, n:]) / (2.0 * h)
+    return 0.5 * (d + d.T)
 
 
 def path(force: FlatForce, s_init: State, step_size: float, n_steps: int):

@@ -95,7 +95,8 @@ def _two_point_gradient(g_nudged: Params, g_free: Params, beta: float) -> Params
 # and Newton steps take over, only where at least six decades separate the
 # switch from the tolerance (at most _FINISH_BELOW): there Euler would spend
 # most of its steps on the linear tail.  Nearer the switch, at XOR
-# training's 1e-6 say, the free phase is plain Euler.
+# training's 1e-6 say, the free phase is plain Euler.  The stacked nudged
+# phases take chord steps under the same rule (`eqprop_gradients`).
 _SWITCH, _FINISH_BELOW = 1e-3, 1e-9
 
 
@@ -103,20 +104,34 @@ def _free_fixed_point(theta, x, act, cfg) -> State:
     """The free fixed point from the zero state, recording no snapshots.
 
     At a tolerance at most _FINISH_BELOW, for an activation with a second
-    derivative, Euler stops at a residual of _SWITCH, Newton steps
-    (`_newton_steps`) move the point on, and `dynamics.relax` certifies it
-    at the tolerance: in one evaluation if it is within it, else by Euler
-    steps from it.  Euler takes at most cfg.max_steps steps in all, and a
-    phase that does not converge raises plain Euler's ConvergenceError."""
+    derivative, Euler stops at a residual of _SWITCH and Newton steps
+    (`_newton_steps`) move the point on.  Where they take no step (a
+    refused solve, or no step lowers the residual), Euler goes on to a
+    residual one decade lower and they try again, while six decades still
+    separate that residual from the tolerance.  `dynamics.relax` then
+    certifies the point at the tolerance: in one evaluation if it is
+    within it, else by Euler steps from it.  Euler takes at most
+    cfg.max_steps steps in all, and a phase that does not converge raises
+    plain Euler's ConvergenceError."""
     cfg = replace(cfg, record_every=0)
     finish = act.d2f is not None and cfg.tolerance <= _FINISH_BELOW
     s, traj = dynamics.relax_free(theta, x, model.zero_state_like(theta), act,
                                   replace(cfg, tolerance=_SWITCH) if finish else cfg)
-    left = cfg.max_steps - traj.steps_taken
-    if finish and traj.converged and left and traj.final_residual > cfg.tolerance:
-        ops = model.CurvatureOps(theta, x, s, act)
-        s = model.split(_newton_steps(ops, model.flatten(s), cfg.tolerance), ops.bounds)
-        s, traj = dynamics.relax(ops, s, replace(cfg, max_steps=left))
+    left, ops, retries = cfg.max_steps - traj.steps_taken, None, 0
+    while finish and traj.converged and left and traj.final_residual > cfg.tolerance:
+        flat = model.flatten(s)
+        if ops is None:
+            ops = model.CurvatureOps(theta, x, s, act)
+        else:
+            ops.freeze(flat)
+        end = _newton_steps(ops, flat, cfg.tolerance)
+        retries += 1
+        switch = _SWITCH / 10 ** retries
+        if end is not flat or switch < cfg.tolerance * (_SWITCH / _FINISH_BELOW):
+            s, traj = dynamics.relax(ops, model.split(end, ops.bounds), replace(cfg, max_steps=left))
+            break
+        s, traj = dynamics.relax(ops, s, replace(cfg, tolerance=switch, max_steps=left))
+        left -= traj.steps_taken
     return dynamics.settled_state(s, traj.final_residual, cfg, "free phase")
 
 
@@ -191,11 +206,16 @@ def eqprop_gradient(
 
     Pass `s_free` to reuse an already-converged free fixed point; by
     default the free phase is run here, from the zero state, with the
-    tolerance tightened to beta * 1e-3.
+    tolerance tightened to beta * 1e-3.  At a tightened tolerance of at
+    most _FINISH_BELOW the estimate is the one column of
+    `eqprop_gradients`, chord steps included; above it, one serial
+    nudged phase of plain Euler, which is that column bit for bit.
     """
-    [beta], cfg, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
+    [beta], tight, s_free = second_phase(theta, x, act, cfg, [beta], s_free)
+    if tight.tolerance <= _FINISH_BELOW:
+        return _stacked_estimates(theta, x, y, [beta], act, cfg, s_free)[0]
     g_free = model.grad_theta_energy(theta, x, s_free, act)
-    return _nudged_estimate(theta, x, y, beta, s_free, act, cfg, g_free, s_free)
+    return _nudged_estimate(theta, x, y, beta, s_free, act, tight, g_free, s_free)
 
 
 def eqprop_gradients(theta: Params, x, y, betas, act: Activation, cfg: RelaxationConfig, s_free=None):
@@ -204,13 +224,26 @@ def eqprop_gradients(theta: Params, x, y, betas, act: Activation, cfg: Relaxatio
     unless `s_free` is given.  The nudged phases relax as one stack, a beta
     per column, each to its beta's tolerance; a serial phase from each
     column then certifies it.  A column agrees with the serial estimate to
-    rounding; one beta is it."""
+    rounding; one beta is it.
+
+    Where every tightened tolerance is at most _FINISH_BELOW, the stack
+    first takes chord steps on d2E/ds2 at s_free (`dynamics.fd_hessian`,
+    `dynamics.relax_columns`): each column settles O(beta) from s_free.
+    `horizon_t` counts Euler steps only, the stack's and the certifying
+    phase's, so it is 0 where the chord settles a column."""
     # a second phase's betas, in any order
     _, _, s_free = second_phase(theta, x, act, cfg, sorted(betas, reverse=True), s_free)
+    return _stacked_estimates(theta, x, y, betas, act, cfg, s_free)
+
+
+def _stacked_estimates(theta, x, y, betas, act, cfg, s_free):
+    """The estimates of `eqprop_gradients` from its free point s_free."""
     cfgs = [tightened(cfg, beta) for beta in betas]
+    tolerances = [c.tolerance for c in cfgs]
+    hessian = dynamics.fd_hessian(theta, x, s_free, act) if max(tolerances) <= _FINISH_BELOW else None
     stack = [np.repeat(sk[:, None], len(cfgs), axis=1) for sk in s_free]
     force = model.Force(theta, x, stack, act, y, betas)
-    ends, steps = dynamics.relax_columns(force, stack, cfg, "nudged phase", [c.tolerance for c in cfgs])
+    ends, steps = dynamics.relax_columns(force, stack, cfg, "nudged phase", tolerances, hessian)
     g_free = model.grad_theta_energy(theta, x, s_free, act)
     return [
         _nudged_estimate(theta, x, y, b, model.split(end, force.bounds), act, c, g_free, s_free, k)

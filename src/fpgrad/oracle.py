@@ -13,6 +13,12 @@ fixed point to start its reference relaxation from.  It relaxes from
 that point under its own tolerance, so its reference is a fixed point
 whatever it is given, and every difference it forms comes from its own
 perturbed relaxations; the point only picks the fixed point audited.
+
+Warm probes first take chord steps on a dense d2E/ds2 at the reference
+point, by central differences of the force they relax under
+(`dynamics.fd_hessian`), never by `model.CurvatureOps.apply_ss`, the
+closed form under audit.  It only speeds them up: each probe's point is
+still the one its own force certifies under the oracle's tolerance.
 """
 
 from __future__ import annotations
@@ -90,9 +96,11 @@ def _relaxed_fixed_point(force, s_init, cfg):
     return dynamics.converged_state(dynamics.relax(force, s_init, cfg), cfg, "oracle relaxation")
 
 
-def _relaxed_stack(theta: Params, x, start: State, act: Activation, probes, cfg: RelaxationConfig):
+def _relaxed_stack(theta: Params, x, start: State, act: Activation, probes, cfg: RelaxationConfig,
+                   hessian=None):
     """The flat (N, B) endpoint of the B perturbed networks of `probes`,
-    relaxed as one stack from `start` by `dynamics.relax_columns`.
+    relaxed as one stack from `start` by `dynamics.relax_columns`, first
+    by chord steps on `hessian` if given.
 
     Probe (k, i, j, d) adds d to W_k[i, j].  Every column shares the
     weight blocks of one stacked `model.Force`, and its own force is the
@@ -120,7 +128,7 @@ def _relaxed_stack(theta: Params, x, start: State, act: Activation, probes, cfg:
         flat[at] = flat.take(at) - shared.slopes.take(at) * d * shared.rates.take(rate_at)
         return g
 
-    return dynamics.relax_columns(force, stack, cfg, "oracle relaxation")[0]
+    return dynamics.relax_columns(force, stack, cfg, "oracle relaxation", hessian=hessian)[0]
 
 
 def fd_objective_gradient(
@@ -147,7 +155,15 @@ def fd_objective_gradient(
     trailing digits.
 
     The perturbed networks relax together, up to _STACK_COLUMNS at a
-    time, as one stack (`_relaxed_stack`); each probe is then certified
+    time, as one stack (`_relaxed_stack`).  Warm, each probe settles
+    O(delta) from the reference point, and the stack first takes chord
+    steps s <- s - H^-1 g(s) on H = d2E/ds2 there, by central differences
+    of the unperturbed force (`dynamics.fd_hessian`): a few steps reach the
+    rounding floor, where Euler would walk the linear tail.  H comes from
+    the oracle's own force, not from the closed forms under audit, and a
+    wrong H could only slow the probes down, since a step that does not
+    halve the residual is dropped.  Cold probes take plain Euler.  Each
+    probe is then certified
     by a serial `relax` under its exact perturbed weights, started from
     its column, which settles the last bits that the stacked products
     round differently; `relax` certifies a column within tolerance by one
@@ -170,6 +186,8 @@ def fd_objective_gradient(
     force = model.Force(probed, x, s_init, act)
     s0 = _relaxed_fixed_point(force, s_init, tight)
     start = s0 if fd.warm_start else zero
+    # warm probes start at s0 and settle O(delta) from it: chord steps on d2E/ds2 there
+    hessian = dynamics.fd_hessian(theta, x, s0, act) if fd.warm_start else None
     bounds, s0_flat = model.layer_bounds(s0), model.flatten(s0)
     probes = [
         (k, i, j, sign * fd.delta)
@@ -186,7 +204,7 @@ def fd_objective_gradient(
     costs = []
     for first in range(0, len(probes), _STACK_COLUMNS):
         chunk = probes[first:first + _STACK_COLUMNS]
-        ends = _relaxed_stack(theta, x, start, act, chunk, tight)
+        ends = _relaxed_stack(theta, x, start, act, chunk, tight, hessian)
         for c, (k, i, j, d) in enumerate(chunk):
             set_entry(k, i, j, theta[k][i, j] + d)
             sp = _relaxed_fixed_point(force, model.split(ends[:, c], bounds), tight)

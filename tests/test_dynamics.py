@@ -1,5 +1,6 @@
 """Relaxation behaviour: convergence, descent, recording, divergence guards."""
 
+import dataclasses
 import io
 import re
 import warnings
@@ -10,7 +11,7 @@ import pytest
 import fpgrad as fp
 from fpgrad.exceptions import ConvergenceError, DivergenceError
 
-from conftest import make_instance, random_state
+from conftest import SHAPE_POOL, dense_hessian, make_instance, random_state
 
 # free fixed point of the canonical instance (2 -> [2, 2, 1], seed 42,
 # logistic, eps 0.1, tol 1e-8 from the zero state), frozen after its first
@@ -46,7 +47,10 @@ def test_fixed_horizon_flow_rejects_non_finite_step(seeded_net):
         fp.free_path(theta, x, shape.zero_state(), act, float("nan"), 3)
 
 
-def test_every_unconverged_relaxation_raises_one_message(seeded_net, tight_cfg):
+def test_every_unconverged_relaxation_raises_one_message(seeded_net, tight_cfg, monkeypatch):
+    # with every Hessian refused, the stacks take no chord step: the
+    # nudged phase is left to Euler, whose cap it meets
+    monkeypatch.setattr(fp.dynamics, "_positive_definite", lambda h: False)
     shape, theta, x, y, act = seeded_net
     short = fp.RelaxationConfig(step_size=0.1, tolerance=1e-12, max_steps=5)
     s0, _ = fp.relax_free(theta, x, shape.zero_state(), act, tight_cfg)
@@ -657,3 +661,90 @@ def test_a_column_whose_residual_equals_its_tolerance_freezes_at_step_0():
     ends, steps = fp.dynamics.relax_columns(lambda s: 1.0 * s, stack, cfg, "stack")
     assert steps.tolist() == [0, 1]
     assert ends.tolist() == [[_TOL, _TOL], [-_TOL / 2, _TOL / 2]]
+
+
+# ---------------------------------------------------------------------------
+# chord steps before the column-freezing flow
+# ---------------------------------------------------------------------------
+
+def _nudged_stack(index, act, betas=(1e-3, 2e-4, 1e-4)):
+    """A nudged stack at the free fixed point of instance `index`, its
+    force, that point's d2E/ds2 from `fd_hessian` and its dense λ_min."""
+    shape, theta, x, y = make_instance(index)
+    s_free = fp.eqprop._free_fixed_point(theta, x, act, fp.RelaxationConfig(tolerance=1e-14))
+    stack = _stack_of(s_free, len(betas))
+    force = fp.model.Force(theta, x, stack, act, y, list(betas))
+    lam = np.linalg.eigvalsh(dense_hessian(fp.model.CurvatureOps(theta, x, s_free, act)))[0]
+    return stack, force, fp.dynamics.fd_hessian(theta, x, s_free, act), lam
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_chord_endpoints_lie_within_tol_over_lambda_min_of_a_long_euler_run(index, act):
+    # every column is settled by the chord, at step 0
+    stack, force, hessian, lam = _nudged_stack(index, act)
+    tol = 1e-12
+    ends, steps = fp.dynamics.relax_columns(force, stack, fp.RelaxationConfig(tolerance=tol), "stack",
+                                            hessian=hessian)
+    long, _ = fp.dynamics.relax_columns(force, stack, fp.RelaxationConfig(tolerance=1e-14), "stack")
+    assert steps.tolist() == [0, 0, 0]
+    assert np.abs(ends - long).max() <= tol / lam
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "nan", "too-stiff"])
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_a_refused_hessian_or_a_chord_step_that_does_not_halve_leaves_the_stack_to_euler(act, bad, tight_cfg):
+    # "too-stiff", 4 H: the first chord step leaves 3/4 of the residual, is
+    # dropped, and Euler starts from the stack as given; under a cap, the
+    # same holds for the message
+    stack, force, hessian, _ = _nudged_stack(4, act)
+    if bad == "indefinite":
+        hessian = hessian - (np.linalg.eigvalsh(hessian)[0] + 0.1) * np.eye(len(hessian))
+    elif bad == "nan":
+        hessian = hessian.copy()
+        hessian[-1, -1] = np.nan
+    else:
+        hessian = 4.0 * hessian
+    chords = []
+    chord = fp.dynamics._chord
+
+    def counted(*args):
+        chords.append(1)
+        return chord(*args)
+
+    plain = fp.dynamics.relax_columns(force, stack, tight_cfg, "stack")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp.dynamics, "_chord", counted)
+        got = fp.dynamics.relax_columns(force, stack, tight_cfg, "stack", hessian=hessian)
+    assert len(chords) == (bad == "too-stiff")
+    assert plain[1].tolist() == got[1].tolist() and min(got[1]) > 0
+    assert plain[0].tobytes() == got[0].tobytes()
+    short = dataclasses.replace(tight_cfg, max_steps=5)
+    messages = []
+    for h in (None, hessian):
+        with pytest.raises(ConvergenceError) as e:
+            fp.dynamics.relax_columns(force, stack, short, "stack", hessian=h)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]
+
+
+def test_a_stack_within_tolerance_takes_no_chord_step(tight_cfg):
+    # the chord's start is certified as `relax` certifies one: in one
+    # evaluation, the stack coming back as it was
+    stack, force, hessian, _ = _nudged_stack(4, fp.TANH)
+    ends, steps = fp.dynamics.relax_columns(force, stack, fp.RelaxationConfig(tolerance=1.0), "stack",
+                                            hessian=hessian)
+    assert steps.tolist() == [0, 0, 0]
+    assert ends.tobytes() == fp.model.flatten(stack).tobytes()
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_the_fd_hessian_is_the_closed_form_curvature(index, act):
+    # central differences of the force, h = 1e-5, against `apply_ss`
+    shape, theta, x, _ = make_instance(index)
+    s = random_state(shape, np.random.default_rng(index))
+    h = fp.dynamics.fd_hessian(theta, x, s, act)
+    exact = dense_hessian(fp.model.CurvatureOps(theta, x, s, act))
+    assert h.tobytes() == h.T.tobytes()
+    assert np.abs(h - exact).max() <= 1e-8 * max(1.0, np.abs(exact).max())

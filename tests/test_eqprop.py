@@ -196,9 +196,14 @@ def test_truncated_far_past_convergence_matches_full(converged):
 
 
 def test_truncated_at_convergence_step_count_is_bitwise_identical(converged):
+    # at 1e-8 the nudged phase is plain Euler; at 1e-12 chord steps settle
+    # it, and its horizon counts no Euler step
     shape, theta, x, y, act, s0, cfg = converged
     beta = 1e-3
+    assert fp.eqprop_gradient(theta, x, y, beta, act, cfg, s_free=s0).horizon_t == 0.0
+    cfg = dataclasses.replace(cfg, tolerance=1e-8)
     full = fp.eqprop_gradient(theta, x, y, beta, act, cfg, s_free=s0)
+    assert full.horizon_t > 0
     K = round(full.horizon_t / cfg.step_size)
     trunc = fp.truncated_eqprop_gradient(theta, x, y, beta, K, act, cfg, s_free=s0)
     for a, b in zip(full.grad, trunc.grad):
@@ -385,18 +390,21 @@ def test_one_stacked_beta_is_the_serial_estimate_bit_for_bit(index, act):
 @pytest.mark.parametrize("index", range(len(GRADCHECK_SHAPES)))
 def test_the_readout_of_the_settling_force_is_grad_theta_energy_bit_for_bit(index, act):
     # dE/dW at the nudged point is read from the force that evaluated it
-    # last: after a serial phase from the free point, and after the serial
-    # certification of each stacked beta's column
+    # last: after the serial certification of each stacked beta's column,
+    # a one-beta estimate's too, each stack settled by its chord steps
     theta, x, y = fp.random_instance(GRADCHECK_SHAPES[index], 1201 + index)
     cfg = fp.RelaxationConfig(tolerance=1e-12)
     betas = [2e-4, 1e-4]
     _, _, s_free = fp.eqprop.second_phase(theta, x, act, cfg, betas)
     g_free = fp.grad_theta_energy(theta, x, s_free, act)
-    stack = [np.repeat(sk[:, None], 2, axis=1) for sk in s_free]
-    force = fp.model.Force(theta, x, stack, act, y, betas)
+    hessian = fp.dynamics.fd_hessian(theta, x, s_free, act)
     cfgs = [fp.eqprop.tightened(cfg, beta) for beta in betas]
-    ends, _ = fp.dynamics.relax_columns(force, stack, cfg, "nudged phase", [c.tolerance for c in cfgs])
-    starts = [fp.model.split(end, force.bounds) for end in ends.T] + [s_free]
+    starts = []
+    for b, c in [(betas, cfgs), (betas[1:], cfgs[1:])]:
+        stack = [np.repeat(sk[:, None], len(b), axis=1) for sk in s_free]
+        force = fp.model.Force(theta, x, stack, act, y, b)
+        ends, _ = fp.dynamics.relax_columns(force, stack, cfg, "nudged phase", [d.tolerance for d in c], hessian)
+        starts += [fp.model.split(end, force.bounds) for end in ends.T]
     estimates = fp.eqprop.eqprop_gradients(theta, x, y, betas, act, cfg, s_free)
     estimates.append(fp.eqprop_gradient(theta, x, y, betas[1], act, cfg, s_free))
     for beta, c, start, est in zip(betas + betas[1:], cfgs + cfgs[1:], starts, estimates):
@@ -523,16 +531,6 @@ def _xor_indefinite():
     return theta, np.array([0.0, 1.0]), fp.RelaxationConfig(step_size=0.25, tolerance=1e-12)
 
 
-def test_a_refused_solve_leaves_the_free_phase_to_euler(monkeypatch):
-    # the solve at the switch meets p.Hp <= 0 and returns none; Euler then
-    # continues from the switch point, so the free phase is plain Euler's
-    theta, x, cfg = _xor_indefinite()
-    calls = _counted_solves(monkeypatch)
-    s = fp.eqprop._free_fixed_point(theta, x, fp.TANH, cfg)
-    assert calls == [None]
-    assert [b.tobytes() for b in s] == [b.tobytes() for b in _plain_euler(theta, x, fp.TANH, cfg)]
-
-
 def _euler_steps(monkeypatch):
     """A list of the step count of every `dynamics.relax` call."""
     steps, relax = [], fp.dynamics.relax
@@ -546,15 +544,51 @@ def _euler_steps(monkeypatch):
     return steps
 
 
+def _refused_solves(monkeypatch):
+    """A list that gets one entry per `CurvatureOps.solve` call, each refused."""
+    calls = []
+    monkeypatch.setattr(fp.model.CurvatureOps, "solve", lambda *a: calls.append(None))
+    return calls
+
+
+def test_a_refused_solve_leaves_the_free_phase_to_euler(monkeypatch):
+    # every solve refused: at the switch 1e-3 and at each retry one decade
+    # lower, down to 1e-6, six decades above the tolerance; Euler goes on
+    # from each point where it stopped, so the free phase is plain Euler's
+    theta, x, cfg = _xor_indefinite()
+    calls = _refused_solves(monkeypatch)
+    steps = _euler_steps(monkeypatch)
+    s = fp.eqprop._free_fixed_point(theta, x, fp.TANH, cfg)
+    assert calls == [None] * 4 and len(steps) == 5
+    monkeypatch.undo()
+    assert [b.tobytes() for b in s] == [b.tobytes() for b in _plain_euler(theta, x, fp.TANH, cfg)]
+
+
+def test_a_solve_refused_at_the_switch_is_retried_one_decade_lower(monkeypatch):
+    # at 1e-3 d2E/ds2 is indefinite and the solve is refused; Euler goes on
+    # to 1e-4, where the solve is accepted and Newton settles the point:
+    # 11 + 119 Euler steps, and none to certify it, against plain Euler's 271
+    theta, x, cfg = _xor_indefinite()
+    calls, steps = _counted_solves(monkeypatch), _euler_steps(monkeypatch)
+    s = fp.eqprop._free_fixed_point(theta, x, fp.TANH, cfg)
+    assert calls[0] is None and all(c is not None for c in calls[1:])
+    assert steps == [11, 119, 0]
+    assert fp.model.max_abs(fp.model.flatten(fp.grad_s_energy(theta, x, s, fp.TANH))) <= cfg.tolerance
+    monkeypatch.undo()
+    plain = fp.relax_free(theta, x, fp.model.zero_state_like(theta), fp.TANH, cfg)[1]
+    assert plain.steps_taken == 271
+
+
 @pytest.mark.parametrize("cap", [5, 10, 11, 12, 40, 200])
 def test_a_capped_free_phase_keeps_plain_eulers_message_and_budget(monkeypatch, cap):
-    # after a refused solve (at step 11), the Euler steps before and after
-    # the switch add up to at most max_steps, and a phase that does not
-    # converge raises plain Euler's message, word for word
+    # after every solve is refused (the first at step 11), the Euler steps
+    # before and after each switch add up to at most max_steps, and a phase
+    # that does not converge raises plain Euler's message, word for word
     theta, x, cfg = _xor_indefinite()
     cfg = dataclasses.replace(cfg, max_steps=cap)
     with pytest.raises(fp.ConvergenceError) as plain:
         _plain_euler(theta, x, fp.TANH, cfg)
+    _refused_solves(monkeypatch)
     steps = _euler_steps(monkeypatch)
     with pytest.raises(fp.ConvergenceError) as got:
         fp.eqprop._free_fixed_point(theta, x, fp.TANH, cfg)

@@ -147,12 +147,15 @@ def test_basin_jump_detection(converged, monkeypatch):
 
 
 def _serial_fd_reference(theta, x, y, act, cfg, fd):
-    """`fd_objective_gradient` as it was before the stacked probes: one
-    serial relaxation per perturbed network, from the same start."""
+    """`fd_objective_gradient` as it was before the stacked probes, under
+    the same finish: one serial relaxation per perturbed network, from the
+    same start; warm, it first takes the chord steps of a one-column stack
+    on the same Hessian."""
     tight = dataclasses.replace(cfg, tolerance=min(cfg.tolerance, 1e-12), record_every=0)
     zero = fp.model.zero_state_like(theta)
     s0 = oracle._relaxed_fixed_point(fp.model.Force(theta, x, zero, act), zero, tight)
     start = s0 if fd.warm_start else zero
+    hessian = fp.dynamics.fd_hessian(theta, x, s0, act) if fd.warm_start else None
     grad = []
     for k, w in enumerate(theta):
         g = np.zeros_like(w)
@@ -162,7 +165,13 @@ def _serial_fd_reference(theta, x, y, act, cfg, fd):
                 perturbed = fp.model.copy_blocks(theta)
                 perturbed[k][idx] = w[idx] + delta
                 force = fp.model.Force(perturbed, x, start, act)
-                costs.append(fp.cost(y, oracle._relaxed_fixed_point(force, start, tight)))
+                s_end = start
+                if fd.warm_start:
+                    column = [sk[:, None] for sk in start]
+                    one = fp.model.Force(perturbed, x, column, act)
+                    end = fp.dynamics.relax_columns(one, column, tight, "probe", hessian=hessian)[0]
+                    s_end = fp.model.split(end[:, 0], force.bounds)
+                costs.append(fp.cost(y, oracle._relaxed_fixed_point(force, s_end, tight)))
             g[idx] = (costs[0] - costs[1]) / (2.0 * fd.delta)
         grad.append(g)
     return grad
@@ -179,13 +188,15 @@ GRADCHECK_SHAPES = [fp.NetworkShape(2, (1,)), fp.NetworkShape(2, (2, 2, 1)), fp.
 def _per_probe_force_oracle(theta, x, y, act, cfg, fd=fp.FDConfig()):
     """`fd_objective_gradient` as it was before one force served every
     probe: the inner-block probes share one `Force`, and an input-block
-    probe builds its own once its entry is set."""
+    probe builds its own once its entry is set.  Warm probes take the
+    chord steps on the same Hessian."""
     tight = dataclasses.replace(cfg, tolerance=min(cfg.tolerance, 1e-12), record_every=0)
     zero = fp.model.zero_state_like(theta)
     probed = fp.model.copy_blocks(theta)
     force = fp.model.Force(probed, x, zero, act)
     s0 = oracle._relaxed_fixed_point(force, zero, tight)
     start, bounds = (s0 if fd.warm_start else zero), fp.model.layer_bounds(s0)
+    hessian = fp.dynamics.fd_hessian(theta, x, s0, act) if fd.warm_start else None
     probes = [
         (k, i, j, sign * fd.delta)
         for k, w in enumerate(theta)
@@ -195,7 +206,7 @@ def _per_probe_force_oracle(theta, x, y, act, cfg, fd=fp.FDConfig()):
     costs = []
     for first in range(0, len(probes), oracle._STACK_COLUMNS):
         chunk = probes[first:first + oracle._STACK_COLUMNS]
-        ends = oracle._relaxed_stack(theta, x, start, act, chunk, tight)
+        ends = oracle._relaxed_stack(theta, x, start, act, chunk, tight, hessian)
         for c, (k, i, j, d) in enumerate(chunk):
             probed[k][i, j] = theta[k][i, j] + d
             s_end = fp.model.split(ends[:, c], bounds)
@@ -302,25 +313,43 @@ def _relax_calls(monkeypatch):
     return calls
 
 
-def test_a_non_finite_probe_diverges_at_its_step(converged, monkeypatch):
+def _poisoned_oracle(converged, monkeypatch, scale, poisoned_at):
+    """The DivergenceError of an oracle on the chord Hessian times `scale`,
+    column 3 of its stacked activations NaN at their evaluation number
+    `poisoned_at`: the Hessian's 2n columns are the first, the chord's
+    start the second, then its trial points, then Euler's steps."""
     shape, theta, x, y, act, s0, cfg = converged
     evaluations = []
 
     def rate_slope(v):
         f, df = act.rate_slope(v)
-        if np.ndim(v) == 2:  # a stack: column 3 turns NaN at its fifth evaluation
+        if np.ndim(v) == 2:
             evaluations.append(1)
-            if len(evaluations) == 5:
+            if len(evaluations) == poisoned_at:
                 f[:, 3] = np.nan
         return f, df
 
+    hessian = fp.dynamics.fd_hessian
+    monkeypatch.setattr(fp.dynamics, "fd_hessian", lambda *args: scale * hessian(*args))
     calls = _relax_calls(monkeypatch)
-    poisoned = dataclasses.replace(act, f_df=rate_slope)
-    with pytest.raises(DivergenceError, match="at step 4") as info:
-        fp.fd_objective_gradient(theta, x, y, poisoned, cfg)
-    assert info.value.step == 4
+    with pytest.raises(DivergenceError) as info:
+        fp.fd_objective_gradient(theta, x, y, dataclasses.replace(act, f_df=rate_slope), cfg)
     # the reference converged; no probe reached its certification
     assert calls == [True]
+    return info.value
+
+
+def test_a_non_finite_probe_diverges_at_its_step(converged, monkeypatch):
+    # the chord's second trial point, before any Euler step
+    err = _poisoned_oracle(converged, monkeypatch, 1.0, 4)
+    assert str(err) == "non-finite state at chord step 2, before Euler step 0" and err.step == 0
+
+
+def test_a_probe_non_finite_after_the_chord_diverges_at_its_euler_step(converged, monkeypatch):
+    # on 2.5 H the first chord step leaves 0.6 of the residual and is
+    # dropped, so Euler runs the stack, and its fourth step turns NaN
+    err = _poisoned_oracle(converged, monkeypatch, 2.5, 7)
+    assert str(err) == "non-finite state at step 4" and err.step == 4
 
 
 def test_a_stack_at_max_steps_raises_before_any_certification(converged, monkeypatch):
@@ -360,6 +389,15 @@ def test_a_looser_free_point_gives_the_zero_start_gradient_bit_for_bit(index, ac
     # the reference relaxation continues the zero-start flow where p left it
     assert steps[0] == to_tight.steps_taken - to_loose.steps_taken
     assert _bits(p) == p_bits
+
+
+def test_cold_probes_take_no_chord_step(converged, monkeypatch):
+    # from the zero state, far from their fixed points, the probes are
+    # plain Euler's, as they were before the chord
+    shape, theta, x, y, act, s0, cfg = converged
+    monkeypatch.setattr(fp.dynamics, "fd_hessian", lambda *a: pytest.fail("a chord Hessian"))
+    monkeypatch.setattr(fp.dynamics, "_chord", lambda *a: pytest.fail("a chord step"))
+    fp.fd_objective_gradient(theta, x, y, act, cfg, fp.FDConfig(warm_start=False))
 
 
 def test_fd_gradient_never_writes_the_callers_weights(converged, monkeypatch):

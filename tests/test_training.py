@@ -235,12 +235,15 @@ def test_methods_agree_on_fixed_snapshot(xor_ds):
 def test_training_relaxes_one_free_phase_per_sample(xor_ds, xor_recipe, monkeypatch, method):
     # the log reads cost and accuracy at the estimate's own free point; at
     # the recipe's tolerance, 1e-6, each free phase is plain Euler, with no
-    # Newton finish and so no CG solve
+    # Newton finish and so no CG solve, and each nudged phase a serial one,
+    # with no stack and so no chord Hessian
     shape, act, cfg = xor_recipe
     calls = []
     relax_free = fp.dynamics.relax_free
     monkeypatch.setattr(fp.dynamics, "relax_free", lambda *a: calls.append(1) or relax_free(*a))
     monkeypatch.setattr(fp.model.CurvatureOps, "solve", lambda *a: pytest.fail("a CG solve in training"))
+    monkeypatch.setattr(fp.dynamics, "fd_hessian", lambda *a: pytest.fail("a chord Hessian in training"))
+    monkeypatch.setattr(fp.dynamics, "relax_columns", lambda *a: pytest.fail("a stack in training"))
     cfg = replace(cfg, method=method, truncation_steps=20, epochs=3)
     fp.sgd_train(xor_ds, shape, act, cfg)
     assert len(calls) == 3 * len(xor_ds.samples)

@@ -86,6 +86,18 @@ MUTANTS = [
     ("newton-finish-exclusive", "src/fpgrad/eqprop.py",
      "    finish = act.d2f is not None and cfg.tolerance <= _FINISH_BELOW",
      "    finish = act.d2f is not None and cfg.tolerance < _FINISH_BELOW"),
+    # the chord steps of the near-equilibrium stacks; the halving test
+    # weakened to a plain decrease, since a chord kept without any test
+    # would never stop at the rounding floor
+    ("chord-halving-dropped", "src/fpgrad/dynamics.py",
+     "        if not r <= 0.5 * residual:",
+     "        if not r < residual:"),
+    ("chord-cholesky-ungated", "src/fpgrad/dynamics.py",
+     "    if hessian is not None and _positive_definite(hessian):",
+     "    if hessian is not None:"),
+    ("oracle-chord-cold", "src/fpgrad/oracle.py",
+     "    hessian = dynamics.fd_hessian(theta, x, s0, act) if fd.warm_start else None",
+     "    hessian = dynamics.fd_hessian(theta, x, s0, act)"),
     # stopping rules at their boundary
     ("relax-start-boundary", "src/fpgrad/dynamics.py",
      "    if residual <= cfg.tolerance:",
