@@ -10,7 +10,8 @@ integrator would break that step-by-step alignment.
 Every integrator is one Euler loop (`_flow`) on the flat state, one
 float64 vector with the layers end to end (see `model.flatten`), under a
 force that maps such a vector to its flat drift, such as `model.Force`,
-or `model.CurvatureOps.apply_ss` for the linear rbp side process.
+or the curvature product of the linear rbp side process
+(`rbp.SideProcess.apply_ss`).
 Lists of per-layer arrays appear only at the boundary: the initial state
 in, the final state and the recorded snapshots out.  A stack of states,
 one per column, relaxes as one flow that freezes each column once it

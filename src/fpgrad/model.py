@@ -519,8 +519,10 @@ class CurvatureOps(Force):
     the matrix-vector work; calling it as a force again would move the
     state it is frozen at, and `freeze` moves it, with its buffers kept.
     `apply_ss` maps a flat direction to a flat product, and `solve` takes
-    a flat right-hand side through it; `apply_theta_s` takes a direction
-    in per-layer form.
+    a flat right-hand side through it; `dense_ss` writes the same operator
+    out as a matrix, for small states, where one matrix-vector product
+    costs less than `apply_ss`'s per-block dispatches; `apply_theta_s`
+    takes a direction in per-layer form.
     """
 
     def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation):
@@ -556,6 +558,21 @@ class CurvatureOps(Force):
             np.matmul(w, dv, out=out)
         for rows, d1, coupling in self._sides:
             h[rows] -= d1 * coupling
+        return h
+
+    def dense_ss(self) -> np.ndarray:
+        """d2E/ds2 as a dense (n, n) matrix, from the terms `apply_ss`
+        applies: 1 - d2_drive on the diagonal, -d1_k W_k d1_{k+1} in the
+        coupling block of layers k and k+1 and its transpose in theirs of
+        k+1 and k, so that the matrix is exactly symmetric.  A product
+        with it is `apply_ss`'s to rounding."""
+        b, d1 = self.bounds, self.slopes
+        h = np.zeros((b[-1], b[-1]))
+        np.fill_diagonal(h, 1.0 - self.d2_drive)
+        for k, w in enumerate(self.theta[:-1]):
+            rows, cols = slice(b[k], b[k + 1]), slice(b[k + 1], b[k + 2])
+            h[rows, cols] = block = -(d1[rows, None] * w * d1[cols])
+            h[cols, rows] = block.T
         return h
 
     def solve(self, b: np.ndarray, target: float) -> Optional[np.ndarray]:

@@ -16,7 +16,13 @@ that sum (`SideProcess`, built from a pair).  s_bar runs in the one Euler
 loop, `dynamics._flow`, under the linear force (d2E/ds2)(s0) . s_bar
 (`SideProcess.flow`), and its consumers take the sum as they read the
 steps; the matched-grid sweep runs it as one more column of its stacked
-nudged flow instead.
+nudged flow instead.  In `SideProcess.flow`, up to `_DENSE_STATES`
+states, that force is one product with the Hessian written out as a
+matrix (`model.CurvatureOps.dense_ss`), built from the weight blocks at
+the first step; above it, the per-block `model.CurvatureOps.apply_ss`.
+The sweep's column keeps its own per-block product
+(`equivalence._SideColumnForce`), so below the bound the sweep and its
+serial reference, which runs `SideProcess.flow`, agree to rounding only.
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ from .model import Activation, Params, State
 
 # consecutive growth steps of ||s_bar|| before declaring the step unstable
 _INSTABILITY_PATIENCE = 100
+# the most states at which the side process steps on the dense Hessian: the
+# largest size at which, timed per call, its product was no slower than
+# `apply_ss` on every layout tried, one layer (a diagonal Hessian) the
+# closest; no benchmark workload runs a side-process flow above it
+_DENSE_STATES = 160
 
 
 def _s_bar_norm(s_bar, _):
@@ -87,13 +98,15 @@ class SideProcess:
     step), and its consumer sums S_k, both flat state vectors (`endpoint`
     for the last pair of a fixed horizon); `theta_bar(S_k, eps)` forms
     the weight-shaped member of the pair where it is read.  The process
-    itself holds only its start and operators.
+    itself holds only its start and operators, the dense Hessian among
+    them once a flow has built it (`apply_ss`).
     """
 
     def __init__(self, p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation):
         self.curvature = model.CurvatureOps(theta, x, s_star, act)
         self.theta_bar_0 = p.theta_bar
         self.s_bar_0 = model.flatten(p.s_bar)
+        self._apply_ss = None
 
     @classmethod
     def at(cls, theta: Params, x, y, s_star: State, act: Activation, tolerance):
@@ -103,6 +116,17 @@ class SideProcess:
         _check_fixed_point(side.curvature.residual, tolerance)
         return side
 
+    @property
+    def apply_ss(self):
+        """v -> (d2E/ds2) . v, the product every flow of this process
+        steps on: up to `_DENSE_STATES` states the product with the dense
+        Hessian (`CurvatureOps.dense_ss`), built at the first use, else
+        `CurvatureOps.apply_ss`."""
+        if self._apply_ss is None:
+            ops = self.curvature
+            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] <= _DENSE_STATES else ops.apply_ss
+        return self._apply_ss
+
     def flow(self, step_size: float, n_steps: int):
         """The Euler flow (`dynamics._flow`) of s_bar under `apply_ss`
         itself: yields (s_bar_k, (d2E/ds2) . s_bar_k, ||s_bar_k||_inf) for
@@ -110,7 +134,7 @@ class SideProcess:
         The consumer sums S_k, adding s_bar_k after it has read S_k.
         ||s_bar_k||, the flow's residual, is the stopping certificate; a
         non-finite one raises DivergenceError at t = k * eps."""
-        return dynamics._flow(self.curvature.apply_ss, [self.s_bar_0], step_size, n_steps,
+        return dynamics._flow(self.apply_ss, [self.s_bar_0], step_size, n_steps,
                               _s_bar_norm, diverged="non-finite side process at t={t!r}")
 
     def endpoint(self, step_size: float, n_steps: int):

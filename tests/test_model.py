@@ -939,6 +939,19 @@ def test_the_cg_solve_of_zero_is_zero_without_a_product(monkeypatch):
     assert ops.solve(np.zeros(ops.bounds[-1]), 1e-12).tolist() == [0.0] * ops.bounds[-1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(index=_shape_index, seed=st.integers(0, 2**32 - 1),
+       act=st.sampled_from([fp.LOGISTIC, fp.TANH]), scale=st.floats(0.1, 3.0))
+def test_the_dense_hessian_is_exactly_symmetric_and_the_columns_of_apply_ss(index, seed, act, scale):
+    # each entry is a product of at most three factors, taken in another
+    # order than `apply_ss` takes them: two roundings apart at most
+    shape, theta, x, _ = make_instance(index)
+    ops = fp.model.CurvatureOps(theta, x, random_state(shape, np.random.default_rng(seed), scale), act)
+    h, columns = ops.dense_ss(), dense_hessian(ops)
+    assert (h == h.T).all()
+    assert (np.abs(h - columns) <= 2 * np.finfo(float).eps * np.abs(columns)).all()
+
+
 def test_freezing_at_a_state_is_building_there_bit_for_bit():
     # `freeze` moves the operators; `apply_ss` and the residual then read as
     # those of a `CurvatureOps` built at the new state

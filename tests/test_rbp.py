@@ -305,28 +305,79 @@ def _per_block_apply_ss(ops, v):
     return h
 
 
-@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
-@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
-def test_rbp_gradient_equals_the_per_block_curvature_product_bit_for_bit(
-    act, index, tight_cfg, monkeypatch
-):
-    shape, theta, x, y = make_instance(index)
-    est = fp.rbp_gradient(theta, x, y, act, tight_cfg)
+def _assert_rbp_gradient_is_the_per_block_one_bit_for_bit(theta, x, y, act, cfg, monkeypatch):
+    est = fp.rbp_gradient(theta, x, y, act, cfg)
     monkeypatch.setattr(fp.model.CurvatureOps, "apply_ss", _per_block_apply_ss)
-    ref = fp.rbp_gradient(theta, x, y, act, tight_cfg)
+    ref = fp.rbp_gradient(theta, x, y, act, cfg)
     assert est.horizon_t == ref.horizon_t > 0
     for a, b in zip(est.grad, ref.grad):
         np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _stepwise(ops, s_bar, eps):
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_rbp_gradient_equals_the_per_block_curvature_product_bit_for_bit(
+    act, index, tight_cfg, monkeypatch
+):
+    # the pool's states are within the dense bound: with the bound at 0,
+    # their side processes step on `apply_ss`, which is pinned here
+    monkeypatch.setattr(fp.rbp, "_DENSE_STATES", 0)
+    _assert_rbp_gradient_is_the_per_block_one_bit_for_bit(*make_instance(index)[1:], act, tight_cfg, monkeypatch)
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_rbp_gradient_above_the_dense_bound_equals_the_per_block_curvature_product_bit_for_bit(
+    act, tight_cfg, monkeypatch
+):
+    shape = fp.NetworkShape(8, (4, 80, 80))
+    assert sum(shape.layer_dims) > fp.rbp._DENSE_STATES
+    _assert_rbp_gradient_is_the_per_block_one_bit_for_bit(*fp.random_instance(shape, 0), act, tight_cfg, monkeypatch)
+
+
+def _count_products(monkeypatch):
+    """The names of the `CurvatureOps` product methods, one per call from now on."""
+    calls = []
+    for name in ("apply_ss", "dense_ss"):
+        method = getattr(fp.model.CurvatureOps, name)
+        monkeypatch.setattr(fp.model.CurvatureOps, name,
+                            lambda self, *v, _m=method, _n=name: calls.append(_n) or _m(self, *v))
+    return calls
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_rbp_gradient_below_the_dense_bound_makes_no_apply_ss_call(act, index, tight_cfg, monkeypatch):
+    shape, theta, x, y = make_instance(index)
+    s0 = fp.eqprop._free_fixed_point(theta, x, act, tight_cfg)
+    calls = _count_products(monkeypatch)
+    assert fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0).horizon_t > 0
+    assert calls == ["dense_ss"]
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+def test_the_state_count_selects_the_side_process_product(act, monkeypatch):
+    # at the bound the flow steps on the dense Hessian, built once; one
+    # state more, it builds none and takes one `apply_ss` per grid point
+    bound, rng = fp.rbp._DENSE_STATES, np.random.default_rng(0)
+    calls = _count_products(monkeypatch)
+    for states, want in [(bound, ["dense_ss"]), (bound + 1, ["apply_ss"] * 4)]:
+        shape = fp.NetworkShape(3, (2, states - 2))
+        theta, x, y = fp.random_instance(shape, 0)
+        s = random_state(shape, rng, 0.5)
+        p = fp.ErrorProcessState(fp.model.grad_s_cost(y, s), fp.model.grad_theta_cost(theta, y, s), 0.0)
+        fp.rbp.SideProcess(p, theta, x, s, act).endpoint(0.1, 3)
+        assert calls == want
+        calls.clear()
+
+
+def _stepwise(apply_ss, s_bar, eps):
     """The side process as a hand-written Euler step, outside
     `dynamics._flow`: yields (s_bar_k, S_k) for k = 0, 1, ..., with
     s_bar <- s_bar - eps * (d2E/ds2) . s_bar and S_k summed beside it."""
     eps0, s_sum = np.array(eps, dtype=float), np.zeros_like(s_bar)
     while True:
         yield s_bar, s_sum
-        h = ops.apply_ss(s_bar)
+        h = apply_ss(s_bar)
         s_sum += s_bar
         s_bar = s_bar - eps0 * h
 
@@ -349,10 +400,12 @@ def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, inde
     beta, K, eps, tol = 1e-3, 40, tight_cfg.step_size, tight_cfg.tolerance
     # tight_cfg's tolerance is below beta * 1e-3: the second phase's free point is rbp's
     _, _, s0 = fp.eqprop.second_phase(theta, x, act, tight_cfg, [beta])
-    ops = fp.model.CurvatureOps(theta, x, s0, act)
     p0 = fp.rbp_init(theta, x, y, s0, act, tol)
+    # the product every side process at s0 steps on, and the curvature it was built from
+    side = fp.rbp.SideProcess(p0, theta, x, s0, act)
+    apply_ss, ops = side.apply_ss, side.curvature
 
-    for steps, (s_bar, s_sum) in enumerate(_stepwise(ops, fp.model.flatten(p0.s_bar), eps)):
+    for steps, (s_bar, s_sum) in enumerate(_stepwise(apply_ss, fp.model.flatten(p0.s_bar), eps)):
         if np.abs(s_bar).max() <= tol:
             break
     est = fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0)
@@ -361,7 +414,7 @@ def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, inde
 
     s_bars, theta_bars = error_process_path(theta, x, y, s0, act, eps, K, tol)
     assert len(s_bars) == len(theta_bars) == K + 1
-    for k, (s_bar, s_sum) in zip(range(K + 1), _stepwise(ops, fp.model.flatten(p0.s_bar), eps)):
+    for k, (s_bar, s_sum) in zip(range(K + 1), _stepwise(apply_ss, fp.model.flatten(p0.s_bar), eps)):
         assert fp.model.flatten(s_bars[k]).tobytes() == s_bar.tobytes()
         assert _bits(theta_bars[k]) == _bits(_neumann_theta_bar(ops, p0.theta_bar, s_sum, eps))
 
@@ -372,7 +425,7 @@ def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, inde
 
     p = p0
     for _ in range(3):
-        _, (s_bar, s_sum) = islice(_stepwise(ops, fp.model.flatten(p.s_bar), eps), 2)
+        _, (s_bar, s_sum) = islice(_stepwise(apply_ss, fp.model.flatten(p.s_bar), eps), 2)
         want = (s_bar.tobytes(), _bits(_neumann_theta_bar(ops, p.theta_bar, s_sum, eps)), p.t + eps)
         p = fp.rbp_step(p, theta, x, s0, act, eps)
         assert (fp.model.flatten(p.s_bar).tobytes(), _bits(p.theta_bar), p.t) == want

@@ -14,9 +14,17 @@ and times the `cli.main` call.
 A pair's ratio is the change's time over the base's.
 
 Every pair's outputs are compared: exit code, stdout, stderr and the
-bytes of every file written.  Any difference ends the run with exit 1.
-Otherwise it prints the median ratio with its quartiles, and how many
-pairs each tree won.
+bytes of every file written.  Each command whose outputs differ is
+listed once, with every differing output, and the timing goes on, so a
+change meant to move output bits (trailing digits, say) is timed too.
+The run prints the median ratio with its quartiles and how many pairs
+each tree won, and exits 1 if any command's outputs differed.
+
+These pairs share one process, so they see an interpreter and heap state
+that separate runs do not.  A speed claim rests on perfbench
+(`perfbench/run.py`), run in alternating pairs of fresh processes and
+recorded in `BENCH_<n>.json`; this tool is a quick check while a change
+is being written.
 """
 
 from __future__ import annotations
@@ -80,16 +88,13 @@ def run(cli, argv, out_dir):
     return dt, {"exit code": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": _files(out_dir)}
 
 
-def first_difference(a: dict, b: dict):
-    for key in ("exit code", "stdout", "stderr"):
-        if a[key] != b[key]:
-            return f"{key}: {a[key]!r} != {b[key]!r}"
+def differences(a: dict, b: dict) -> list:
+    """Every output in which a and b differ, in a fixed order."""
+    found = [f"{key}: {a[key]!r} != {b[key]!r}" for key in ("exit code", "stdout", "stderr") if a[key] != b[key]]
     if a["files"].keys() != b["files"].keys():
-        return f"files written: {sorted(a['files'])} != {sorted(b['files'])}"
-    for name in sorted(a["files"]):
-        if a["files"][name] != b["files"][name]:
-            return f"file {name} differs"
-    return None
+        found.append(f"files written: {sorted(a['files'])} != {sorted(b['files'])}")
+    return found + [f"file {name} differs" for name in sorted(a["files"].keys() & b["files"].keys())
+                    if a["files"][name] != b["files"][name]]
 
 
 def main(argv=None) -> int:
@@ -110,17 +115,15 @@ def main(argv=None) -> int:
         out_dir = os.path.join(work, "out")
         for cli in sides.values():  # untimed
             run(cli, workload.warmup_argv(out_dir), out_dir)
-        ratios, times = [], {"base": [], "change": []}
+        ratios, times, differing = [], {"base": [], "change": []}, {}
         for r in range(args.rounds):
             for d in range(workload.distinct_ops):
                 command = workload.argv(d, out_dir)
                 order = ("base", "change") if (r + d) % 2 == 0 else ("change", "base")
                 got = {name: run(sides[name], command, out_dir) for name in order}
-                diff = first_difference(got["base"][1], got["change"][1])
-                if diff is not None:
-                    print(f"ab_pairs: outputs differ on round {r}, command {d} "
-                          f"({' '.join(command)}): {diff}", file=sys.stderr)
-                    return 1
+                diff = differences(got["base"][1], got["change"][1])
+                if diff and d not in differing:
+                    differing[d] = (command, diff)
                 for name in sides:
                     times[name].append(got[name][0])
                 ratios.append(got["change"][0] / got["base"][0])
@@ -129,13 +132,16 @@ def main(argv=None) -> int:
 
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     faster = sum(x < 1.0 for x in ratios)
+    for d, (command, diff) in sorted(differing.items()):
+        print(f"ab_pairs: outputs differ on command {d} ({' '.join(command)}): {'; '.join(diff)}")
     print(f"ab_pairs: {args.workload} seed {args.seed}: {workload.distinct_ops} commands x "
-          f"{args.rounds} rounds = {len(ratios)} pairs, outputs identical")
+          f"{args.rounds} rounds = {len(ratios)} pairs, "
+          + (f"outputs differ on {len(differing)} commands" if differing else "outputs identical"))
     print(f"median change/base time ratio {median:.4f} (quartiles {q1:.4f}, {q3:.4f})")
     print(f"change faster in {faster} of {len(ratios)} pairs, base faster in {sum(x > 1.0 for x in ratios)}")
     print(f"median op time: base {statistics.median(times['base']):.6f} s, "
           f"change {statistics.median(times['change']):.6f} s")
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -118,6 +118,29 @@ MUTANTS = [
     ("instability-patience-boundary", "src/fpgrad/rbp.py",
      "            if rising >= _INSTABILITY_PATIENCE:",
      "            if rising > _INSTABILITY_PATIENCE:"),
+    # the side process's dense Hessian and the bound that selects it
+    ("dense-bound-flipped", "src/fpgrad/rbp.py",
+     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] <= _DENSE_STATES else ops.apply_ss",
+     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] > _DENSE_STATES else ops.apply_ss"),
+    ("dense-bound-exclusive", "src/fpgrad/rbp.py",
+     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] <= _DENSE_STATES else ops.apply_ss",
+     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] < _DENSE_STATES else ops.apply_ss"),
+    ("dense-block-untransposed", "src/fpgrad/model.py",
+     "            h[cols, rows] = block.T",
+     "            h[cols, rows] = block"),
+    ("dense-d2-drive-dropped", "src/fpgrad/model.py",
+     "        np.fill_diagonal(h, 1.0 - self.d2_drive)",
+     "        np.fill_diagonal(h, 1.0)"),
+    # the hot kernels: the curvature product, the Euler loop's residual, the nudge
+    ("apply-ss-coupling-added", "src/fpgrad/model.py",
+     "            h[rows] -= d1 * coupling",
+     "            h[rows] += d1 * coupling"),
+    ("flow-residual-first-entry", "src/fpgrad/dynamics.py",
+     "                residual = a.item(a.argmax())",
+     "                residual = a.item(0)"),
+    ("force-nudge-reversed", "src/fpgrad/model.py",
+     "            g[:n] += self.beta * (s[:n] - self.y)",
+     "            g[:n] -= self.beta * (s[:n] - self.y)"),
     # the certified theta gap
     ("block-margin-zero", "src/fpgrad/equivalence.py",
      "_CERTIFIED_ROWS, _MARGIN, _TINY = 16, 1e-12, 16 * np.nextafter(0.0, 1.0)",
