@@ -520,9 +520,9 @@ class CurvatureOps(Force):
     state it is frozen at, and `freeze` moves it, with its buffers kept.
     `apply_ss` maps a flat direction to a flat product, and `solve` takes
     a flat right-hand side through it; `dense_ss` writes the same operator
-    out as a matrix, for small states, where one matrix-vector product
-    costs less than `apply_ss`'s per-block dispatches; `apply_theta_s`
-    takes a direction in per-layer form.
+    out as a matrix, which rbp decomposes at small states in place of
+    stepping on `apply_ss`; `apply_theta_s` takes a direction in
+    per-layer form.
     """
 
     def __init__(self, theta: Params, x: np.ndarray, s: State, act: Activation):

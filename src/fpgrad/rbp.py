@@ -16,17 +16,18 @@ that sum (`SideProcess`, built from a pair).  s_bar runs in the one Euler
 loop, `dynamics._flow`, under the linear force (d2E/ds2)(s0) . s_bar
 (`SideProcess.flow`), and its consumers take the sum as they read the
 steps; the matched-grid sweep runs it as one more column of its stacked
-nudged flow instead.  In `SideProcess.flow`, up to `_DENSE_STATES`
-states, that force is one product with the Hessian written out as a
-matrix (`model.CurvatureOps.dense_ss`), built from the weight blocks at
-the first step; above it, the per-block `model.CurvatureOps.apply_ss`.
-The sweep's column keeps its own per-block product
-(`equivalence._SideColumnForce`), so below the bound the sweep and its
-serial reference, which runs `SideProcess.flow`, agree to rounding only.
+nudged flow instead.  That force is the per-block
+`model.CurvatureOps.apply_ss` at every size.  `rbp_gradient` reads the
+same steps without stepping them up to `_DENSE_STATES` states: the flow
+is s_bar_k = (1 - eps H)^k s_bar_0 with H frozen and exactly symmetric,
+so the steps come off one eigendecomposition of H written out as a
+matrix (`model.CurvatureOps.dense_ss`), a block of steps per product
+(`_side_blocks`).  They agree with the flow's steps to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -41,11 +42,14 @@ from .model import Activation, Params, State
 
 # consecutive growth steps of ||s_bar|| before declaring the step unstable
 _INSTABILITY_PATIENCE = 100
-# the most states at which the side process steps on the dense Hessian: the
-# largest size at which, timed per call, its product was no slower than
-# `apply_ss` on every layout tried, one layer (a diagonal Hessian) the
-# closest; no benchmark workload runs a side-process flow above it
-_DENSE_STATES = 160
+# the most states at which rbp_gradient reads the side process off the
+# Hessian's eigendecomposition: the largest size at which, timed per call
+# at about 270 steps, eigh and the block products were no slower than
+# stepping on `apply_ss` on every layout tried, one layer (a diagonal
+# Hessian) the closest; no benchmark workload runs a side process above it
+_DENSE_STATES = 124
+# the steps of s_bar read per product below it
+_BLOCK = 64
 
 
 def _s_bar_norm(s_bar, _):
@@ -98,15 +102,15 @@ class SideProcess:
     step), and its consumer sums S_k, both flat state vectors (`endpoint`
     for the last pair of a fixed horizon); `theta_bar(S_k, eps)` forms
     the weight-shaped member of the pair where it is read.  The process
-    itself holds only its start and operators, the dense Hessian among
-    them once a flow has built it (`apply_ss`).
+    itself holds only its start and operators.  Its flow steps on
+    `CurvatureOps.apply_ss`; `rbp_gradient` reads the same steps off the
+    dense Hessian's eigendecomposition up to `_DENSE_STATES` states.
     """
 
     def __init__(self, p: ErrorProcessState, theta: Params, x, s_star: State, act: Activation):
         self.curvature = model.CurvatureOps(theta, x, s_star, act)
         self.theta_bar_0 = p.theta_bar
         self.s_bar_0 = model.flatten(p.s_bar)
-        self._apply_ss = None
 
     @classmethod
     def at(cls, theta: Params, x, y, s_star: State, act: Activation, tolerance):
@@ -116,25 +120,15 @@ class SideProcess:
         _check_fixed_point(side.curvature.residual, tolerance)
         return side
 
-    @property
-    def apply_ss(self):
-        """v -> (d2E/ds2) . v, the product every flow of this process
-        steps on: up to `_DENSE_STATES` states the product with the dense
-        Hessian (`CurvatureOps.dense_ss`), built at the first use, else
-        `CurvatureOps.apply_ss`."""
-        if self._apply_ss is None:
-            ops = self.curvature
-            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] <= _DENSE_STATES else ops.apply_ss
-        return self._apply_ss
-
     def flow(self, step_size: float, n_steps: int):
-        """The Euler flow (`dynamics._flow`) of s_bar under `apply_ss`
-        itself: yields (s_bar_k, (d2E/ds2) . s_bar_k, ||s_bar_k||_inf) for
-        k = 0..n_steps, s_bar_k updated in place (copy what you keep).
+        """The Euler flow (`dynamics._flow`) of s_bar under
+        `CurvatureOps.apply_ss` itself: yields (s_bar_k,
+        (d2E/ds2) . s_bar_k, ||s_bar_k||_inf) for k = 0..n_steps, s_bar_k
+        updated in place (copy what you keep).
         The consumer sums S_k, adding s_bar_k after it has read S_k.
         ||s_bar_k||, the flow's residual, is the stopping certificate; a
         non-finite one raises DivergenceError at t = k * eps."""
-        return dynamics._flow(self.apply_ss, [self.s_bar_0], step_size, n_steps,
+        return dynamics._flow(self.curvature.apply_ss, [self.s_bar_0], step_size, n_steps,
                               _s_bar_norm, diverged="non-finite side process at t={t!r}")
 
     def endpoint(self, step_size: float, n_steps: int):
@@ -170,17 +164,49 @@ def rbp_step(p: ErrorProcessState, theta: Params, x, s_star: State, act: Activat
     return q
 
 
+def _side_blocks(side: SideProcess, step_size: float, n_steps: int):
+    """s_bar_k for k = 0..n_steps, in order, as blocks of consecutive
+    steps: yields (rows, norms, S), the rows s_bar_k of one block as a
+    (B, n) array, their ||s_bar_k||_inf as a list, and S_k at the block's
+    first step, one buffer that grows when the next block is asked for.
+    Up to `_DENSE_STATES` states the rows come off one eigendecomposition
+    H = Q diag(lam) Q^T of the dense Hessian (`CurvatureOps.dense_ss`):
+    the flow s_bar_{k+1} = (1 - eps H) s_bar_k is diagonal in Q, so
+    s_bar_k = Q (mu^k * Q^T s_bar_0) with mu = 1 - eps lam, one product a
+    block of `_BLOCK` steps; a power that overflows shows as a non-finite
+    norm.  Above it, the blocks are the steps of `SideProcess.flow`, one
+    row each, a view of the s_bar that the flow updates in place."""
+    s_sum = np.zeros_like(side.s_bar_0)
+    if side.curvature.bounds[-1] > _DENSE_STATES:
+        for s_bar, _, norm in side.flow(step_size, n_steps):
+            yield s_bar[None], (norm,), s_sum
+            s_sum += s_bar
+        return
+    lam, q = np.linalg.eigh(side.curvature.dense_ss())
+    mu, coef = 1.0 - step_size * lam, q.T.dot(side.s_bar_0)
+    for k in range(0, n_steps + 1, _BLOCK):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (mu ** np.arange(k, min(k + _BLOCK, n_steps + 1))[:, None] * coef).dot(q.T)
+            norms = np.abs(rows).max(axis=1)
+        yield rows, norms.tolist(), s_sum
+        s_sum += rows.sum(axis=0)
+
+
 def rbp_gradient(theta: Params, x, y, act: Activation, cfg: RelaxationConfig,
                  s_free: Optional[State] = None, record: Optional[list] = None) -> GradientEstimate:
     """Objective gradient via the side process.
 
     Runs the free phase from the zero state (unless `s_free` is given),
-    then the side process's flow with the same step size until
+    then reads the side process's steps with the same step size
+    (`_side_blocks`: off one eigendecomposition of the Hessian up to
+    `_DENSE_STATES` states, else the flow's Euler steps) until
     ||s_bar||_inf falls below cfg.tolerance; a ConvergenceError is raised
     if that takes more than max_steps.  If the norm grows for many
     consecutive steps the step size is too large for the local curvature
-    and an InstabilityError is raised.  theta_bar is formed once, from
-    the sum of the s_bar, at the end, and the horizon is steps * eps.
+    and an InstabilityError is raised; a non-finite norm raises
+    DivergenceError.  The rules are applied in step order, so the first
+    step that meets one decides.  theta_bar is formed once, from the sum
+    of the s_bar, at the end, and the horizon is steps * eps.
 
     `record`, if given a list, receives (t, ||s_bar||_inf,
     ||delta theta_bar||_inf) tuples for decay plots, where the change of
@@ -190,25 +216,28 @@ def rbp_gradient(theta: Params, x, y, act: Activation, cfg: RelaxationConfig,
     if s_free is None:
         s_free = _free_fixed_point(theta, x, act, cfg)
     side = SideProcess.at(theta, x, y, s_free, act, cfg.tolerance)
-    rising, s_sum = 0, np.zeros_like(side.s_bar_0)
-    for k, (s_bar, _, norm) in enumerate(side.flow(eps, cfg.max_steps)):
-        if k:
+    rising, k = 0, -1
+    for rows, norms, s_sum in _side_blocks(side, eps, cfg.max_steps):
+        for j, norm in enumerate(norms):
+            k += 1
+            if not math.isfinite(norm):
+                raise DivergenceError(f"non-finite side process at t={k * eps!r}", step=k)
+            if k:
+                if record is not None:
+                    record.append((k * eps, norm, delta))
+                rising = rising + 1 if norm > last else 0
+                if rising >= _INSTABILITY_PATIENCE:
+                    raise InstabilityError(
+                        f"||s_bar|| grew for {rising} consecutive steps "
+                        f"(now {norm:.3e}); step size {eps:g} is too large "
+                        "for the largest curvature at this fixed point"
+                    )
+            if norm <= cfg.tolerance:
+                return GradientEstimate(side.theta_bar(s_sum + rows[:j].sum(axis=0), eps), "rbp", eps,
+                                        horizon_t=k * eps, free_point=s_free)
             if record is not None:
-                record.append((k * eps, norm, delta))
-            rising = rising + 1 if norm > last else 0
-            if rising >= _INSTABILITY_PATIENCE:
-                raise InstabilityError(
-                    f"||s_bar|| grew for {rising} consecutive steps "
-                    f"(now {norm:.3e}); step size {eps:g} is too large "
-                    "for the largest curvature at this fixed point"
-                )
-        if norm <= cfg.tolerance:
-            return GradientEstimate(side.theta_bar(s_sum, eps), "rbp", eps, horizon_t=k * eps,
-                                    free_point=s_free)
-        if record is not None:
-            delta = eps * model.inf_norm(side.mixed(s_bar))
-        s_sum += s_bar
-        last = norm
+                delta = eps * model.inf_norm(side.mixed(rows[j]))
+            last = norm
     raise ConvergenceError(
         f"side process did not converge within {cfg.max_steps} steps "
         f"(||s_bar|| {norm:.3e} > tolerance {cfg.tolerance:g})"

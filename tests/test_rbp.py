@@ -1,5 +1,6 @@
 """Error-derivative side process: initial conditions, updates, gradient limit."""
 
+import dataclasses
 from itertools import islice
 
 import numpy as np
@@ -329,7 +330,8 @@ def test_rbp_gradient_equals_the_per_block_curvature_product_bit_for_bit(
 def test_rbp_gradient_above_the_dense_bound_equals_the_per_block_curvature_product_bit_for_bit(
     act, tight_cfg, monkeypatch
 ):
-    shape = fp.NetworkShape(8, (4, 80, 80))
+    half = fp.rbp._DENSE_STATES // 2
+    shape = fp.NetworkShape(8, (4, half, half))
     assert sum(shape.layer_dims) > fp.rbp._DENSE_STATES
     _assert_rbp_gradient_is_the_per_block_one_bit_for_bit(*fp.random_instance(shape, 0), act, tight_cfg, monkeypatch)
 
@@ -355,18 +357,21 @@ def test_rbp_gradient_below_the_dense_bound_makes_no_apply_ss_call(act, index, t
 
 
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
-def test_the_state_count_selects_the_side_process_product(act, monkeypatch):
-    # at the bound the flow steps on the dense Hessian, built once; one
-    # state more, it builds none and takes one `apply_ss` per grid point
-    bound, rng = fp.rbp._DENSE_STATES, np.random.default_rng(0)
+def test_the_state_count_selects_the_side_process_product(act, tight_cfg, monkeypatch):
+    # at the bound rbp reads the side process off one dense Hessian, with
+    # no `apply_ss`; one state more, it builds none and steps on one
+    # `apply_ss` per grid point
+    bound = fp.rbp._DENSE_STATES
+    instances = []
+    for states in (bound, bound + 1):
+        theta, x, y = fp.random_instance(fp.NetworkShape(3, (2, states - 2)), 0)
+        instances.append((theta, x, y, fp.eqprop._free_fixed_point(theta, x, act, tight_cfg)))
     calls = _count_products(monkeypatch)
-    for states, want in [(bound, ["dense_ss"]), (bound + 1, ["apply_ss"] * 4)]:
-        shape = fp.NetworkShape(3, (2, states - 2))
-        theta, x, y = fp.random_instance(shape, 0)
-        s = random_state(shape, rng, 0.5)
-        p = fp.ErrorProcessState(fp.model.grad_s_cost(y, s), fp.model.grad_theta_cost(theta, y, s), 0.0)
-        fp.rbp.SideProcess(p, theta, x, s, act).endpoint(0.1, 3)
-        assert calls == want
+    for (theta, x, y, s0), dense in zip(instances, (True, False)):
+        est = fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0)
+        steps = round(est.horizon_t / tight_cfg.step_size)
+        assert steps > 0
+        assert calls == (["dense_ss"] if dense else ["apply_ss"] * (steps + 1))
         calls.clear()
 
 
@@ -391,9 +396,19 @@ def _bits(blocks):
     return [b.tobytes() for b in blocks]
 
 
+def _stepwise_estimate(ops, p0, cfg):
+    """(steps, theta_bar) of the side process stepped by `_stepwise` on
+    `apply_ss` until ||s_bar||_inf is within cfg.tolerance."""
+    for steps, (s_bar, s_sum) in enumerate(_stepwise(ops.apply_ss, fp.model.flatten(p0.s_bar), cfg.step_size)):
+        if np.abs(s_bar).max() <= cfg.tolerance:
+            return steps, _neumann_theta_bar(ops, p0.theta_bar, s_sum, cfg.step_size)
+
+
 @pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
 @pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
-def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, index, tight_cfg):
+def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, index, tight_cfg, monkeypatch):
+    # every flow of a side process steps on `apply_ss`, and so does
+    # rbp_gradient with the dense bound at 0
     from fpgrad.equivalence import error_process_path, truncation_correspondence
 
     shape, theta, x, y = make_instance(index)
@@ -401,16 +416,14 @@ def test_every_side_process_path_is_the_stepwise_recursion_bit_for_bit(act, inde
     # tight_cfg's tolerance is below beta * 1e-3: the second phase's free point is rbp's
     _, _, s0 = fp.eqprop.second_phase(theta, x, act, tight_cfg, [beta])
     p0 = fp.rbp_init(theta, x, y, s0, act, tol)
-    # the product every side process at s0 steps on, and the curvature it was built from
-    side = fp.rbp.SideProcess(p0, theta, x, s0, act)
-    apply_ss, ops = side.apply_ss, side.curvature
+    ops = fp.model.CurvatureOps(theta, x, s0, act)
+    apply_ss = ops.apply_ss
 
-    for steps, (s_bar, s_sum) in enumerate(_stepwise(apply_ss, fp.model.flatten(p0.s_bar), eps)):
-        if np.abs(s_bar).max() <= tol:
-            break
+    steps, theta_bar = _stepwise_estimate(ops, p0, tight_cfg)
+    monkeypatch.setattr(fp.rbp, "_DENSE_STATES", 0)
     est = fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0)
     assert est.horizon_t == steps * eps
-    assert _bits(est.grad) == _bits(_neumann_theta_bar(ops, p0.theta_bar, s_sum, eps))
+    assert _bits(est.grad) == _bits(theta_bar)
 
     s_bars, theta_bars = error_process_path(theta, x, y, s0, act, eps, K, tol)
     assert len(s_bars) == len(theta_bars) == K + 1
@@ -439,3 +452,133 @@ def test_instability_is_declared_after_exactly_the_patience(converged):
     patience = fp.rbp._INSTABILITY_PATIENCE
     with pytest.raises(InstabilityError, match=f"grew for {patience} consecutive steps"):
         fp.rbp_gradient(theta, x, y, act, bad, s_free=s0)
+
+
+# below the dense bound rbp reads the side process off one eigendecomposition
+# of the Hessian, which rounds differently from stepping it: its gradients
+# must stay within this share of their largest entry (measured: at most
+# 3.3e-14, on 552 instances of up to 124 states)
+_SPECTRAL_RTOL = 1e-12
+
+
+def _assert_close_to_largest_entry(got, want):
+    scale = max(np.abs(b).max() for b in want)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= _SPECTRAL_RTOL * scale
+
+
+@pytest.mark.parametrize("act", [fp.LOGISTIC, fp.TANH], ids=lambda a: a.name)
+@pytest.mark.parametrize("index", range(len(SHAPE_POOL)))
+def test_the_spectral_side_process_is_the_stepwise_recursion_to_rounding(act, index, tight_cfg, monkeypatch):
+    shape, theta, x, y = make_instance(index)
+    s0 = fp.eqprop._free_fixed_point(theta, x, act, tight_cfg)
+    assert sum(shape.layer_dims) <= fp.rbp._DENSE_STATES
+    steps, theta_bar = _stepwise_estimate(fp.model.CurvatureOps(theta, x, s0, act),
+                                          fp.rbp_init(theta, x, y, s0, act, tight_cfg.tolerance), tight_cfg)
+    record = []
+    est = fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0, record=record)
+    assert est.horizon_t == steps * tight_cfg.step_size > 0
+    _assert_close_to_largest_entry(est.grad, theta_bar)
+
+    # the decay record: the same times, and norms and theta_bar changes to rounding
+    monkeypatch.setattr(fp.rbp, "_DENSE_STATES", 0)
+    stepped = []
+    fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0, record=stepped)
+    assert [r[0] for r in record] == [r[0] for r in stepped] and len(record) == steps
+    for column in (1, 2):
+        got, want = (np.array([r[column] for r in rec]) for rec in (record, stepped))
+        assert np.abs(got - want).max() <= 1e-13 * want.max()
+
+
+def test_a_side_process_that_stops_on_a_block_edge(tight_cfg):
+    # a stiff tanh instance (lambda_min 0.28) whose side process runs for
+    # many blocks: with the tolerance at the norm of a block's first step,
+    # it stops there, and S_K holds the steps of the blocks before it only
+    block, act = fp.rbp._BLOCK, fp.TANH
+    shape, theta, x, y = make_instance(2)
+    s0 = fp.eqprop._free_fixed_point(theta, x, act, tight_cfg)
+    record = []
+    natural = round(fp.rbp_gradient(theta, x, y, act, tight_cfg, s_free=s0, record=record).horizon_t
+                    / tight_cfg.step_size)
+    edge = natural // block * block
+    assert edge >= 4 * block and edge < natural
+    cfg = dataclasses.replace(tight_cfg, tolerance=record[edge - 1][1])  # the norm at step `edge`
+    est = fp.rbp_gradient(theta, x, y, act, cfg, s_free=s0)
+    assert est.horizon_t == edge * cfg.step_size
+    ops = fp.model.CurvatureOps(theta, x, s0, act)
+    p0 = fp.rbp_init(theta, x, y, s0, act, cfg.tolerance)
+    steps = _stepwise(ops.apply_ss, fp.model.flatten(p0.s_bar), cfg.step_size)
+    s_sum = next(islice(steps, edge, None))[1]
+    _assert_close_to_largest_entry(est.grad, _neumann_theta_bar(ops, p0.theta_bar, s_sum, cfg.step_size))
+
+
+def test_a_side_process_that_starts_within_tolerance_returns_its_start(converged):
+    # XOR's (0, 0) sample under tanh: the zero state is the free point and
+    # its output is the target, so s_bar_0 = 0; and a start with a nonzero
+    # s_bar_0 within tolerance: both stop at step 0 with theta_bar_0
+    shape = fp.NetworkShape(2, (1, 4))
+    theta, x, y = fp.init_params(shape, 0), np.zeros(2), np.zeros(1)
+    cfg = fp.RelaxationConfig(step_size=0.25, tolerance=1e-6)
+    est = fp.rbp_gradient(theta, x, y, fp.TANH, cfg)
+    assert est.horizon_t == 0.0
+    assert all(not f.any() for f in est.free_point)
+    assert _bits(est.grad) == _bits(fp.model.grad_theta_cost(theta, y, est.free_point))
+
+    shape, theta, x, y, act, s0, cfg = converged
+    y = s0[0] + 0.5 * cfg.tolerance
+    p = fp.rbp_init(theta, x, y, s0, act, cfg.tolerance)
+    assert 0 < fp.model.inf_norm(p.s_bar) <= cfg.tolerance
+    est = fp.rbp_gradient(theta, x, y, act, cfg, s_free=s0)
+    assert est.horizon_t == 0.0
+    assert _bits(est.grad) == _bits(p.theta_bar)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"step_size": 25.0}, InstabilityError),
+    ({"max_steps": 3}, ConvergenceError),
+    ({"step_size": 1e200}, DivergenceError),  # s_bar_2 overflows
+    ({"target": np.nan}, DivergenceError),
+], ids=["unstable", "cut", "overflow", "nan"])
+def test_the_spectral_side_process_raises_as_stepping_does(converged, monkeypatch, change, error):
+    shape, theta, x, y, act, s0, cfg = converged
+    change = dict(change)
+    if "target" in change:
+        y = np.full_like(y, change.pop("target"))
+    cfg = dataclasses.replace(cfg, **change)
+    messages = []
+    for bound in (fp.rbp._DENSE_STATES, 0):
+        monkeypatch.setattr(fp.rbp, "_DENSE_STATES", bound)
+        with pytest.raises(error) as got:
+            fp.rbp_gradient(theta, x, y, act, cfg, s_free=s0)
+        messages.append((str(got.value), getattr(got.value, "step", None)))
+    assert messages[0] == messages[1]
+    if error is DivergenceError:
+        assert messages[0][0] == f"non-finite side process at t={messages[0][1] * cfg.step_size!r}"
+
+
+def test_the_rules_read_the_norms_in_step_order(converged, monkeypatch):
+    # rbp_gradient's stopping rules on given blocks of norms: a rise
+    # resets its count when the norm falls, and within a block the first
+    # step that meets a rule decides
+    shape, theta, x, y, act, s0, cfg = converged
+    n, tol, patience = sum(shape.layer_dims), cfg.tolerance, fp.rbp._INSTABILITY_PATIENCE
+
+    def run(norms, block=64):
+        def blocks(side, step_size, n_steps):
+            s_sum = np.zeros(n)
+            for k in range(0, len(norms), block):
+                part = norms[k:k + block]
+                yield np.zeros((len(part), n)), part, s_sum
+        monkeypatch.setattr(fp.rbp, "_side_blocks", blocks)
+        return fp.rbp_gradient(theta, x, y, act, cfg, s_free=s0)
+
+    # 3 * patience rises, never two in a row, then a norm within tolerance
+    zigzag = [(1.0 - 1e-3 * k) * (1.1 if k % 2 else 1.0) for k in range(6 * patience)] + [tol]
+    assert sum(b > a for a, b in zip(zigzag, zigzag[1:])) == 3 * patience
+    assert run(zigzag).horizon_t == 6 * patience * cfg.step_size
+    rising = [1.0 + k for k in range(patience + 1)]
+    with pytest.raises(InstabilityError, match=f"grew for {patience} consecutive"):
+        run(rising + [np.nan, tol])
+    with pytest.raises(DivergenceError, match=f"at t={3 * cfg.step_size!r}"):
+        run([1.0, 0.5, 0.25, np.inf, tol])
+    assert run([1.0, 0.5, tol, np.nan]).horizon_t == 2 * cfg.step_size

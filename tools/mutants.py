@@ -116,15 +116,28 @@ MUTANTS = [
      "_INSTABILITY_PATIENCE = 100",
      "_INSTABILITY_PATIENCE = 1000"),
     ("instability-patience-boundary", "src/fpgrad/rbp.py",
-     "            if rising >= _INSTABILITY_PATIENCE:",
-     "            if rising > _INSTABILITY_PATIENCE:"),
+     "                if rising >= _INSTABILITY_PATIENCE:",
+     "                if rising > _INSTABILITY_PATIENCE:"),
     # the side process's dense Hessian and the bound that selects it
     ("dense-bound-flipped", "src/fpgrad/rbp.py",
-     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] <= _DENSE_STATES else ops.apply_ss",
-     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] > _DENSE_STATES else ops.apply_ss"),
+     "    if side.curvature.bounds[-1] > _DENSE_STATES:",
+     "    if side.curvature.bounds[-1] <= _DENSE_STATES:"),
     ("dense-bound-exclusive", "src/fpgrad/rbp.py",
-     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] <= _DENSE_STATES else ops.apply_ss",
-     "            self._apply_ss = ops.dense_ss().dot if ops.bounds[-1] < _DENSE_STATES else ops.apply_ss"),
+     "    if side.curvature.bounds[-1] > _DENSE_STATES:",
+     "    if side.curvature.bounds[-1] >= _DENSE_STATES:"),
+    # the side process read off the Hessian's eigendecomposition, and its rules
+    ("side-stop-strict", "src/fpgrad/rbp.py",
+     "            if norm <= cfg.tolerance:",
+     "            if norm < cfg.tolerance:"),
+    ("side-sum-includes-k", "src/fpgrad/rbp.py",
+     "                return GradientEstimate(side.theta_bar(s_sum + rows[:j].sum(axis=0), eps), \"rbp\", eps,",
+     "                return GradientEstimate(side.theta_bar(s_sum + rows[:j + 1].sum(axis=0), eps), \"rbp\", eps,"),
+    ("spectral-basis-untransposed", "src/fpgrad/rbp.py",
+     "    mu, coef = 1.0 - step_size * lam, q.T.dot(side.s_bar_0)",
+     "    mu, coef = 1.0 - step_size * lam, q.dot(side.s_bar_0)"),
+    ("rise-count-not-reset", "src/fpgrad/rbp.py",
+     "                rising = rising + 1 if norm > last else 0",
+     "                rising = rising + 1 if norm > last else rising"),
     ("dense-block-untransposed", "src/fpgrad/model.py",
      "            h[cols, rows] = block.T",
      "            h[cols, rows] = block"),
