@@ -16,8 +16,11 @@ in, the final state and the recorded snapshots out.  A stack of states,
 one per column, relaxes as one flow that freezes each column once it
 has converged (`relax_columns`): the oracle's probes and gradcheck's betas.
 A stack that starts at a fixed point and settles near it may first take
-chord steps on one dense Hessian (`fd_hessian`), so that Euler is left
-only what they do not settle.
+chord steps on the inverse of one dense Hessian (`fd_hessian`), so that
+Euler is left only what they do not settle.  Those steps are the one
+Newton-type finish (`_chord`): the free phase's Newton steps
+(`eqprop._free_fixed_point`) run in the same loop, under the same rule,
+with conjugate gradients as the solve.
 """
 
 from __future__ import annotations
@@ -207,11 +210,12 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
     a ConvergenceError.
 
     `hessian`, a dense n x n matrix taken at the stack's common start
-    (`fd_hessian`), first moves every column by chord steps (`_chord`);
-    the Euler flow then starts where they stop, a column they settled
-    freezing at step 0, so the counts are Euler steps only.  Without it,
-    or where the chord takes no step, the flow is plain Euler's bit for
-    bit."""
+    (`fd_hessian`), first moves every column by chord steps (`_chord`),
+    where `np.linalg.cholesky` accepts it: each step is the product of one
+    `np.linalg.inv` of it, taken once, with the stack's force.  The Euler
+    flow then starts where they stop, a column they settled freezing at
+    step 0, so the counts are Euler steps only.  Without it, or where the
+    chord takes no step, the flow is plain Euler's bit for bit."""
     steps = np.full(np.shape(stack[0])[1], -1)
     tol = np.broadcast_to(cfg.tolerance if tolerance is None else tolerance, steps.shape)
     k = frozen = 0
@@ -231,7 +235,7 @@ def relax_columns(force: FlatForce, stack: State, cfg: RelaxationConfig, phase: 
     start, g = model.flatten(stack), None
     if hessian is not None and _positive_definite(hessian):
         with np.errstate(over="ignore", invalid="ignore"):  # as in `_flow`
-            start, g = _chord(force, start, hessian, tol)
+            start, g = _chord(force, start, force(start), np.linalg.inv(hessian).dot, tol)
     for s, g, residual in _flow(force, [start], cfg.step_size, cfg.max_steps, moving, g):
         if not residual:
             return s, steps
@@ -247,24 +251,30 @@ def _positive_definite(h: np.ndarray) -> bool:
         return False
 
 
-def _chord(force: FlatForce, s: np.ndarray, hessian: np.ndarray, tol):
-    """Chord steps s <- s - H^-1 force(s) on every column of the flat stack
-    s at once, one `np.linalg.solve` a step: the last point kept and its
-    force.  They run only where some column starts above its tolerance
-    `tol`: a stack within tolerance comes back as it was, as `relax`
-    certifies a start.  A step is kept only where it at least halves the
-    stack's max|force|, and the steps stop at the first that does not, at
-    the rounding floor at the latest, so that where they settle a column
-    its point does not depend on the stack around it.  A non-finite force
-    at the start is left to the flow, which raises at step 0; one at a
-    trial point raises DivergenceError here."""
-    g = force(s)
+def _chord(force: FlatForce, s: np.ndarray, g: np.ndarray, solve, tol):
+    """The one Newton-type finish: steps s <- s - solve(g) from the flat
+    state s, or every column of a flat stack at once, whose force is g;
+    the last point kept and its force.  `solve` maps a force to a step, or
+    to None where it refuses one.  The steps run only where some column
+    starts above its tolerance `tol`: a start within tolerance comes back
+    as it was, as `relax` certifies one.  A step is kept only where it at
+    least halves max|force|, and the steps stop at the first that does
+    not, at a refused solve or at an all-zero step, at the rounding floor
+    at the latest, so that where they settle a column its point does not
+    depend on the stack around it.  A non-finite force at the start is
+    left to the flow, which raises at step 0; one at a trial point raises
+    DivergenceError here.  Only a stack's chord, which runs before its
+    Euler flow, can meet one: the free phase's solve (`CurvatureOps.solve`)
+    returns only a finite step, whose force is finite."""
     if not (np.maximum.reduce(np.abs(g), axis=0) > tol).any():
         return s, g
     residual, j = model.max_abs(g), 0
     while 0 < residual < math.inf:
+        d = solve(g)
+        if d is None or not d.any():
+            break
         j += 1
-        trial = s - np.linalg.solve(hessian, g)
+        trial = s - d
         g_trial = force(trial)
         r = model.max_abs(g_trial)
         if not math.isfinite(r):

@@ -95,8 +95,9 @@ def _two_point_gradient(g_nudged: Params, g_free: Params, beta: float) -> Params
 # and Newton steps take over, only where at least six decades separate the
 # switch from the tolerance (at most _FINISH_BELOW): there Euler would spend
 # most of its steps on the linear tail.  Nearer the switch, at XOR
-# training's 1e-6 say, the free phase is plain Euler.  The stacked nudged
-# phases take chord steps under the same rule (`eqprop_gradients`).
+# training's 1e-6 say, the free phase is plain Euler.  The steps are the
+# stacks' chord loop (`dynamics._chord`), and the stacked nudged phases
+# take their chord steps under the same rule (`eqprop_gradients`).
 _SWITCH, _FINISH_BELOW = 1e-3, 1e-9
 
 
@@ -104,27 +105,26 @@ def _free_fixed_point(theta, x, act, cfg) -> State:
     """The free fixed point from the zero state, recording no snapshots.
 
     At a tolerance at most _FINISH_BELOW, for an activation with a second
-    derivative, Euler stops at a residual of _SWITCH and Newton steps
-    (`_newton_steps`) move the point on.  Where they take no step (a
-    refused solve, or no step lowers the residual), Euler goes on to a
-    residual one decade lower and they try again, while six decades still
-    separate that residual from the tolerance.  `dynamics.relax` then
-    certifies the point at the tolerance: in one evaluation if it is
-    within it, else by Euler steps from it.  Euler takes at most
-    cfg.max_steps steps in all, and a phase that does not converge raises
-    plain Euler's ConvergenceError."""
+    derivative, Euler stops at a residual of _SWITCH and Newton steps move
+    the point on: the loop of `dynamics._chord`, with `CurvatureOps.freeze`
+    as its force and `CurvatureOps.solve` to half the tolerance as its
+    solve, so a step is kept only where it at least halves the residual.
+    Where they take no step (a refused solve, or s - d does not halve the
+    residual), Euler goes on to a residual one decade lower and they try
+    again, while six decades still separate that residual from the
+    tolerance.  `dynamics.relax` then certifies the point at the
+    tolerance: in one evaluation if it is within it, else by Euler steps
+    from it.  Euler takes at most cfg.max_steps steps in all, and a phase
+    that does not converge raises plain Euler's ConvergenceError."""
     cfg = replace(cfg, record_every=0)
     finish = act.d2f is not None and cfg.tolerance <= _FINISH_BELOW
     s, traj = dynamics.relax_free(theta, x, model.zero_state_like(theta), act,
                                   replace(cfg, tolerance=_SWITCH) if finish else cfg)
-    left, ops, retries = cfg.max_steps - traj.steps_taken, None, 0
+    left, retries = cfg.max_steps - traj.steps_taken, 0
     while finish and traj.converged and left and traj.final_residual > cfg.tolerance:
-        flat = model.flatten(s)
-        if ops is None:
-            ops = model.CurvatureOps(theta, x, s, act)
-        else:
-            ops.freeze(flat)
-        end = _newton_steps(ops, flat, cfg.tolerance)
+        flat, ops = model.flatten(s), model.CurvatureOps(theta, x, s, act)
+        end, _ = dynamics._chord(ops.freeze, flat, ops.gradient, lambda g: ops.solve(g, 0.5 * cfg.tolerance),
+                                 cfg.tolerance)
         retries += 1
         switch = _SWITCH / 10 ** retries
         if end is not flat or switch < cfg.tolerance * (_SWITCH / _FINISH_BELOW):
@@ -133,27 +133,6 @@ def _free_fixed_point(theta, x, act, cfg) -> State:
         s, traj = dynamics.relax(ops, s, replace(cfg, tolerance=switch, max_steps=left))
         left -= traj.steps_taken
     return dynamics.settled_state(s, traj.final_residual, cfg, "free phase")
-
-
-def _newton_steps(ops: model.CurvatureOps, s: np.ndarray, tolerance: float) -> np.ndarray:
-    """The last point accepted by Newton steps from the flat state s, at
-    which `ops` is frozen.  While the residual is above tolerance, a step
-    solves H d = dE/ds by `ops.solve` and moves to s - d, or to s - d/2
-    where s - d does not lower the residual; it stops at the first refused
-    solve, or where neither lowers the residual."""
-    g, residual = ops.gradient, ops.residual
-    while residual > tolerance:
-        d = ops.solve(g, 0.5 * tolerance)
-        if d is None:
-            break
-        for trial in (s - d, s - 0.5 * d):
-            ops.freeze(trial)
-            if ops.residual < residual:
-                break
-        else:
-            break
-        s, g, residual = trial, ops.gradient, ops.residual
-    return s
 
 
 def check_betas(betas) -> List[float]:

@@ -537,16 +537,18 @@ class CurvatureOps(Force):
         self._products = [(w, dv[k + 1], down[k]) for k, w in inner] + [(w.T, dv[k], up[k]) for k, w in inner]
         self.freeze(flatten(s))
 
-    def freeze(self, v: np.ndarray) -> None:
+    def freeze(self, v: np.ndarray) -> np.ndarray:
         """Freeze the operators at the flat state v: the force there
-        (`gradient`, dE/ds), its max|dE/ds| (`residual`), the slopes and
-        the curvature of the drive."""
+        (`gradient`, dE/ds, also returned, so that `freeze` serves as the
+        force of the free phase's Newton steps), its max|dE/ds|
+        (`residual`), the slopes and the curvature of the drive."""
         self.gradient = self(v)
         self.residual = max_abs(self.gradient)
         # curvature of the leak-plus-drive term, diagonal per layer
         self.d2_drive = self.act.d2f(v) * self.drive
         (down, up), n0, m = self._coupled, self.bounds[1], self.bounds[-2]
         self._sides = [(slice(0, m), self.slopes[:m], down), (slice(n0, None), self.slopes[n0:], up)]
+        return self.gradient
 
     def apply_ss(self, v: np.ndarray) -> np.ndarray:
         """(d2E/ds2) . v for a flat direction v: diagonal curvature of each

@@ -482,16 +482,28 @@ def _counted_solves(monkeypatch):
     return calls
 
 
+def _counted_freezes(monkeypatch):
+    """A list that gets one entry, the flat state, per `CurvatureOps.freeze` call."""
+    frozen, freeze = [], fp.model.CurvatureOps.freeze
+    monkeypatch.setattr(fp.model.CurvatureOps, "freeze", lambda self, v: frozen.append(v.copy()) or freeze(self, v))
+    return frozen
+
+
 @pytest.mark.parametrize("tolerance, finished", [(1e-6, False), (1e-8, False), (1e-9, True), (1e-12, True)])
 def test_the_newton_finish_engages_six_decades_below_its_switch(seeded_net, monkeypatch, tolerance, finished):
-    # Euler to a residual of 1e-3, then Newton, only at a tolerance <= 1e-9
+    # Euler to a residual of 1e-3, then Newton, only at a tolerance <= 1e-9;
+    # the last solve, to half the tolerance, is an all-zero step, which
+    # stops the steps with no freeze: one when the operators are built, and
+    # one per step kept
     shape, theta, x, y, act = seeded_net
-    calls = _counted_solves(monkeypatch)
+    calls, frozen = _counted_solves(monkeypatch), _counted_freezes(monkeypatch)
     cfg = fp.RelaxationConfig(tolerance=tolerance)
     s = fp.eqprop._free_fixed_point(theta, x, act, cfg)
     assert bool(calls) == finished
     assert fp.model.max_abs(fp.model.flatten(fp.grad_s_energy(theta, x, s, act))) <= tolerance
-    if not finished:
+    if finished:
+        assert not calls[-1].any() and len(frozen) == len(calls) == 3
+    else:
         assert [b.tobytes() for b in s] == [b.tobytes() for b in _plain_euler(theta, x, act, cfg)]
 
 
@@ -614,13 +626,21 @@ def test_a_free_phase_capped_at_its_switch_takes_no_newton_step(seeded_net, monk
     assert len(calls) >= 1 and steps[1:] == [k, 0]
 
 
-# tanh starts from which the full Newton step s - d raises the residual; the
-# half step s - d/2 lowers it from the last three, and from the first three
-# neither does, so the start comes back as it was
+# tanh starts from which the full Newton step s - d raises the residual
+# (the first six), and three from which it halves it.  `halved` says
+# whether the half step s - d/2 lowers the residual: it would from the
+# fourth to the sixth, but there is no half step, so those come back
+# unchanged too
 @pytest.mark.parametrize("index, scale, halved", [
     (4, 2.0, False), (6, 1.0, False), (8, 1.0, False), (1, 2.0, True), (5, 0.5, True), (16, 2.0, True),
+    (0, 1.0, True), (5, 1.0, True), (6, 2.0, True),
 ])
 def test_a_newton_step_is_taken_only_where_it_lowers_the_residual(monkeypatch, index, scale, halved):
+    # the free phase's steps, the chord loop with `freeze` as the force and
+    # CG to half the tolerance as the solve, keep a step only where it at
+    # least halves max|g|: where s - d does not, the start comes back
+    # unchanged; elsewhere each point kept at least halves the last, and
+    # the steps stop at the first trial that does not, or with no trial
     shape, theta, x, _ = make_instance(index)
     start = random_state(shape, np.random.default_rng(index), scale)
     s, tol = fp.model.flatten(start), 1e-12
@@ -630,12 +650,18 @@ def test_a_newton_step_is_taken_only_where_it_lowers_the_residual(monkeypatch, i
 
     ops = fp.model.CurvatureOps(theta, x, start, fp.TANH)
     d = ops.solve(ops.gradient, 0.5 * tol)
-    assert residual(s - d) >= ops.residual
-    frozen, freeze = [], fp.model.CurvatureOps.freeze
-    monkeypatch.setattr(fp.model.CurvatureOps, "freeze", lambda self, v: frozen.append(v.copy()) or freeze(self, v))
-    got = fp.eqprop._newton_steps(ops, s, tol)
-    assert [v.tobytes() for v in frozen[:2]] == [(s - d).tobytes(), (s - 0.5 * d).tobytes()]
-    if halved:
-        assert residual(got) < residual(s)
+    assert (residual(s - 0.5 * d) < ops.residual) == halved
+    frozen = _counted_freezes(monkeypatch)
+    got, g = fp.dynamics._chord(ops.freeze, s, ops.gradient, lambda g: ops.solve(g, 0.5 * tol), tol)
+    monkeypatch.undo()
+    assert frozen[0].tobytes() == (s - d).tobytes()
+    residuals = [residual(v) for v in [s] + frozen]
+    kept = 0
+    while kept + 1 < len(residuals) and residuals[kept + 1] <= 0.5 * residuals[kept]:
+        kept += 1
+    assert len(frozen) - kept <= 1
+    assert g.tobytes() == ops(got).tobytes()
+    if residuals[1] > 0.5 * residuals[0]:
+        assert got is s and len(frozen) == 1
     else:
-        assert got.tobytes() == s.tobytes() and len(frozen) == 2
+        assert kept >= 1 and got.tobytes() == frozen[kept - 1].tobytes()

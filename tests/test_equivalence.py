@@ -453,6 +453,26 @@ def test_certified_block_max_of_a_one_column_block_is_the_dense_max_bit_for_bit(
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_a_bound_met_by_the_top_rows_does_not_certify_a_block(monkeypatch):
+    # row 0's terms share one sign and meet its bound, 0.1 + 0.2 * 1.3 in
+    # column 0; a kernel with FMA (Haswell, SkylakeX, Zen; not Prescott)
+    # rounds that entry an ulp above the bound.  The other 16 rows have
+    # larger bounds, and their max is row 0's bound exactly, so only the
+    # margin keeps that bound from certifying the block: it is multiplied
+    # out, and its max is row 0's entry
+    left, right = np.zeros((1, 3, 17)), np.zeros((1, 3, 2))
+    right[0, :, 0], right[0, 2, 1] = (1.0, 1.3, 0.0), 1.0
+    left[0, :2, 0] = 0.1, 0.2
+    bound = np.matmul(np.abs(right).max(axis=2)[:, None], np.abs(left))[0, 0, 0]  # as `_block_max` takes it
+    left[0, 0, 1:], left[0, 2, 1:] = bound, 1e-10 * bound
+    calls = _count_block_max(monkeypatch, "_dense_max")
+    got = equivalence._block_max(left, right)
+    monkeypatch.undo()
+    want = equivalence._dense_max(left, right)
+    assert calls == [(1, 16), (1, 17)]
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("nan_block", [0, 1])
 def test_blocks_max_never_skips_while_the_running_max_is_infinite(nan_block):
     # both blocks' bounds are inf: one block's max is inf, and the other

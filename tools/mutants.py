@@ -73,13 +73,14 @@ MUTANTS = [
     ("gradcheck-oracle-from-zero", "src/fpgrad/cli.py",
      "    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, estimates[0].free_point)",
      "    reference = oracle.fd_objective_gradient(theta, x, y, act, rcfg, fd, None)"),
-    # the free phase's Newton finish
+    # the free phase's Newton finish; a zero step taken costs one freeze
+    # per free phase and moves no output
     ("cg-curvature-unguarded", "src/fpgrad/model.py",
      "            if not curvature > 0:",
      "            if False:"),
-    ("newton-decrease-unchecked", "src/fpgrad/eqprop.py",
-     "            if ops.residual < residual:",
-     "            if True:"),
+    ("newton-zero-step-taken", "src/fpgrad/dynamics.py",
+     "        if d is None or not d.any():",
+     "        if d is None:"),
     ("newton-finish-boundary", "src/fpgrad/eqprop.py",
      "_SWITCH, _FINISH_BELOW = 1e-3, 1e-9",
      "_SWITCH, _FINISH_BELOW = 1e-3, 1e-8"),
